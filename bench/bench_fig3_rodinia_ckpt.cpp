@@ -1437,8 +1437,8 @@ void run_delta_sweep(BenchJson& json) {
 // ---- durable registry recovery sweep --------------------------------------
 //
 // Builds a durable registry corpus (N committed images, distinct synthetic
-// payloads so dedup does not collapse the slab), drops the in-memory
-// registry, then times a cold recover() of a fresh registry over the same
+// payloads so dedup does not collapse the slab), drops the registry
+// object, then times a cold recover() of a fresh registry over the same
 // directory — the restart path the kill-and-recover campaign proves correct
 // and this sweep prices. A row whose recovery fails (or serves the wrong
 // image count) reports recover_s = -1; the CI bench smoke gates on that.

@@ -1,7 +1,5 @@
 #include "common/thread_pool.hpp"
 
-#include <atomic>
-
 #include "common/log.hpp"
 
 namespace crac {
@@ -58,7 +56,11 @@ void ThreadPool::parallel_for(std::size_t n,
   }
 
   const std::size_t chunks = std::min(n, workers);
-  std::atomic<std::size_t> done{0};
+  // done_mu, done_cv and done live on this stack frame. The last worker
+  // increments and notifies while holding done_mu, so the caller cannot see
+  // the final count (and return, freeing the frame) until that worker has
+  // released the lock and stopped touching them.
+  std::size_t done = 0;
   std::mutex done_mu;
   std::condition_variable done_cv;
 
@@ -67,15 +69,13 @@ void ThreadPool::parallel_for(std::size_t n,
     const std::size_t end = n * (c + 1) / chunks;
     submit([&, begin, end] {
       for (std::size_t i = begin; i < end; ++i) body(i);
-      if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == chunks) {
-        std::lock_guard<std::mutex> lock(done_mu);
-        done_cv.notify_one();
-      }
+      std::lock_guard<std::mutex> lock(done_mu);
+      if (++done == chunks) done_cv.notify_one();
     });
   }
 
   std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&] { return done.load(std::memory_order_acquire) == chunks; });
+  done_cv.wait(lock, [&] { return done == chunks; });
 }
 
 void ThreadPool::drain() {

@@ -86,7 +86,6 @@ struct RestartReport {
   double read_s = 0;    // file read + integrity checks
   double memory_s = 0;  // upper-half memory restore
   double replay_s = 0;  // full-log replay against the fresh lower half
-  double refill_s = 0;  // (included in replay_s; kept for future splits)
   double total_s = 0;
   // True when the source was still receiving when restore began
   // (restore-while-receiving): the phase times above then overlap the

@@ -29,6 +29,8 @@ Status err_to_status(std::int32_t wire_err) {
     case RegistryErr::kNoParent:
       return FailedPrecondition(
           "registry: delta parent image was never PUT");
+    case RegistryErr::kCorrupt:
+      return Corrupt("registry: a stored chunk of the image fails its CRC");
   }
   return Corrupt("registry: unknown wire error code");
 }

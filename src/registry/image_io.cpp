@@ -34,7 +34,7 @@ std::uint64_t get_u64_at(const std::vector<std::byte>& b, std::size_t off) {
 
 StoredImage::~StoredImage() {
   for (const auto& seg : segments_) {
-    if (seg.entry != Segment::kNoEntry) store_->release(seg.entry);
+    if (seg.chunk) store_->release(seg.key());
   }
 }
 
@@ -54,7 +54,7 @@ void RegistrySink::append_literal(const std::byte* data, std::size_t size) {
   auto& lits = image_->literals_;
   // Extend the open literal segment when this byte range is contiguous
   // with it; otherwise start a new one.
-  if (!segs.empty() && segs.back().entry == StoredImage::Segment::kNoEntry &&
+  if (!segs.empty() && !segs.back().chunk &&
       segs.back().logical_offset + segs.back().size == consumed_) {
     segs.back().size += size;
   } else {
@@ -91,18 +91,12 @@ Status RegistrySink::admit_chunk() {
     image_->image_id_.append(reinterpret_cast<const char*>(decoded.raw.data()),
                              decoded.raw.size());
   }
-  ChunkKey key;
-  key.codec = frame_.codec;
-  key.raw_size = frame_.raw_size;
-  key.crc = frame_.crc;
-  CRAC_ASSIGN_OR_RETURN(const std::uint64_t id,
-                        store_->put(key, buf_.data(), buf_.size()));
-
   StoredImage::Segment seg;
   seg.size = ckpt::frame_header_bytes(framing_) + frame_.stored_size;
   seg.logical_offset = consumed_ - seg.size;  // header already consumed
-  seg.entry = id;
+  seg.chunk = true;
   seg.frame = frame_;
+  CRAC_RETURN_IF_ERROR(store_->put(seg.key(), buf_.data(), buf_.size()));
   image_->segments_.push_back(seg);
   ++image_->chunk_count_;
   image_->raw_bytes_ += frame_.raw_size;
@@ -305,6 +299,7 @@ Status RegistrySource::read(void* out, std::size_t size) {
       size > image_->image_bytes() - pos_) {
     return Corrupt(describe() + ": read past end of image");
   }
+  if (payloads_.empty()) CRAC_RETURN_IF_ERROR(verify());
   auto* dst = static_cast<std::byte*>(out);
   const auto& segs = image_->segments();
   // Find the segment containing pos_: first segment starting after it,
@@ -325,13 +320,13 @@ Status RegistrySource::read(void* out, std::size_t size) {
     const std::uint64_t seg_pos = pos_ - seg.logical_offset;
     const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(
         size - done, seg.size - seg_pos));
-    if (seg.entry == StoredImage::Segment::kNoEntry) {
+    if (!seg.chunk) {
       std::memcpy(dst + done,
                   image_->literals().data() + seg.lit_offset + seg_pos, n);
     } else {
       // Regenerate the frame header from the stored key fields (they ARE
-      // the header), then serve payload bytes straight out of the slab —
-      // no lock: the image's reference pins the entry.
+      // the header), then pread payload bytes out of the slab generation
+      // verify() pinned.
       const std::size_t header_bytes =
           ckpt::frame_header_bytes(image_->framing());
       ByteWriter header;
@@ -341,23 +336,15 @@ Status RegistrySource::read(void* out, std::size_t size) {
         header.put_u32(seg.frame.codec);
       }
       header.put_u32(seg.frame.crc);
-      const ChunkStore::View payload = image_->store().view(seg.entry);
       std::size_t copied = 0;
-      std::uint64_t at = seg_pos;
-      while (copied < n) {
-        if (at < header_bytes) {
-          const auto h = static_cast<std::size_t>(
-              std::min<std::uint64_t>(n - copied, header_bytes - at));
-          std::memcpy(dst + done + copied, header.data() + at, h);
-          copied += h;
-          at += h;
-        } else {
-          const std::size_t poff = static_cast<std::size_t>(at - header_bytes);
-          const std::size_t h = n - copied;
-          std::memcpy(dst + done + copied, payload.data + poff, h);
-          copied += h;
-          at += h;
-        }
+      if (seg_pos < header_bytes) {
+        copied = static_cast<std::size_t>(
+            std::min<std::uint64_t>(n, header_bytes - seg_pos));
+        std::memcpy(dst + done, header.data() + seg_pos, copied);
+      }
+      if (copied < n) {
+        CRAC_RETURN_IF_ERROR(payloads_[it - segs.begin()].read(
+            seg_pos + copied - header_bytes, dst + done + copied, n - copied));
       }
     }
     done += n;
@@ -365,6 +352,17 @@ Status RegistrySource::read(void* out, std::size_t size) {
     if (seg_pos + n == seg.size) ++it;  // segment drained; else pos_ stays
                                         // inside it for the next pass
   }
+  return OkStatus();
+}
+
+Status RegistrySource::verify() {
+  const auto& segs = image_->segments();
+  std::vector<ChunkStore::Payload> payloads(segs.size());
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    if (!segs[i].chunk) continue;
+    CRAC_ASSIGN_OR_RETURN(payloads[i], image_->store().payload(segs[i].key()));
+  }
+  payloads_ = std::move(payloads);
   return OkStatus();
 }
 

@@ -22,8 +22,8 @@
 // RegistrySource is the read-side twin: a seekable ckpt::Source that
 // reconstructs the exact original byte stream — literal segments verbatim,
 // chunk frame headers regenerated from the interned key (the fields are the
-// key, so regeneration is byte-identical), payloads streamed from the store
-// lock-free under the image's chunk references. One stored image can feed
+// key, so regeneration is byte-identical), payloads pread from the store's
+// slab file under the image's chunk references. One stored image can feed
 // any number of concurrent sources: the fan-out restore path.
 #pragma once
 
@@ -48,13 +48,15 @@ class StoredImage {
   struct Segment {
     std::uint64_t logical_offset = 0;  // of this segment's first byte
     std::uint64_t size = 0;            // logical bytes covered
-    // kNoEntry: literal bytes at [lit_offset, lit_offset+size) in
-    // literals(). Otherwise: a regenerated chunk frame (header + payload
-    // from the store entry).
-    static constexpr std::uint64_t kNoEntry = ~std::uint64_t{0};
-    std::uint64_t entry = kNoEntry;
+    // Literal: bytes at [lit_offset, lit_offset+size) in literals().
+    // Chunk: a regenerated frame header + the payload the store holds
+    // under key().
+    bool chunk = false;
     std::uint64_t lit_offset = 0;
     ckpt::ChunkFrame frame;  // chunk segments: header fields for regen
+    ChunkKey key() const noexcept {
+      return ChunkKey{frame.codec, frame.raw_size, frame.crc};
+    }
   };
 
   ~StoredImage();
@@ -91,7 +93,7 @@ class StoredImage {
 
   const std::vector<Segment>& segments() const noexcept { return segments_; }
   const std::vector<std::byte>& literals() const noexcept { return literals_; }
-  const ChunkStore& store() const noexcept { return *store_; }
+  ChunkStore& store() const noexcept { return *store_; }
 
  private:
   friend class RegistrySink;
@@ -186,6 +188,13 @@ class RegistrySource final : public ckpt::Source {
   Status read(void* out, std::size_t size) override;
   Status seek(std::uint64_t offset) override;
 
+  // Looks up every chunk payload of the image, checking each against its
+  // CRC the first time this process reads it, so a server can refuse a
+  // damaged image before it starts streaming (Corrupt names the chunk).
+  // read() does this on first use; afterwards it preads without touching
+  // the store's lock.
+  Status verify();
+
   std::uint64_t position() const noexcept override { return pos_; }
   std::uint64_t size() const noexcept override {
     return image_->image_bytes();
@@ -198,6 +207,8 @@ class RegistrySource final : public ckpt::Source {
  private:
   std::shared_ptr<const StoredImage> image_;
   std::uint64_t pos_ = 0;
+  // Per segment (empty for literals), filled by verify().
+  std::vector<ChunkStore::Payload> payloads_;
 };
 
 }  // namespace crac::registry

@@ -36,103 +36,48 @@ namespace {
 
 constexpr std::uint32_t kFormatVersion = 1;
 
-Status pread_all(int fd, void* data, std::size_t size, std::uint64_t offset,
-                 const std::string& origin) {
-  char* p = static_cast<char*>(data);
-  while (size > 0) {
-    const ::ssize_t n = ::pread(fd, p, size, static_cast<off_t>(offset));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return IoError(origin + ": pread failed: " + std::strerror(errno));
-    }
-    if (n == 0) return IoError(origin + ": unexpected EOF");
-    p += n;
-    size -= static_cast<std::size_t>(n);
-    offset += static_cast<std::uint64_t>(n);
-  }
-  return OkStatus();
-}
-
-Status fdatasync_fd(int fd, const std::string& origin) {
-  while (::fdatasync(fd) != 0) {
-    if (errno == EINTR) continue;
-    return IoError(origin + ": fdatasync failed: " + std::strerror(errno));
-  }
-  return OkStatus();
-}
-
-// Opens (creating + header-initializing when absent/empty) an append-only
-// log file; returns the fd and its current size.
-Result<std::pair<int, std::uint64_t>> open_log(const std::string& path,
-                                               const char magic[8]) {
+// Opens the WAL — creating it, or restarting a creation torn before its
+// header landed — positioned for appends; returns the fd and its size.
+Result<std::pair<int, std::uint64_t>> open_wal(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
   if (fd < 0) {
     return IoError(path + ": open failed: " + std::strerror(errno));
   }
-  struct stat st {};
-  if (::fstat(fd, &st) != 0) {
-    const Status s =
-        IoError(path + ": fstat failed: " + std::strerror(errno));
+  auto fail = [fd](Status s) {
     ::close(fd);
     return s;
+  };
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    return fail(IoError(path + ": fstat failed: " + std::strerror(errno)));
   }
   std::uint64_t size = static_cast<std::uint64_t>(st.st_size);
-  if (size == 0) {
+  if (size < kWalFileHeaderBytes) {
+    if (::ftruncate(fd, 0) != 0) {
+      return fail(IoError(path + ": reset failed: " + std::strerror(errno)));
+    }
     ByteWriter header;
-    header.put_bytes(magic, 8);
+    header.put_bytes(kWalMagic, 8);
     header.put_u32(kFormatVersion);
     if (Status s = write_all_fd(fd, header.data(), header.size(), path);
         !s.ok()) {
-      ::close(fd);
-      return s;
+      return fail(s);
     }
     size = header.size();
   } else {
     char have[8];
-    if (Status s = pread_all(fd, have, sizeof(have), 0, path); !s.ok()) {
-      // A file shorter than its magic is a torn creation; reset it.
-      if (::ftruncate(fd, 0) != 0 ||
-          ::lseek(fd, 0, SEEK_SET) != 0) {
-        ::close(fd);
-        return IoError(path + ": reset failed: " + std::strerror(errno));
-      }
-      ByteWriter header;
-      header.put_bytes(magic, 8);
-      header.put_u32(kFormatVersion);
-      if (Status w = write_all_fd(fd, header.data(), header.size(), path);
-          !w.ok()) {
-        ::close(fd);
-        return w;
-      }
-      return std::make_pair(fd, static_cast<std::uint64_t>(header.size()));
+    if (Status s = pread_all_fd(fd, have, sizeof(have), 0, path); !s.ok()) {
+      return fail(s);
     }
-    if (std::memcmp(have, magic, 8) != 0) {
-      ::close(fd);
-      return Corrupt(path + ": bad file magic");
-    }
-    // Appends go through write(); position at the end (pread left us at 0).
-    if (::lseek(fd, 0, SEEK_END) < 0) {
-      const Status s =
-          IoError(path + ": seek failed: " + std::strerror(errno));
-      ::close(fd);
-      return s;
+    if (std::memcmp(have, kWalMagic, 8) != 0) {
+      return fail(Corrupt(path + ": bad file magic"));
     }
   }
+  // Appends go through write(); position at the end.
+  if (::lseek(fd, static_cast<off_t>(size), SEEK_SET) < 0) {
+    return fail(IoError(path + ": seek failed: " + std::strerror(errno)));
+  }
   return std::make_pair(fd, size);
-}
-
-ByteWriter encode_slab_record_header(const ChunkKey& key,
-                                     std::uint64_t stored_size,
-                                     std::uint32_t stored_crc) {
-  ByteWriter w;
-  w.put_u32(kSlabRecordMagic);
-  w.put_u32(key.codec);
-  w.put_u64(key.raw_size);
-  w.put_u32(key.crc);
-  w.put_u64(stored_size);
-  w.put_u32(stored_crc);
-  w.put_u32(crc32(w.data(), w.size()));
-  return w;
 }
 
 }  // namespace
@@ -211,7 +156,6 @@ Status decode_image_record(ByteReader& in, ImageRecordWire& out) {
 DurableStore::DurableStore(std::string dir) : dir_(std::move(dir)) {}
 
 DurableStore::~DurableStore() {
-  if (slab_fd_ >= 0) ::close(slab_fd_);
   if (wal_fd_ >= 0) ::close(wal_fd_);
 }
 
@@ -222,222 +166,10 @@ Result<std::unique_ptr<DurableStore>> DurableStore::open(
     return IoError(dir + ": mkdir failed: " + std::strerror(errno));
   }
   auto store = std::unique_ptr<DurableStore>(new DurableStore(dir));
-  CRAC_RETURN_IF_ERROR(store->open_files());
+  CRAC_ASSIGN_OR_RETURN(auto wal, open_wal(dir + "/wal.log"));
+  store->wal_fd_ = wal.first;
+  store->wal_end_ = wal.second;
   return store;
-}
-
-Status DurableStore::open_files() {
-  CRAC_ASSIGN_OR_RETURN(auto slab, open_log(dir_ + "/chunks.slab", kSlabMagic));
-  slab_fd_ = slab.first;
-  slab_end_ = slab.second;
-  CRAC_ASSIGN_OR_RETURN(auto wal, open_log(dir_ + "/wal.log", kWalMagic));
-  wal_fd_ = wal.first;
-  wal_end_ = wal.second;
-  return OkStatus();
-}
-
-Status DurableStore::sync_dir_locked() {
-  // Persist the directory entries themselves (created files, renames). A
-  // crash can otherwise lose the rename that committed the manifest.
-  const int dfd = ::open(dir_.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd < 0) {
-    return IoError(dir_ + ": open for fsync failed: " + std::strerror(errno));
-  }
-  Status s = OkStatus();
-  while (::fsync(dfd) != 0) {
-    if (errno == EINTR) continue;
-    s = IoError(dir_ + ": fsync failed: " + std::strerror(errno));
-    break;
-  }
-  ::close(dfd);
-  return s;
-}
-
-// ---- slab ------------------------------------------------------------------
-
-Status DurableStore::scan_slab() {
-  const std::string origin = dir_ + "/chunks.slab";
-  std::uint64_t pos = kSlabFileHeaderBytes;
-  std::uint64_t good_end = pos;
-  while (pos + kSlabRecordHeaderBytes <= slab_end_) {
-    std::byte header[kSlabRecordHeaderBytes];
-    CRAC_RETURN_IF_ERROR(
-        pread_all(slab_fd_, header, sizeof(header), pos, origin));
-    ByteReader r(header, sizeof(header));
-    std::uint32_t magic = 0, codec = 0, raw_crc = 0, stored_crc = 0,
-                  header_crc = 0;
-    std::uint64_t raw_size = 0, stored_size = 0;
-    (void)r.get_u32(magic);
-    (void)r.get_u32(codec);
-    (void)r.get_u64(raw_size);
-    (void)r.get_u32(raw_crc);
-    (void)r.get_u64(stored_size);
-    (void)r.get_u32(stored_crc);
-    (void)r.get_u32(header_crc);
-    if (magic != kSlabRecordMagic ||
-        crc32(header, kSlabRecordHeaderBytes - 4) != header_crc) {
-      break;  // torn or garbage header: everything from here is the tail
-    }
-    if (pos + kSlabRecordHeaderBytes + stored_size > slab_end_) {
-      break;  // header landed, payload didn't
-    }
-    std::vector<std::byte> payload(stored_size);
-    if (stored_size > 0) {
-      CRAC_RETURN_IF_ERROR(pread_all(slab_fd_, payload.data(), stored_size,
-                                     pos + kSlabRecordHeaderBytes, origin));
-    }
-    if (crc32(payload.data(), payload.size()) != stored_crc) {
-      break;  // payload bytes torn mid-write
-    }
-    const ChunkKey key{codec, raw_size, raw_crc};
-    // Duplicate records can exist (a crash between append and WAL can be
-    // followed by a clean re-PUT of the same content). Keep the first and
-    // count the repeat as dead weight for compaction.
-    if (catalog_.find(key) == catalog_.end()) {
-      catalog_.emplace(key,
-                       ChunkLoc{pos, stored_size, stored_crc, /*dead=*/true});
-    } else {
-      dead_bytes_ += kSlabRecordHeaderBytes + stored_size;
-    }
-    pos += kSlabRecordHeaderBytes + stored_size;
-    good_end = pos;
-  }
-  if (good_end < slab_end_) {
-    recovery_stats_.recovery_truncated_slab = slab_end_ - good_end;
-    if (::ftruncate(slab_fd_, static_cast<off_t>(good_end)) != 0 ||
-        ::lseek(slab_fd_, static_cast<off_t>(good_end), SEEK_SET) < 0) {
-      return IoError(origin + ": truncate failed: " + std::strerror(errno));
-    }
-    slab_end_ = good_end;
-  }
-  return OkStatus();
-}
-
-Status DurableStore::append_chunk(const ChunkKey& key, const std::byte* stored,
-                                  std::size_t size) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (auto it = catalog_.find(key); it != catalog_.end()) {
-    // The record may be dead weight from a since-removed image. This re-PUT
-    // is about to commit a WAL record naming the key, so the slab record
-    // must be live again — otherwise the next compaction would delete a
-    // payload the committed directory references, which recovery rejects
-    // as corruption.
-    if (it->second.dead) {
-      it->second.dead = false;
-      dead_bytes_ -= kSlabRecordHeaderBytes + it->second.stored_size;
-    }
-    return OkStatus();
-  }
-  const std::string origin = dir_ + "/chunks.slab";
-  const std::uint32_t stored_crc = crc32(stored, size);
-  const ByteWriter header = encode_slab_record_header(key, size, stored_crc);
-  const std::uint64_t at = slab_end_;
-  CRAC_RETURN_IF_ERROR(
-      write_all_fd(slab_fd_, header.data(), header.size(), origin));
-  fault_point("slab-append-mid");
-  CRAC_RETURN_IF_ERROR(write_all_fd(slab_fd_, stored, size, origin));
-  slab_end_ = at + header.size() + size;
-  catalog_.emplace(key, ChunkLoc{at, size, stored_crc, /*dead=*/false});
-  return OkStatus();
-}
-
-Status DurableStore::sync_chunks() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return fdatasync_fd(slab_fd_, dir_ + "/chunks.slab");
-}
-
-Result<std::vector<std::byte>> DurableStore::read_chunk(const ChunkKey& key) {
-  // The pread stays under mu_: compaction swaps slab_fd_ and rewrites every
-  // offset, so a read racing it could hit a closed fd or a stale offset.
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = catalog_.find(key);
-  if (it == catalog_.end()) {
-    return NotFound("slab: chunk not cataloged (crc " +
-                    std::to_string(key.crc) + ")");
-  }
-  std::vector<std::byte> out(it->second.stored_size);
-  CRAC_RETURN_IF_ERROR(pread_all(slab_fd_, out.data(), out.size(),
-                                 it->second.offset + kSlabRecordHeaderBytes,
-                                 dir_ + "/chunks.slab"));
-  if (crc32(out.data(), out.size()) != it->second.stored_crc) {
-    return Corrupt(dir_ + "/chunks.slab: stored payload CRC mismatch");
-  }
-  return out;
-}
-
-void DurableStore::mark_dead(const ChunkKey& key, std::size_t stored_size) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = catalog_.find(key);
-  if (it == catalog_.end() || it->second.dead) return;
-  (void)stored_size;
-  it->second.dead = true;
-  dead_bytes_ += kSlabRecordHeaderBytes + it->second.stored_size;
-}
-
-Status DurableStore::compact() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return compact_locked();
-}
-
-Status DurableStore::compact_locked() {
-  if (dead_bytes_ == 0) return OkStatus();
-  const std::string live_path = dir_ + "/chunks.slab";
-  const std::string tmp_path = dir_ + "/chunks.slab.tmp";
-  const int tmp_fd = ::open(tmp_path.c_str(), O_RDWR | O_CREAT | O_TRUNC,
-                            0644);
-  if (tmp_fd < 0) {
-    return IoError(tmp_path + ": open failed: " + std::strerror(errno));
-  }
-  Status status = OkStatus();
-  std::uint64_t out_pos = 0;
-  std::map<ChunkKey, ChunkLoc> next;
-  {
-    ByteWriter header;
-    header.put_bytes(kSlabMagic, 8);
-    header.put_u32(kFormatVersion);
-    status = write_all_fd(tmp_fd, header.data(), header.size(), tmp_path);
-    out_pos = header.size();
-  }
-  if (status.ok()) {
-    for (const auto& [key, loc] : catalog_) {
-      if (loc.dead) continue;
-      std::vector<std::byte> payload(loc.stored_size);
-      status = pread_all(slab_fd_, payload.data(), payload.size(),
-                         loc.offset + kSlabRecordHeaderBytes, live_path);
-      if (!status.ok()) break;
-      if (crc32(payload.data(), payload.size()) != loc.stored_crc) {
-        status = Corrupt(live_path + ": payload CRC mismatch in compaction");
-        break;
-      }
-      const ByteWriter rec_header =
-          encode_slab_record_header(key, payload.size(), loc.stored_crc);
-      status = write_all_fd(tmp_fd, rec_header.data(), rec_header.size(),
-                            tmp_path);
-      if (!status.ok()) break;
-      status = write_all_fd(tmp_fd, payload.data(), payload.size(), tmp_path);
-      if (!status.ok()) break;
-      next.emplace(key, ChunkLoc{out_pos, payload.size(), loc.stored_crc,
-                                 /*dead=*/false});
-      out_pos += rec_header.size() + payload.size();
-    }
-  }
-  if (status.ok()) status = fdatasync_fd(tmp_fd, tmp_path);
-  if (status.ok() && ::rename(tmp_path.c_str(), live_path.c_str()) != 0) {
-    status = IoError(tmp_path + ": rename failed: " + std::strerror(errno));
-  }
-  if (!status.ok()) {
-    ::close(tmp_fd);
-    ::unlink(tmp_path.c_str());
-    return status;
-  }
-  // The tmp fd IS the new live file after rename; swap it in.
-  ::close(slab_fd_);
-  slab_fd_ = tmp_fd;
-  slab_end_ = out_pos;
-  catalog_ = std::move(next);
-  dead_bytes_ = 0;
-  ++compactions_;
-  return sync_dir_locked();
 }
 
 // ---- WAL -------------------------------------------------------------------
@@ -484,7 +216,7 @@ Status DurableStore::replay_wal(
   while (pos + kWalRecordHeaderBytes <= wal_end_) {
     std::byte header[kWalRecordHeaderBytes];
     CRAC_RETURN_IF_ERROR(
-        pread_all(wal_fd_, header, sizeof(header), pos, origin));
+        pread_all_fd(wal_fd_, header, sizeof(header), pos, origin));
     ByteReader r(header, sizeof(header));
     std::uint32_t magic = 0, kind = 0, body_crc = 0, header_crc = 0;
     std::uint64_t body_len = 0;
@@ -500,7 +232,7 @@ Status DurableStore::replay_wal(
     if (pos + kWalRecordHeaderBytes + body_len > wal_end_) break;
     std::vector<std::byte> body(body_len);
     if (body_len > 0) {
-      CRAC_RETURN_IF_ERROR(pread_all(wal_fd_, body.data(), body_len,
+      CRAC_RETURN_IF_ERROR(pread_all_fd(wal_fd_, body.data(), body_len,
                                      pos + kWalRecordHeaderBytes, origin));
     }
     if (crc32(body.data(), body.size()) != body_crc) break;
@@ -523,7 +255,7 @@ Status DurableStore::replay_wal(
     good_end = pos;
   }
   if (good_end < wal_end_) {
-    recovery_stats_.recovery_truncated_wal = wal_end_ - good_end;
+    truncated_wal_ = wal_end_ - good_end;
     if (::ftruncate(wal_fd_, static_cast<off_t>(good_end)) != 0) {
       return IoError(origin + ": truncate failed: " + std::strerror(errno));
     }
@@ -553,7 +285,7 @@ Status DurableStore::load_manifest(
   std::vector<std::byte> buf(static_cast<std::size_t>(st.st_size));
   Status s = buf.empty()
                  ? OkStatus()
-                 : pread_all(fd, buf.data(), buf.size(), 0, path);
+                 : pread_all_fd(fd, buf.data(), buf.size(), 0, path);
   ::close(fd);
   CRAC_RETURN_IF_ERROR(s);
   // The manifest commits atomically via rename, so a malformed one is
@@ -585,11 +317,6 @@ Status DurableStore::load_manifest(
 
 Status DurableStore::checkpoint(const std::vector<ImageRecordWire>& images) {
   std::lock_guard<std::mutex> lock(mu_);
-  return checkpoint_locked(images);
-}
-
-Status DurableStore::checkpoint_locked(
-    const std::vector<ImageRecordWire>& images) {
   const std::string live_path = dir_ + "/manifest";
   const std::string tmp_path = dir_ + "/manifest.tmp";
   ByteWriter w;
@@ -617,7 +344,7 @@ Status DurableStore::checkpoint_locked(
     ::unlink(tmp_path.c_str());
     return r;
   }
-  CRAC_RETURN_IF_ERROR(sync_dir_locked());
+  CRAC_RETURN_IF_ERROR(fsync_dir(dir_));
   // The manifest now holds everything the WAL said; restart the log.
   if (::ftruncate(wal_fd_, static_cast<off_t>(kWalFileHeaderBytes)) != 0 ||
       ::lseek(wal_fd_, static_cast<off_t>(kWalFileHeaderBytes), SEEK_SET) <
@@ -632,74 +359,18 @@ Status DurableStore::checkpoint_locked(
 
 // ---- recovery --------------------------------------------------------------
 
-Result<std::vector<ImageRecordWire>> DurableStore::recover() {
+Result<std::vector<ImageRecordWire>> DurableStore::load() {
   std::lock_guard<std::mutex> lock(mu_);
   // A manifest.tmp is a checkpoint that never reached its rename commit
   // point — stale by definition.
   ::unlink((dir_ + "/manifest.tmp").c_str());
-  ::unlink((dir_ + "/chunks.slab.tmp").c_str());
-
-  catalog_.clear();
-  dead_bytes_ = 0;
-  CRAC_RETURN_IF_ERROR(scan_slab());
-
   std::map<std::string, ImageRecordWire> images;
   CRAC_RETURN_IF_ERROR(load_manifest(images));
   CRAC_RETURN_IF_ERROR(replay_wal(images));
-
-  // Resolve chunk references against the FINAL directory only: a chunk is
-  // live iff some committed image still names it. Everything else in the
-  // slab — torn-PUT orphans, chunks of since-removed images — is dead and
-  // compacts away below, restoring the zero-leak invariant.
-  // (scan_slab marked every record dead; flip the referenced ones back.)
   std::vector<ImageRecordWire> out;
   out.reserve(images.size());
-  for (auto& [name, rec] : images) {
-    for (const auto& seg : rec.segs) {
-      if (!seg.chunk) continue;
-      const ChunkKey key{seg.codec, seg.raw_size, seg.crc};
-      auto it = catalog_.find(key);
-      if (it == catalog_.end()) {
-        return Corrupt(dir_ + ": committed image '" + name +
-                       "' references a chunk missing from the slab (raw crc " +
-                       std::to_string(seg.crc) + ")");
-      }
-      if (it->second.stored_size != seg.stored_size) {
-        return Corrupt(dir_ + ": committed image '" + name +
-                       "' chunk stored-size mismatch vs slab record");
-      }
-      it->second.dead = false;
-    }
-    out.push_back(std::move(rec));
-  }
-  for (const auto& [key, loc] : catalog_) {
-    if (loc.dead) dead_bytes_ += kSlabRecordHeaderBytes + loc.stored_size;
-  }
-  recovery_stats_.recovered_images = out.size();
-  CRAC_RETURN_IF_ERROR(compact_locked());
-
-  // Fold the replayed state into a fresh manifest + empty WAL so the next
-  // recovery starts from a checkpoint, not a replay.
-  CRAC_RETURN_IF_ERROR(checkpoint_locked(out));
+  for (auto& [name, rec] : images) out.push_back(std::move(rec));
   return out;
-}
-
-// ---- stats -----------------------------------------------------------------
-
-DurableStore::DiskStats DurableStore::disk_stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  DiskStats s = recovery_stats_;
-  s.slab_file_bytes = slab_end_;
-  s.dead_bytes = dead_bytes_;
-  s.wal_bytes = wal_end_ > kWalFileHeaderBytes ? wal_end_ - kWalFileHeaderBytes
-                                               : 0;
-  s.compactions = compactions_;
-  for (const auto& [key, loc] : catalog_) {
-    if (loc.dead) continue;
-    ++s.live_records;
-    s.live_bytes += loc.stored_size;
-  }
-  return s;
 }
 
 std::uint64_t DurableStore::wal_bytes() const {
@@ -707,9 +378,9 @@ std::uint64_t DurableStore::wal_bytes() const {
   return wal_end_ > kWalFileHeaderBytes ? wal_end_ - kWalFileHeaderBytes : 0;
 }
 
-std::uint64_t DurableStore::dead_bytes() const {
+std::uint64_t DurableStore::truncated_wal_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return dead_bytes_;
+  return truncated_wal_;
 }
 
 }  // namespace crac::registry

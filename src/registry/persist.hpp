@@ -1,17 +1,11 @@
-// Durable backing for the checkpoint registry: slab file + WAL + manifest.
+// Durable directory log for the checkpoint registry: WAL + manifest.
 //
 // A registry opened over a directory survives the registry process — the
-// exact failure (node loss) checkpoint/restore exists to absorb. Three
-// files implement the staged-commit protocol (the same idiom as
-// ShardedFileSink's temp-write/rename commit, applied to a log-structured
-// store):
+// exact failure (node loss) checkpoint/restore exists to absorb. Chunk
+// payloads live in the directory's slab file, owned by the ChunkStore (see
+// store.hpp); this file keeps the *directory* of images durable, with the
+// staged-commit idiom of ShardedFileSink's temp-write/rename commit:
 //
-//   chunks.slab — append-only chunk payloads, one CRC'd record per interned
-//                 chunk: [record header: key + stored size + payload CRC +
-//                 header CRC][stored bytes]. Records are content-addressed
-//                 by their key, so they never move logically — compaction
-//                 may rewrite the file, but a WAL/manifest record names
-//                 chunks by key, never by offset.
 //   wal.log     — write-ahead log of directory mutations. An image-commit
 //                 record carries the image's full directory entry (name,
 //                 header literals, ordered segment list naming chunks by
@@ -24,14 +18,13 @@
 //                 rename is the commit point). Written when the WAL grows
 //                 past a threshold, after which the WAL is truncated.
 //
-// Recovery replays in order: scan the slab (verify every record's header
-// and payload CRC; truncate the first torn record and everything after it —
-// the torn tail), load the manifest if present, replay the WAL (same
-// torn-tail truncation), then resolve every surviving image's chunk keys
-// against the slab catalog. Chunks referenced by no committed image are
-// dead — a torn PUT's orphans — and a compaction pass rewrites the slab
-// without them, so recovery always converges to zero leaked slab bytes.
-// Replay is idempotent: a crash between manifest rename and WAL truncation
+// Recovery (CheckpointRegistry::recover) runs in order: index the slab by
+// its record headers, load the manifest if present, replay the WAL (cutting
+// a torn tail), then resolve every surviving image's chunk keys against the
+// index. Chunks referenced by no committed image are dead — a torn PUT's
+// orphans — and a compaction pass rewrites the slab without them, so
+// recovery always converges to zero leaked slab bytes. Replay is
+// idempotent: a crash between manifest rename and WAL truncation
 // re-applies records the manifest already holds, harmlessly.
 //
 // The named fault points (`fault_point`) are the durability test campaign's
@@ -41,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -50,7 +42,6 @@
 
 #include "common/bytes.hpp"
 #include "common/status.hpp"
-#include "registry/store.hpp"
 
 namespace crac::registry {
 
@@ -77,21 +68,15 @@ void fault_point(const char* point);
 
 // ---- on-disk format constants (asserted by the durability suite) ----------
 
-inline constexpr char kSlabMagic[8] = {'C', 'R', 'A', 'C', 'S', 'L', 'B', '1'};
 inline constexpr char kWalMagic[8] = {'C', 'R', 'A', 'C', 'W', 'A', 'L', '1'};
 inline constexpr char kManifestMagic[8] = {'C', 'R', 'A', 'C',
                                            'R', 'E', 'G', '1'};
-// File headers: magic + u32 format version.
-inline constexpr std::size_t kSlabFileHeaderBytes = 12;
+// File header: magic + u32 format version.
 inline constexpr std::size_t kWalFileHeaderBytes = 12;
-// Chunk record header: u32 rec magic, u32 codec, u64 raw_size, u32 raw_crc,
-// u64 stored_size, u32 stored_crc, u32 header_crc.
-inline constexpr std::size_t kSlabRecordHeaderBytes = 36;
 // WAL record header: u32 rec magic, u32 kind, u64 body_len, u32 body_crc,
 // u32 header_crc.
 inline constexpr std::size_t kWalRecordHeaderBytes = 24;
 
-inline constexpr std::uint32_t kSlabRecordMagic = 0x4B4E4843;  // 'CHNK'
 inline constexpr std::uint32_t kWalRecordMagic = 0x43455257;   // 'WREC'
 inline constexpr std::uint32_t kWalKindCommit = 1;
 inline constexpr std::uint32_t kWalKindRemove = 2;
@@ -137,94 +122,42 @@ struct ImageRecordWire {
 
 class DurableStore {
  public:
-  struct DiskStats {
-    std::uint64_t slab_file_bytes = 0;  // current chunks.slab size
-    std::uint64_t live_records = 0;     // catalog entries referenced by the
-                                        // committed directory
-    std::uint64_t live_bytes = 0;       // their payload bytes
-    std::uint64_t dead_bytes = 0;       // record bytes awaiting compaction
-    std::uint64_t wal_bytes = 0;        // WAL size past its file header
-    std::uint64_t compactions = 0;      // lifetime compaction passes
-    std::uint64_t recovered_images = 0;
-    std::uint64_t recovery_truncated_slab = 0;  // torn bytes dropped
-    std::uint64_t recovery_truncated_wal = 0;
-  };
-
-  // Opens (creating if needed) the registry directory's backing files.
-  // Does NOT recover — call recover() next; serving before recovery is a
-  // caller bug.
+  // Opens (creating if needed) the directory's WAL. Serving before load()
+  // is a caller bug.
   static Result<std::unique_ptr<DurableStore>> open(const std::string& dir);
   ~DurableStore();
 
   DurableStore(const DurableStore&) = delete;
   DurableStore& operator=(const DurableStore&) = delete;
 
-  // Replays manifest + WAL over the scanned slab and returns the committed
-  // directory. Truncates torn tails, drops orphaned chunks via compaction,
-  // and checkpoints a fresh manifest so the next recovery starts clean.
-  Result<std::vector<ImageRecordWire>> recover();
-
-  // Appends one chunk record (no sync — sync_chunks() before the WAL
-  // commit that references it). Safe to call for a key already on disk;
-  // the duplicate is dropped.
-  Status append_chunk(const ChunkKey& key, const std::byte* stored,
-                      std::size_t size);
-  Status sync_chunks();
-
-  // Payload bytes of a cataloged chunk, read back from the slab file.
-  Result<std::vector<std::byte>> read_chunk(const ChunkKey& key);
+  // The committed directory: the manifest (if any) with the WAL replayed
+  // over it. A torn WAL tail is cut off.
+  Result<std::vector<ImageRecordWire>> load();
 
   // Appends + syncs a WAL record. log_commit is the PUT commit point; the
-  // caller must have sync_chunks()'d first.
+  // caller must have synced the chunk slab first.
   Status log_commit(const ImageRecordWire& image);
   Status log_remove(const std::string& name);
-
-  // A chunk's last in-memory reference died: its slab record is now dead
-  // weight. Safe for keys that were never persisted (no-op).
-  void mark_dead(const ChunkKey& key, std::size_t stored_size);
-
-  // Rewrites the slab with only live records (temp + rename). Called by
-  // recovery and by the registry when dead bytes pile up; cheap no-op when
-  // nothing is dead.
-  Status compact();
 
   // Atomic manifest checkpoint of `images`, then WAL truncation.
   Status checkpoint(const std::vector<ImageRecordWire>& images);
 
-  DiskStats disk_stats() const;
-  std::uint64_t wal_bytes() const;
-  std::uint64_t dead_bytes() const;
+  std::uint64_t wal_bytes() const;           // WAL size past its header
+  std::uint64_t truncated_wal_bytes() const;  // torn tail cut by load()
 
  private:
-  struct ChunkLoc {
-    std::uint64_t offset = 0;       // of the record header
-    std::uint64_t stored_size = 0;  // payload bytes
-    std::uint32_t stored_crc = 0;
-    bool dead = false;
-  };
-
   explicit DurableStore(std::string dir);
 
-  Status open_files();
-  Status scan_slab();   // build catalog_, truncate torn tail
   Status load_manifest(std::map<std::string, ImageRecordWire>& images);
   Status replay_wal(std::map<std::string, ImageRecordWire>& images);
   Status append_wal_locked(std::uint32_t kind,
                            const std::vector<std::byte>& body);
-  Status checkpoint_locked(const std::vector<ImageRecordWire>& images);
-  Status compact_locked();
-  Status sync_dir_locked();
 
   std::string dir_;
   mutable std::mutex mu_;
-  int slab_fd_ = -1;
   int wal_fd_ = -1;
-  std::uint64_t slab_end_ = 0;  // append cursor (== file size)
-  std::uint64_t wal_end_ = 0;
-  std::map<ChunkKey, ChunkLoc> catalog_;
-  std::uint64_t dead_bytes_ = 0;  // full record bytes (header + payload)
-  std::uint64_t compactions_ = 0;
-  DiskStats recovery_stats_;  // truncation/recovered counters from recover()
+  std::uint64_t wal_end_ = 0;  // append cursor (== file size)
+  std::uint64_t truncated_wal_ = 0;
 };
 
 // Wire helpers shared by the WAL, the manifest, and the tests that

@@ -9,16 +9,54 @@ namespace crac::registry {
 CheckpointRegistry::CheckpointRegistry() : CheckpointRegistry(Options{}) {}
 
 CheckpointRegistry::CheckpointRegistry(const Options& options)
-    : options_(options),
-      store_(std::make_shared<ChunkStore>(
-          ChunkStore::Options{options.slab_bytes})) {}
+    : options_(options), store_(std::make_shared<ChunkStore>()) {
+  // A volatile registry's slab is an anonymous temporary file, ready now;
+  // a durable one opens its directory's slab in recover(). A failed open
+  // surfaces as the error of the first PUT.
+  if (options_.dir.empty()) (void)store_->open("");
+}
 
-CheckpointRegistry::~CheckpointRegistry() {
-  // Shutdown is not removal: the images about to be destroyed are still in
-  // the durable directory, so their chunk releases must NOT mark slab
-  // records dead. Detach the hooks before the member destructors run.
-  store_->set_persister(nullptr);
-  store_->set_death_watcher(nullptr);
+CheckpointRegistry::~CheckpointRegistry() = default;
+
+Status CheckpointRegistry::rebuild_locked(ImageRecordWire& rec) {
+  auto image = std::shared_ptr<StoredImage>(new StoredImage());
+  image->name_ = rec.name;
+  image->store_ = store_;
+  image->framing_ = static_cast<ckpt::ChunkFraming>(rec.framing);
+  image->image_bytes_ = rec.image_bytes;
+  image->raw_bytes_ = rec.raw_bytes;
+  image->image_id_ = rec.image_id;
+  image->parent_id_ = rec.parent_id;
+  image->parent_path_ = rec.parent_path;
+  image->literals_ = std::move(rec.literals);
+  image->segments_.reserve(rec.segs.size());
+  for (const auto& seg : rec.segs) {
+    StoredImage::Segment s;
+    s.logical_offset = seg.logical_offset;
+    s.size = seg.size;
+    s.chunk = seg.chunk;
+    if (seg.chunk) {
+      s.frame.codec = seg.codec;
+      s.frame.raw_size = seg.raw_size;
+      s.frame.stored_size = seg.stored_size;
+      s.frame.crc = seg.crc;
+      if (Status ref = store_->add_ref(s.key(), seg.stored_size); !ref.ok()) {
+        return Corrupt(options_.dir + ": committed image '" + rec.name +
+                       "': " + ref.message());
+      }
+      ++image->chunk_count_;
+    } else {
+      s.lit_offset = seg.lit_offset;
+    }
+    // Pushed only once its reference is held: the destructor releases
+    // exactly the segments it finds.
+    image->segments_.push_back(s);
+  }
+  // Restore the persisted LRU stamp so capacity eviction picks up its
+  // least-recently-used order where the previous process left it.
+  use_clock_ = std::max(use_clock_, rec.last_use);
+  images_[rec.name] = Rec{std::move(image), rec.last_use};
+  return OkStatus();
 }
 
 Status CheckpointRegistry::recover() {
@@ -28,70 +66,24 @@ Status CheckpointRegistry::recover() {
     return FailedPrecondition("registry: recover() called twice");
   }
   CRAC_ASSIGN_OR_RETURN(durable_, DurableStore::open(options_.dir));
-  CRAC_ASSIGN_OR_RETURN(auto records, durable_->recover());
+  CRAC_RETURN_IF_ERROR(store_->open(options_.dir));
+  CRAC_RETURN_IF_ERROR(store_->scan());
+  CRAC_ASSIGN_OR_RETURN(auto records, durable_->load());
 
-  // Rebuild every committed image over the in-memory store. Chunks are
-  // re-interned from the slab exactly once; each further segment naming
-  // the same key takes a reference, mirroring what ingest would have done.
-  std::map<ChunkKey, std::uint64_t> interned;
-  for (auto& rec : records) {
-    auto image = std::shared_ptr<StoredImage>(new StoredImage());
-    image->name_ = rec.name;
-    image->store_ = store_;
-    image->framing_ = static_cast<ckpt::ChunkFraming>(rec.framing);
-    image->image_bytes_ = rec.image_bytes;
-    image->raw_bytes_ = rec.raw_bytes;
-    image->image_id_ = rec.image_id;
-    image->parent_id_ = rec.parent_id;
-    image->parent_path_ = rec.parent_path;
-    image->literals_ = std::move(rec.literals);
-    for (const auto& seg : rec.segs) {
-      StoredImage::Segment s;
-      s.logical_offset = seg.logical_offset;
-      s.size = seg.size;
-      if (seg.chunk) {
-        const ChunkKey key{seg.codec, seg.raw_size, seg.crc};
-        auto it = interned.find(key);
-        std::uint64_t id = 0;
-        if (it == interned.end()) {
-          CRAC_ASSIGN_OR_RETURN(auto payload, durable_->read_chunk(key));
-          CRAC_ASSIGN_OR_RETURN(
-              id, store_->put(key, payload.data(), payload.size()));
-          interned.emplace(key, id);
-        } else {
-          id = it->second;
-          store_->add_ref(id);
-        }
-        s.entry = id;
-        s.frame.codec = seg.codec;
-        s.frame.raw_size = seg.raw_size;
-        s.frame.stored_size = seg.stored_size;
-        s.frame.crc = seg.crc;
-        ++image->chunk_count_;
-      } else {
-        s.lit_offset = seg.lit_offset;
-      }
-      image->segments_.push_back(s);
-    }
-    // Restore the persisted LRU stamp so capacity eviction picks up its
-    // least-recently-used order where the previous process left it.
-    use_clock_ = std::max(use_clock_, rec.last_use);
-    std::string name = image->name_;
-    images_[std::move(name)] = Rec{std::move(image), rec.last_use};
-  }
+  // A chunk is live iff some committed image still names it: rebuilding
+  // the directory takes exactly those references. Everything else in the
+  // slab — torn-PUT orphans, chunks of since-removed images — is dead and
+  // compacts away below, restoring the zero-leak invariant.
+  for (auto& rec : records) CRAC_RETURN_IF_ERROR(rebuild_locked(rec));
   for (auto& [name, rec] : images_) resolve_parent_edges_locked(rec.image);
+  recovered_images_ = images_.size();
+  CRAC_RETURN_IF_ERROR(store_->compact());
 
-  // Hooks go live only now: loading above re-interned straight from the
-  // slab, which must not loop back into it.
-  DurableStore* durable = durable_.get();
-  store_->set_persister(
-      [durable](const ChunkKey& key, const std::byte* stored,
-                std::size_t size) {
-        return durable->append_chunk(key, stored, size);
-      });
-  store_->set_death_watcher([durable](const ChunkKey& key, std::size_t size) {
-    durable->mark_dead(key, size);
-  });
+  // Fold the replayed state into a fresh manifest + empty WAL so the next
+  // recovery starts from a checkpoint, not a replay.
+  CRAC_RETURN_IF_ERROR(durable_->checkpoint(snapshot_records_locked()));
+  // Recovery read no payload; check them now, off the GET path.
+  store_->start_scrub();
   recovered_ = true;
   return OkStatus();
 }
@@ -166,7 +158,7 @@ ImageRecordWire CheckpointRegistry::record_of_locked(
     ImageRecordWire::Seg s;
     s.logical_offset = seg.logical_offset;
     s.size = seg.size;
-    s.chunk = seg.entry != StoredImage::Segment::kNoEntry;
+    s.chunk = seg.chunk;
     if (s.chunk) {
       s.codec = seg.frame.codec;
       s.raw_size = seg.frame.raw_size;
@@ -210,12 +202,12 @@ Status CheckpointRegistry::commit(RegistrySink& sink) {
   }
   const std::uint64_t stamp = ++use_clock_;
   if (durable_ != nullptr) {
-    // The staged commit: every chunk is already appended (the persister ran
+    // The staged commit: every chunk is already appended (the sink put it
     // as the stream was parsed, strictly after each chunk decode-verified,
     // and the transport trailer verified before commit() was ever called).
     // Sync the slab, then the WAL record makes the image durable — a crash
     // anywhere before that sync+append leaves the PUT invisible.
-    CRAC_RETURN_IF_ERROR(durable_->sync_chunks());
+    CRAC_RETURN_IF_ERROR(store_->sync());
     CRAC_RETURN_IF_ERROR(durable_->log_commit(record_of_locked(*image, stamp)));
   }
   // Replacement drops the old shared_ptr; open sources keep the old image
@@ -223,20 +215,20 @@ Status CheckpointRegistry::commit(RegistrySink& sink) {
   images_[image->name_] = Rec{image, stamp};
   resolve_parent_edges_locked(image);
   auto_evict_locked(image.get());
-  if (durable_ != nullptr) return fold_and_compact_locked();
-  return OkStatus();
+  return fold_and_compact_locked();
 }
 
 Status CheckpointRegistry::fold_and_compact_locked() {
-  if (durable_->wal_bytes() > options_.wal_checkpoint_bytes) {
+  if (durable_ != nullptr &&
+      durable_->wal_bytes() > options_.wal_checkpoint_bytes) {
     CRAC_RETURN_IF_ERROR(durable_->checkpoint(snapshot_records_locked()));
   }
   // Compact once dead slab weight rivals the live payload (plus a floor so
   // tiny registries don't rewrite the file over crumbs).
-  const auto disk = durable_->disk_stats();
-  if (disk.dead_bytes > (std::uint64_t{64} << 10) &&
-      disk.dead_bytes * 2 > disk.live_bytes) {
-    CRAC_RETURN_IF_ERROR(durable_->compact());
+  const ChunkStore::Stats st = store_->stats();
+  if (st.dead_bytes > (std::uint64_t{64} << 10) &&
+      st.dead_bytes * 2 > st.stored_bytes) {
+    CRAC_RETURN_IF_ERROR(store_->compact());
   }
   return OkStatus();
 }
@@ -336,15 +328,13 @@ Status CheckpointRegistry::evict(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   CRAC_RETURN_IF_ERROR(drop_locked(name, /*allow_open_readers=*/false));
   ++evictions_;
-  if (durable_ != nullptr) return fold_and_compact_locked();
-  return OkStatus();
+  return fold_and_compact_locked();
 }
 
 Status CheckpointRegistry::remove(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   CRAC_RETURN_IF_ERROR(drop_locked(name, /*allow_open_readers=*/true));
-  if (durable_ != nullptr) return fold_and_compact_locked();
-  return OkStatus();
+  return fold_and_compact_locked();
 }
 
 void CheckpointRegistry::auto_evict_locked(const StoredImage* just_committed) {
@@ -389,9 +379,17 @@ RegistryStats CheckpointRegistry::stats() const {
       s.logical_bytes += rec.image->image_bytes();
     }
     s.durable = durable_ != nullptr;
-    if (durable_ != nullptr) s.disk = durable_->disk_stats();
+    if (durable_ != nullptr) {
+      s.disk.wal_bytes = durable_->wal_bytes();
+      s.disk.recovery_truncated_wal = durable_->truncated_wal_bytes();
+    }
+    s.disk.recovered_images = recovered_images_;
   }
   s.store = store_->stats();
+  s.disk.slab_file_bytes = s.store.slab_file_bytes;
+  s.disk.dead_bytes = s.store.dead_bytes;
+  s.disk.compactions = s.store.compactions;
+  s.disk.recovery_truncated_slab = s.store.truncated_bytes;
   return s;
 }
 

@@ -9,14 +9,18 @@
 // fleet migration). All naming operations are mutex-guarded; payload bytes
 // move outside the lock.
 //
-// With RegistryOptions::dir set, the registry is durable: chunk payloads
-// persist to an append-only slab file as they stream in, and commit()
-// becomes a staged protocol — sync the slab, then append a WAL record
-// (the commit point, strictly after the transport trailer verified), with
-// periodic atomic manifest checkpoints (see persist.hpp). recover() over
-// the same directory rebuilds every committed image byte-identically; a
-// PUT torn anywhere short of its WAL record is invisible afterwards and
-// its slab bytes are reclaimed.
+// Chunk payloads never live in RAM: the ChunkStore keeps an index in
+// memory over one append-only slab file, and GETs pread from it (see
+// store.hpp). With RegistryOptions::dir set that file is the directory's
+// chunks.slab and the registry is durable: commit() becomes a staged
+// protocol — sync the slab, then append a WAL record (the commit point,
+// strictly after the transport trailer verified), with periodic atomic
+// manifest checkpoints (see persist.hpp). recover() over the same
+// directory reads record headers, the manifest and the WAL — no payload —
+// and serves every committed image byte-identically; a PUT torn anywhere
+// short of its WAL record is invisible afterwards and its slab bytes are
+// reclaimed. Without a dir the same store runs over an anonymous temporary
+// file that is never synced, and nothing outlives the process.
 //
 // Delta chains: a v4 delta PUT records its parent_id edge; the registry
 // resolves the edge against the directory (by each image's embedded
@@ -61,16 +65,28 @@ struct RegistryStats {
   std::uint64_t evictions = 0;      // lifetime capacity evictions
   bool durable = false;
   ChunkStore::Stats store;
-  DurableStore::DiskStats disk;  // zeros when not durable
+  // The files behind the registry: the slab (volatile mode too) and, when
+  // durable, the WAL.
+  struct Disk {
+    std::uint64_t slab_file_bytes = 0;  // current chunks.slab size
+    std::uint64_t dead_bytes = 0;       // slab record bytes awaiting compaction
+    std::uint64_t wal_bytes = 0;        // WAL size past its file header
+    std::uint64_t compactions = 0;      // lifetime slab compaction passes
+    std::uint64_t recovered_images = 0;
+    std::uint64_t recovery_truncated_slab = 0;  // torn bytes dropped
+    std::uint64_t recovery_truncated_wal = 0;
+  } disk;
 };
 
 struct RegistryOptions {
-  std::size_t slab_bytes = std::size_t{1} << 20;
-  // Backing directory; empty = volatile in-memory registry (the PR-9
-  // behavior). Non-empty requires a recover() call before any operation.
+  // Backing directory. Non-empty: a durable registry whose chunks.slab,
+  // wal.log and manifest live there, fdatasync'd at every commit; call
+  // recover() before any operation. Empty: a volatile registry over an
+  // anonymous temporary slab file in $TMPDIR, never synced.
   std::string dir;
   // Stored-payload budget; 0 = unbounded. Enforced by LRU eviction at
-  // commit time.
+  // commit time. It bounds the slab file's live bytes, not RAM: payloads
+  // are never held in memory.
   std::uint64_t capacity_bytes = 0;
   // WAL size that triggers folding the directory into a fresh manifest.
   std::uint64_t wal_checkpoint_bytes = std::uint64_t{1} << 20;
@@ -87,10 +103,11 @@ class CheckpointRegistry {
   CheckpointRegistry(const CheckpointRegistry&) = delete;
   CheckpointRegistry& operator=(const CheckpointRegistry&) = delete;
 
-  // Durable mode only: opens the backing directory, replays WAL + manifest,
-  // rebuilds every committed image, and installs the persistence hooks.
-  // Must be called (once) before any PUT/GET when options.dir is set; a
-  // no-op for in-memory registries.
+  // Durable mode only: opens the backing directory, indexes the slab by
+  // its record headers, replays manifest + WAL, and rebuilds every
+  // committed image over the index (payload CRCs are checked as each
+  // payload is first read, not here). Must be called (once) before any
+  // PUT/GET when options.dir is set; a no-op for volatile registries.
   Status recover();
 
   // Streaming ingest: pump image bytes into the sink, close it, then
@@ -145,6 +162,7 @@ class CheckpointRegistry {
   Status drop_locked(const std::string& name, bool allow_open_readers);
   void auto_evict_locked(const StoredImage* just_committed);
   Status fold_and_compact_locked();
+  Status rebuild_locked(ImageRecordWire& rec);
   ImageRecordWire record_of_locked(const StoredImage& image,
                                    std::uint64_t last_use) const;
   std::vector<ImageRecordWire> snapshot_records_locked() const;
@@ -152,6 +170,7 @@ class CheckpointRegistry {
   Options options_;
   std::shared_ptr<ChunkStore> store_;
   std::unique_ptr<DurableStore> durable_;  // null in volatile mode
+  std::uint64_t recovered_images_ = 0;
   mutable std::mutex mu_;
   std::map<std::string, Rec> images_;
   std::uint64_t use_clock_ = 0;

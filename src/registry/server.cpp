@@ -62,10 +62,23 @@ Result<std::string> name_of(const std::vector<std::byte>& payload) {
                      payload.size());
 }
 
+// The in-band answer to a GET that failed before its stream started.
+RegistryErr get_error(const Status& status) {
+  switch (status.code()) {
+    case StatusCode::kFailedPrecondition:
+      return RegistryErr::kNoParent;
+    case StatusCode::kNotFound:
+      return RegistryErr::kNotFound;
+    case StatusCode::kCorrupt:
+      return RegistryErr::kCorrupt;
+    default:
+      return RegistryErr::kRejected;
+  }
+}
+
 CheckpointRegistry::Options registry_options(
     const RegistryHostOptions& options) {
   CheckpointRegistry::Options opts;
-  opts.slab_bytes = options.slab_bytes;
   opts.dir = options.dir;
   opts.capacity_bytes = options.capacity_bytes;
   opts.wal_checkpoint_bytes = options.wal_checkpoint_bytes;
@@ -176,13 +189,7 @@ class RegistryHandler final : public EventLoop::Handler {
             if (!bytes.ok()) {
               CRAC_WARN() << "GET_CKPT '" << n << "' chain fold failed: "
                           << bytes.status().to_string();
-              const RegistryErr err =
-                  bytes.status().code() == StatusCode::kFailedPrecondition
-                      ? RegistryErr::kNoParent
-                      : (bytes.status().code() == StatusCode::kNotFound
-                             ? RegistryErr::kNotFound
-                             : RegistryErr::kRejected);
-              return respond_fd(fd, err);
+              return respond_fd(fd, get_error(bytes.status()));
             }
             if (!respond_fd(fd, RegistryErr::kOk, bytes->size())) {
               return false;
@@ -197,12 +204,16 @@ class RegistryHandler final : public EventLoop::Handler {
           });
           return Dispatch::kSession;
         }
-        // OK response first (the loop flushes it before the session runs),
-        // then the reconstructed stream.
-        respond(conn, RegistryErr::kOk, (*source)->size());
+        // Check the payloads first, so a damaged image is refused in-band
+        // before any stream starts; then the OK response and the stream.
         loop_->start_session(
             conn, [src = std::shared_ptr<RegistrySource>(
                        std::move(*source))](int fd) {
+              if (Status checked = src->verify(); !checked.ok()) {
+                CRAC_WARN() << "GET_CKPT refused: " << checked.to_string();
+                return respond_fd(fd, get_error(checked));
+              }
+              if (!respond_fd(fd, RegistryErr::kOk, src->size())) return false;
               ckpt::SocketSink sink(fd, "registry get stream");
               std::vector<std::byte> buf(ckpt::kShipFrameBytes);
               Status streamed;
@@ -246,7 +257,6 @@ class RegistryHandler final : public EventLoop::Handler {
         wire.chunk_refs = stats.store.chunk_refs;
         wire.dedup_hits = stats.store.dedup_hits;
         wire.stored_bytes = stats.store.stored_bytes;
-        wire.slab_bytes = stats.store.slab_bytes;
         wire.evictions = stats.evictions;
         wire.slab_file_bytes = stats.disk.slab_file_bytes;
         wire.wal_bytes = stats.disk.wal_bytes;

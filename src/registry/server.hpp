@@ -13,8 +13,10 @@
 //               rejected in-band over an intact connection, never by
 //               desyncing it. The response reports commit or rejection.
 //   GET_CKPT  — request payload names the image. Not-found answers inline
-//               (no stream); otherwise the OK response (r0 = image bytes)
-//               is followed by the reconstructed CRACSHP1 stream. Any
+//               (no stream). Otherwise a session checks the image's chunk
+//               payloads against their CRCs (answering kCorrupt, with no
+//               stream, if one fails), then sends the OK response (r0 =
+//               image bytes) and the reconstructed CRACSHP1 stream. Any
 //               number of GET sessions serve one stored image concurrently
 //               — the fan-out restore path (one image -> M endpoints).
 //   LIST/STAT — inline directory / store accounting.
@@ -40,6 +42,7 @@ enum class RegistryErr : std::int32_t {
   kRejected = 2,   // PUT stream failed verification / parse
   kBadRequest = 3, // malformed name/payload, unknown verb
   kNoParent = 4,   // GET of a delta whose parent was never PUT
+  kCorrupt = 5,    // GET of an image whose stored chunk fails its CRC
 };
 
 // STAT response payload (POD, both ends same binary via fork).
@@ -50,19 +53,18 @@ struct RegistryStatsWire {
   std::uint64_t chunk_refs = 0;
   std::uint64_t dedup_hits = 0;
   std::uint64_t stored_bytes = 0;
-  std::uint64_t slab_bytes = 0;
   std::uint64_t evictions = 0;        // lifetime capacity evictions
-  std::uint64_t slab_file_bytes = 0;  // durable mode: chunks.slab size
+  std::uint64_t slab_file_bytes = 0;  // chunks.slab size
   std::uint64_t wal_bytes = 0;        // durable mode: WAL past its header
 };
 
 struct RegistryHostOptions {
-  std::size_t slab_bytes = std::size_t{1} << 20;
   // Worker threads for concurrent PUT/GET stream sessions.
   std::size_t session_threads = 4;
-  // Durable backing directory; empty = in-memory. The serving child runs
-  // recovery over it before accepting connections, so a host respawned on
-  // the same dir serves every previously committed image.
+  // Durable backing directory; empty = volatile (an anonymous temporary
+  // slab file). The serving child runs recovery over it before accepting
+  // connections, so a host respawned on the same dir serves every
+  // previously committed image.
   std::string dir;
   // Stored-payload budget for LRU eviction; 0 = unbounded.
   std::uint64_t capacity_bytes = 0;

@@ -10,21 +10,41 @@
 // stored payloads differ, and a serve regenerates frame headers from the
 // key — cross-codec aliasing would corrupt the reconstructed image.
 //
-// Memory comes from refcounted slabs (the veeamsnap blk_descr_pool idiom):
-// payloads bump-allocate into a fixed-capacity current slab, each slab
-// counts its live entries, and a slab is reclaimed whole when its last
-// entry's refcount drops to zero. Slabs never move once allocated, so a
-// payload view taken under an entry reference stays valid without holding
-// the store lock — readers stream chunk payloads lock-free while writers
-// intern new ones.
+// The store is an index in RAM over payloads on disk. Every payload lives
+// once, in the slab file `chunks.slab`, as one CRC'd record:
+//
+//   [record header: key + stored size + payload CRC + header CRC][stored]
+//
+// and the index maps each key to its record (offset, stored size, payload
+// CRC), a refcount (zero = dead weight awaiting compaction) and whether
+// this process has checked the payload against its CRC yet. Readers pread
+// payloads and leave caching to the page cache.
+//
+// Integrity is checked lazily but never skipped: scan() reads record
+// headers only, and each payload's CRC is checked the first time this
+// process reads it (a GET, a compaction copy, a re-PUT that resurrects a
+// dead record, or the background scrub a recovery starts). A mismatch
+// fails that read with a named Corrupt and leaves every other record
+// alone; a later PUT of the same content appends a fresh record that
+// supersedes the damaged one.
+//
+// Compaction rewrites the live records into a new slab generation and swaps
+// it in. A Payload handle pins the generation its record was found in, so
+// the old file stays open (and its offsets valid) until the last handle
+// drops — no lock is held across a pread.
+//
+// Over a registry directory the store is durable: sync() fdatasyncs the
+// slab and compaction commits by rename. A volatile registry runs the same
+// store over an anonymous temporary file that is never synced.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <vector>
+#include <string>
+#include <thread>
 
 #include "common/status.hpp"
 
@@ -42,99 +62,131 @@ struct ChunkKey {
   }
 };
 
+// ---- slab file format (asserted by the durability suite) ------------------
+
+inline constexpr char kSlabMagic[8] = {'C', 'R', 'A', 'C', 'S', 'L', 'B', '1'};
+// File header: magic + u32 format version.
+inline constexpr std::size_t kSlabFileHeaderBytes = 12;
+// Record header: u32 rec magic, u32 codec, u64 raw_size, u32 raw_crc,
+// u64 stored_size, u32 stored_crc, u32 header_crc.
+inline constexpr std::size_t kSlabRecordHeaderBytes = 36;
+inline constexpr std::uint32_t kSlabRecordMagic = 0x4B4E4843;  // 'CHNK'
+inline constexpr std::uint32_t kSlabFormatVersion = 1;
+
+class SlabFile;  // one open generation of chunks.slab (store.cpp)
+
 class ChunkStore {
  public:
-  struct Options {
-    // Capacity of one payload slab. Oversized chunks get a dedicated slab
-    // of exactly their size.
-    std::size_t slab_bytes = std::size_t{1} << 20;
-  };
-
   struct Stats {
-    std::uint64_t unique_chunks = 0;  // live interned chunks
+    std::uint64_t unique_chunks = 0;  // live (referenced) chunks
     std::uint64_t chunk_refs = 0;     // sum of live refcounts
-    std::uint64_t dedup_hits = 0;     // put() calls answered by an existing
+    std::uint64_t dedup_hits = 0;     // put() calls answered by a live
                                       // entry (lifetime counter)
     std::uint64_t stored_bytes = 0;   // payload bytes of live chunks
-    std::uint64_t slab_bytes = 0;     // capacity currently allocated
-    std::uint64_t slab_count = 0;     // live slabs
-  };
-
-  // Borrowed payload view; valid while the caller holds a reference on the
-  // entry (slabs never move, and a referenced entry's slab is never
-  // reclaimed).
-  struct View {
-    const std::byte* data = nullptr;
-    std::size_t size = 0;
+    std::uint64_t slab_file_bytes = 0;  // current chunks.slab size
+    std::uint64_t dead_bytes = 0;       // record bytes awaiting compaction
+    std::uint64_t compactions = 0;      // lifetime compaction passes
+    std::uint64_t truncated_bytes = 0;  // torn tail cut by scan()
   };
 
   ChunkStore();
-  explicit ChunkStore(const Options& options);
+  ~ChunkStore();
 
   ChunkStore(const ChunkStore&) = delete;
   ChunkStore& operator=(const ChunkStore&) = delete;
 
-  // Interns `stored` under `key`, or bumps the refcount of the existing
-  // entry with that key (`stored` must then match its payload size — a
-  // mismatch means the key lied and is rejected). Returns the entry id; the
-  // caller owns one reference.
-  Result<std::uint64_t> put(const ChunkKey& key, const std::byte* stored,
-                            std::size_t stored_size);
+  // Opens `dir`/chunks.slab (created if absent) as a durable store; call
+  // scan() next to index what is already there. With an empty `dir` the
+  // store runs over an anonymous temporary file and never syncs. Until
+  // open() succeeds every other call fails, with the error open() returned
+  // (FailedPrecondition before the first attempt).
+  Status open(const std::string& dir);
 
-  // Additional reference on an existing entry (e.g. a second image reusing
-  // a chunk already referenced by its sink).
-  void add_ref(std::uint64_t id);
+  // Indexes every record of the slab file by reading its header only (no
+  // payload is read). Every record starts dead: recovery add_ref()s what
+  // the committed directory names and compact()s the rest away. A torn
+  // tail — a header that fails its CRC, or a payload running past the end
+  // of the file — is cut off. When one key has several records, the last
+  // one wins (a later record is only ever appended to supersede a damaged
+  // or dead one).
+  Status scan();
 
-  // Drops one reference; at zero the entry dies, and a slab whose last
-  // entry died is reclaimed whole.
-  void release(std::uint64_t id);
+  // Takes one reference on `key`, appending its stored bytes as a new slab
+  // record unless a usable record exists. A stored size that differs from
+  // the indexed record's means the key lied and is refused. Not synced:
+  // sync() before the WAL commit that names the chunk.
+  Status put(const ChunkKey& key, const std::byte* stored,
+             std::size_t stored_size);
 
-  // Payload bytes of a referenced entry. Lock-free (see View).
-  View view(std::uint64_t id) const;
-  ChunkKey key_of(std::uint64_t id) const;
+  // One more reference on an indexed chunk whose record holds
+  // `stored_size` payload bytes (recovery rebuilding an image). Corrupt
+  // when the slab has no such record.
+  Status add_ref(const ChunkKey& key, std::uint64_t stored_size);
+
+  // Drops one reference; at zero the record becomes dead weight.
+  void release(const ChunkKey& key);
+
+  // Where a referenced chunk's payload lives: the slab generation it was
+  // found in (pinned, so the handle stays valid across compactions) and
+  // the payload's offset there. Reads need no store lock.
+  struct Payload {
+    std::shared_ptr<const SlabFile> file;
+    std::uint64_t offset = 0;
+    std::uint64_t size = 0;
+    // Copies `n` payload bytes starting `at` bytes into the payload.
+    Status read(std::uint64_t at, void* out, std::size_t n) const;
+  };
+
+  // The payload of a referenced chunk, checked against its CRC first unless
+  // this process already has. Corrupt, naming the slab and the chunk, on a
+  // mismatch.
+  Result<Payload> payload(const ChunkKey& key);
+
+  // Checks every live payload not yet checked, on a background thread that
+  // finishes when none is left (or when the store is destroyed), so after
+  // a recovery the first GET of each image does not pay for the check.
+  // A mismatch is remembered: the GET of an image using that chunk fails.
+  void start_scrub();
+
+  // fdatasync of the slab file; a no-op for a volatile store.
+  Status sync();
+
+  // Rewrites the slab with only live records into a new generation (temp +
+  // rename when durable). Cheap no-op when nothing is dead.
+  Status compact();
 
   Stats stats() const;
 
-  // Durability hooks (installed by a registry backed by a DurableStore;
-  // both may be null, the in-memory default). The persister runs inside
-  // put() for a chunk not yet interned, *before* the entry becomes visible
-  // — its failure fails the put, so no in-memory chunk can exist that the
-  // disk doesn't hold. The death watcher runs when an entry's last
-  // reference dies, letting the disk side mark the payload reclaimable.
-  // Both are called with the store lock held; they must not call back into
-  // this store.
-  using Persister =
-      std::function<Status(const ChunkKey&, const std::byte*, std::size_t)>;
-  using DeathWatcher = std::function<void(const ChunkKey&, std::size_t)>;
-  void set_persister(Persister persister);
-  void set_death_watcher(DeathWatcher watcher);
-
  private:
-  struct Slab {
-    std::unique_ptr<std::byte[]> data;
-    std::size_t capacity = 0;
-    std::size_t used = 0;   // bump cursor
-    std::size_t live = 0;   // entries still referenced
-  };
-
+  enum class Check : std::uint8_t { kUnchecked, kGood, kBad };
   struct Entry {
-    ChunkKey key;
-    std::size_t slab = 0;
-    std::size_t offset = 0;
-    std::size_t size = 0;  // stored payload bytes
-    std::uint64_t refs = 0;
+    std::uint64_t offset = 0;  // of the record header
+    std::uint64_t stored_size = 0;
+    std::uint32_t stored_crc = 0;
+    std::uint64_t refs = 0;  // 0 = dead
+    Check check = Check::kUnchecked;
   };
+  Status open_check_locked() const;
+  // Appends a record and points `entry` at it (refs untouched).
+  Status append_locked(const ChunkKey& key, const std::byte* stored,
+                       std::size_t size, Entry& entry);
+  Status check_locked(const ChunkKey& key, Entry& entry);
+  Status compact_locked();
 
-  Options options_;
   mutable std::mutex mu_;
-  std::vector<Slab> slabs_;              // index-stable; reclaimed in place
-  std::size_t current_slab_ = SIZE_MAX;  // bump target, SIZE_MAX = none
-  std::map<std::uint64_t, Entry> entries_;
-  std::map<ChunkKey, std::uint64_t> by_key_;
-  std::uint64_t next_id_ = 1;
+  std::string dir_;  // empty: volatile
+  bool opened_ = false;
+  Status open_error_ = FailedPrecondition(
+      "chunk store is not open (a durable registry needs recover() first)");
+  std::shared_ptr<const SlabFile> slab_;  // current generation
+  std::uint64_t slab_end_ = 0;            // append cursor (== file size)
+  std::map<ChunkKey, Entry> index_;
+  std::uint64_t dead_bytes_ = 0;  // full record bytes (header + payload)
   std::uint64_t dedup_hits_ = 0;
-  Persister persister_;
-  DeathWatcher death_watcher_;
+  std::uint64_t compactions_ = 0;
+  std::uint64_t truncated_bytes_ = 0;
+  std::atomic<bool> stop_scrub_{false};
+  std::thread scrubber_;
 };
 
 }  // namespace crac::registry

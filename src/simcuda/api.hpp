@@ -12,6 +12,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
+#include <type_traits>
 
 #include "simcuda/error.hpp"
 #include "simcuda/types.hpp"
@@ -110,10 +112,16 @@ class CudaApi {
 };
 
 // Reads the i-th kernel parameter (the launch ABI passes an array of
-// pointers to argument values).
+// pointers to argument values). The load goes through memcpy because the
+// lower half copies the parameter buffer packed back to back (a float then
+// a u64 puts the u64 at offset 4), so a value need not sit at its type's
+// alignment.
 template <typename T>
-const T& kernel_arg(void* const* args, std::size_t i) noexcept {
-  return *static_cast<const T*>(args[i]);
+T kernel_arg(void* const* args, std::size_t i) noexcept {
+  static_assert(std::is_trivially_copyable_v<T>);
+  T value;
+  std::memcpy(&value, args[i], sizeof(T));
+  return value;
 }
 
 // Mimics nvcc's codegen for `kernel<<<grid, block, 0, stream>>>(args...)`:

@@ -1,6 +1,9 @@
 // Unit tests for the common substrate: status, bytes, crc32, rng, pool.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstring>
 #include <numeric>
 #include <set>
@@ -233,6 +236,51 @@ TEST(ThreadPoolTest, ConcurrentParallelForCallers) {
   }
   for (auto& t : callers) t.join();
   EXPECT_EQ(sum.load(), 4 * (99 * 100 / 2));
+}
+
+// Overwrites the stack just below the caller's frame, where the previous
+// parallel_for call kept its completion mutex.
+__attribute__((noinline)) void scribble_stack() {
+  volatile unsigned char junk[512];
+  for (auto& b : junk) b = 0xFF;
+}
+
+// parallel_for keeps its completion mutex and condition variable on the
+// caller's stack. A worker that touches them after the caller has seen the
+// final count and returned locks memory that the next call (or the
+// scribble) has reused: glibc then aborts ("__owner == 0"), fails the lock
+// with EINVAL, or hangs. Two-index calls on an oversubscribed pool (16
+// workers, 16 callers) give many short calls in which a worker is often
+// preempted inside that window. The storm runs in a child under an alarm
+// so a hang fails the test instead of stalling it.
+TEST(ThreadPoolTest, TinyParallelForStormKeepsStackStateAlive) {
+  constexpr int kCallers = 16;
+  constexpr int kCalls = 10000;
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::alarm(60);
+    ThreadPool pool(16);
+    std::atomic<long> sum{0};
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&] {
+        for (int call = 0; call < kCalls; ++call) {
+          pool.parallel_for(2, [&](std::size_t i) {
+            sum.fetch_add(static_cast<long>(i) + 1, std::memory_order_relaxed);
+          });
+          scribble_stack();
+        }
+      });
+    }
+    for (auto& t : callers) t.join();
+    ::_exit(sum.load() == 3L * kCallers * kCalls ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "storm child " << (WIFSIGNALED(status) ? "died of signal " : "exited ")
+      << (WIFSIGNALED(status) ? WTERMSIG(status) : WEXITSTATUS(status));
 }
 
 TEST(EnvTest, FallbacksWhenUnset) {

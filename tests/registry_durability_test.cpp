@@ -23,11 +23,15 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <malloc.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <csignal>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -128,6 +132,79 @@ void expect_zero_leaked_slab_bytes(std::uint64_t slab_file_bytes,
                                  stored_bytes);
 }
 
+// Incompressible bytes: no two 1 MiB chunks of a corpus built from these
+// dedup against each other.
+std::vector<std::byte> random_payload(std::size_t n, unsigned seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::byte> out(n);
+  for (std::size_t i = 0; i + 8 <= n; i += 8) {
+    const std::uint64_t v = rng();
+    std::memcpy(out.data() + i, &v, 8);
+  }
+  return out;
+}
+
+std::vector<std::byte> build_random_image(std::size_t section_bytes,
+                                          unsigned seed) {
+  ImageWriter writer(Codec::kStore);
+  writer.add_section(SectionType::kDeviceBuffers, "device-arena",
+                     random_payload(section_bytes, seed));
+  EXPECT_TRUE(writer.status().ok()) << writer.status().to_string();
+  return writer.serialize();
+}
+
+// Sanitizer runtimes replace malloc and hold freed blocks in a quarantine,
+// so resident-memory bounds only mean something in a plain build.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizedAllocator = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitizedAllocator = true;
+#else
+constexpr bool kSanitizedAllocator = false;
+#endif
+#else
+constexpr bool kSanitizedAllocator = false;
+#endif
+
+// Resident set size of this process, from /proc/self/status. Free heap
+// memory goes back to the kernel first, so a later allocation shows up as
+// growth instead of quietly reusing pages that are already resident.
+std::uint64_t vm_rss_bytes() {
+  ::malloc_trim(0);
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  std::uint64_t kb = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::strncmp(line, "VmRSS:", 6) == 0) {
+      kb = std::strtoull(line + 6, nullptr, 10);
+      break;
+    }
+  }
+  std::fclose(f);
+  return kb << 10;
+}
+
+std::uint64_t file_size(const std::string& path) {
+  struct stat st {};
+  return ::stat(path.c_str(), &st) == 0 ? static_cast<std::uint64_t>(st.st_size)
+                                        : 0;
+}
+
+// Flips one byte in the payload of the slab's first record.
+void flip_first_payload_byte(const std::string& dir) {
+  const std::string path = dir + "/chunks.slab";
+  const int fd = ::open(path.c_str(), O_RDWR);
+  ASSERT_GE(fd, 0) << path << ": " << std::strerror(errno);
+  const off_t at = kSlabFileHeaderBytes + kSlabRecordHeaderBytes + 7;
+  unsigned char b = 0;
+  ASSERT_EQ(::pread(fd, &b, 1, at), 1);
+  b ^= 0x5A;
+  ASSERT_EQ(::pwrite(fd, &b, 1, at), 1);
+  ::close(fd);
+}
+
 void append_garbage(const std::string& path, std::size_t n, unsigned seed) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
   ASSERT_GE(fd, 0) << path << ": " << std::strerror(errno);
@@ -142,7 +219,7 @@ void append_garbage(const std::string& path, std::size_t n, unsigned seed) {
 // ---------------------------------------------------------------------------
 
 TEST(DurableRegistryTest, VolatileModeNeedsNoRecovery) {
-  CheckpointRegistry reg;  // no dir: the PR-9 in-memory behavior
+  CheckpointRegistry reg;  // no dir: volatile, over an anonymous slab file
   EXPECT_TRUE(reg.recover().ok());
   EXPECT_TRUE(put_image(reg, "a", build_image(Codec::kStore, 8 << 10, 1)).ok());
   EXPECT_FALSE(reg.stats().durable);
@@ -415,6 +492,146 @@ TEST(DurableRegistryTest, WalFoldsIntoManifestAtThreshold) {
   EXPECT_GT(sb.st_size, 0);
 }
 
+TEST(DurableRegistryTest, FlippedPayloadByteFailsOnlyItsImage) {
+  // One damaged payload early in the slab must cost exactly the images
+  // that use it: recovery reads headers only and keeps every record, and
+  // the damage surfaces as a named Corrupt on the first read of it.
+  CheckpointRegistry::Options opts;
+  opts.dir = fresh_dir("flip");
+  const auto a = build_image(Codec::kStore, 64 << 10, 40);
+  const auto b = build_image(Codec::kStore, 64 << 10, 42);
+  {
+    CheckpointRegistry reg(opts);
+    ASSERT_TRUE(reg.recover().ok());
+    ASSERT_TRUE(put_image(reg, "a", a).ok());  // owns the first record
+    ASSERT_TRUE(put_image(reg, "b", b).ok());
+  }
+  flip_first_payload_byte(opts.dir);
+  const std::uint64_t slab_bytes = file_size(opts.dir + "/chunks.slab");
+
+  CheckpointRegistry reg(opts);
+  Status recovered = reg.recover();
+  ASSERT_TRUE(recovered.ok()) << recovered.to_string();
+  EXPECT_EQ(reg.stats().disk.recovery_truncated_slab, 0u);
+  EXPECT_EQ(file_size(opts.dir + "/chunks.slab"), slab_bytes);
+  EXPECT_EQ(reg.list().size(), 2u);
+
+  auto got_b = read_image(reg, "b");
+  ASSERT_TRUE(got_b.ok()) << got_b.status().to_string();
+  EXPECT_EQ(*got_b, b);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto got_a = read_image(reg, "a");
+    ASSERT_FALSE(got_a.ok());
+    EXPECT_EQ(got_a.status().code(), StatusCode::kCorrupt);
+    EXPECT_NE(got_a.status().message().find("chunks.slab"), std::string::npos)
+        << got_a.status().to_string();
+  }
+
+  // PUTting the same content again appends a sound record that supersedes
+  // the damaged one, here and after a restart.
+  ASSERT_TRUE(put_image(reg, "a-again", a).ok());
+  auto healed = read_image(reg, "a");
+  ASSERT_TRUE(healed.ok()) << healed.status().to_string();
+  EXPECT_EQ(*healed, a);
+  {
+    CheckpointRegistry again(opts);
+    ASSERT_TRUE(again.recover().ok());  // (reg stays open: no writes race)
+  }
+}
+
+TEST(DurableRegistryTest, GetRacesRuntimeCompaction) {
+  // A GET session spans a compaction that rewrites every offset and
+  // replaces the slab file: the session keeps reading the generation it
+  // started on, whose descriptor stays open until the session ends.
+  CheckpointRegistry::Options opts;
+  opts.dir = fresh_dir("get_vs_compact");
+  CheckpointRegistry reg(opts);
+  ASSERT_TRUE(reg.recover().ok());
+  const auto doomed = build_image(Codec::kStore, 512 << 10, 50);
+  const auto kept = build_image(Codec::kLz, 256 << 10, 51);
+  ASSERT_TRUE(put_image(reg, "doomed", doomed).ok());  // records first
+  ASSERT_TRUE(put_image(reg, "kept", kept).ok());
+
+  auto source = reg.open("kept");
+  ASSERT_TRUE(source.ok());
+  std::vector<std::byte> got(kept.size());
+  const std::size_t half = got.size() / 2;
+  ASSERT_TRUE((*source)->read(got.data(), half).ok());
+  ASSERT_TRUE(reg.remove("doomed").ok());
+  ASSERT_TRUE(reg.store()->compact().ok());
+  EXPECT_GT(reg.stats().disk.compactions, 0u);
+  EXPECT_EQ(reg.stats().disk.dead_bytes, 0u);
+  ASSERT_TRUE((*source)->read(got.data() + half, got.size() - half).ok());
+  EXPECT_EQ(got, kept);
+
+  // The same, concurrently: a reader streams "kept" over and over while
+  // the writer churns an image through PUT, remove and compaction.
+  std::atomic<bool> stop{false};
+  std::atomic<int> reads{0}, bad{0};
+  std::thread reader([&] {
+    while (!stop.load()) {
+      auto again = read_image(reg, "kept");
+      if (!again.ok() || *again != kept) bad.fetch_add(1);
+      reads.fetch_add(1);
+    }
+  });
+  for (unsigned round = 0; round < 16; ++round) {
+    const auto churn = build_image(Codec::kStore, 256 << 10, 60 + round);
+    ASSERT_TRUE(put_image(reg, "churn", churn).ok());
+    ASSERT_TRUE(reg.remove("churn").ok());
+    ASSERT_TRUE(reg.store()->compact().ok());
+  }
+  while (reads.load() < 2) std::this_thread::yield();
+  stop.store(true);
+  reader.join();
+  EXPECT_EQ(bad.load(), 0);
+}
+
+TEST(DurableRegistryTest, RecoveryLeavesPayloadsOnDisk) {
+  // Recovery reads record headers, the manifest and the WAL: the process
+  // grows by the index, not by the ≥32 MiB of payload it now serves.
+  if (kSanitizedAllocator) GTEST_SKIP() << "RSS bounds need the plain malloc";
+  CheckpointRegistry::Options opts;
+  opts.dir = fresh_dir("rss");
+  {
+    CheckpointRegistry reg(opts);
+    ASSERT_TRUE(reg.recover().ok());
+    for (unsigned i = 0; i < 4; ++i) {
+      ASSERT_TRUE(put_image(reg, "big-" + std::to_string(i),
+                            build_random_image(9 << 20, 70 + i))
+                      .ok());
+    }
+  }
+  CheckpointRegistry reg(opts);
+  const std::uint64_t before = vm_rss_bytes();
+  ASSERT_TRUE(reg.recover().ok());
+  const std::uint64_t after = vm_rss_bytes();
+  const RegistryStats st = reg.stats();
+  ASSERT_GE(st.store.stored_bytes, std::uint64_t{32} << 20);
+  ASSERT_GT(before, 0u);
+  EXPECT_LT(after - std::min(after, before), st.store.stored_bytes / 8)
+      << "VmRSS grew from " << before << " to " << after << " bytes";
+}
+
+TEST(DurableRegistryTest, VolatilePutLeavesPayloadsOnDisk) {
+  // A volatile registry runs the same store over an anonymous file: a PUT
+  // costs the sink's one-chunk buffer, not the image's payload.
+  if (kSanitizedAllocator) GTEST_SKIP() << "RSS bounds need the plain malloc";
+  const auto image = build_random_image(32 << 20, 80);
+  CheckpointRegistry reg;
+  const std::uint64_t before = vm_rss_bytes();
+  ASSERT_TRUE(put_image(reg, "big", image).ok());
+  const std::uint64_t after = vm_rss_bytes();
+  const RegistryStats st = reg.stats();
+  ASSERT_GE(st.store.stored_bytes, std::uint64_t{32} << 20);
+  EXPECT_FALSE(st.durable);
+  EXPECT_LT(after - std::min(after, before), st.store.stored_bytes / 8)
+      << "VmRSS grew from " << before << " to " << after << " bytes";
+  auto got = read_image(reg, "big");
+  ASSERT_TRUE(got.ok()) << got.status().to_string();
+  EXPECT_TRUE(*got == image);
+}
+
 // ---------------------------------------------------------------------------
 // Property test: random op interleavings across restarts vs an oracle
 // ---------------------------------------------------------------------------
@@ -590,6 +807,41 @@ TEST(RegistryDurabilityHostTest, CorruptTrailerPutIsInvisibleAfterRestart) {
   ASSERT_TRUE(list.ok()) << list.status().to_string();
   EXPECT_TRUE(list->empty());
   expect_host_zero_leak(client);
+  host->shutdown();
+  std::signal(SIGPIPE, prior);
+}
+
+TEST(RegistryDurabilityHostTest, FlippedPayloadByteFailsGetOverUsableChannel) {
+  auto prior = std::signal(SIGPIPE, SIG_IGN);
+  RegistryHostOptions opts;
+  opts.dir = fresh_dir("flip_host");
+  const auto a = build_image(Codec::kStore, 64 << 10, 43);
+  const auto b = build_image(Codec::kLz, 96 << 10, 45);
+  {
+    auto host = RegistryHost::spawn(opts);
+    ASSERT_TRUE(host.ok()) << host.status().to_string();
+    RegistryClient client = connect_client(*host);
+    ASSERT_TRUE(client.put_bytes("a", a).ok());  // owns the first record
+    ASSERT_TRUE(client.put_bytes("b", b).ok());
+    host->shutdown();
+  }
+  flip_first_payload_byte(opts.dir);
+
+  auto host = RegistryHost::spawn(opts);
+  ASSERT_TRUE(host.ok()) << host.status().to_string();
+  RegistryClient client = connect_client(*host);
+  auto got_a = client.get_bytes("a");
+  ASSERT_FALSE(got_a.ok());
+  EXPECT_EQ(got_a.status().code(), StatusCode::kCorrupt)
+      << got_a.status().to_string();
+  // Refused before any stream started: the same channel keeps serving.
+  EXPECT_TRUE(client.usable());
+  auto got_b = client.get_bytes("b");
+  ASSERT_TRUE(got_b.ok()) << got_b.status().to_string();
+  EXPECT_EQ(*got_b, b);
+  auto list = client.list();
+  ASSERT_TRUE(list.ok()) << list.status().to_string();
+  EXPECT_EQ(list->size(), 2u);
   host->shutdown();
   std::signal(SIGPIPE, prior);
 }

@@ -1,8 +1,8 @@
 // Tests for the checkpoint registry subsystem: the content-addressed
-// ChunkStore (dedup, refcounts, slab reclamation), the RegistrySink/Source
-// image parse + byte-identical reconstruction, the CheckpointRegistry
-// naming layer, and the forked RegistryHost serving PUT/GET/LIST/STAT over
-// the proxy event loop.
+// ChunkStore (dedup, refcounts, dead-record compaction), the
+// RegistrySink/Source image parse + byte-identical reconstruction, the
+// CheckpointRegistry naming layer, and the forked RegistryHost serving
+// PUT/GET/LIST/STAT over the proxy event loop.
 //
 // Suites named RegistryHostTest.* fork a server process and are excluded
 // from the TSan job (fork + instrumentation don't mix); everything else is
@@ -67,75 +67,51 @@ Status feed(RegistrySink& sink, const std::vector<std::byte>& bytes,
 }
 
 TEST(ChunkStoreTest, DedupAndRefcounts) {
-  ChunkStore store(ChunkStore::Options{1 << 16});
+  ChunkStore store;
+  ASSERT_TRUE(store.open("").ok());  // volatile: an anonymous slab file
   const std::vector<std::byte> payload = pattern_payload(4096, 9);
   const ChunkKey key{0, payload.size(), 0xDEADBEEF};
+  const std::uint64_t record = kSlabRecordHeaderBytes + payload.size();
 
-  auto first = store.put(key, payload.data(), payload.size());
-  ASSERT_TRUE(first.ok());
-  auto second = store.put(key, payload.data(), payload.size());
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(*first, *second);
+  ASSERT_TRUE(store.put(key, payload.data(), payload.size()).ok());
+  ASSERT_TRUE(store.put(key, payload.data(), payload.size()).ok());
 
   ChunkStore::Stats stats = store.stats();
   EXPECT_EQ(stats.unique_chunks, 1u);
   EXPECT_EQ(stats.chunk_refs, 2u);
   EXPECT_EQ(stats.dedup_hits, 1u);
   EXPECT_EQ(stats.stored_bytes, payload.size());
+  // One record on disk for both references.
+  EXPECT_EQ(stats.slab_file_bytes, kSlabFileHeaderBytes + record);
 
   // A same-key put with a different payload size means the key lied.
-  auto lie = store.put(key, payload.data(), payload.size() - 1);
-  EXPECT_FALSE(lie.ok());
+  EXPECT_EQ(store.put(key, payload.data(), payload.size() - 1).code(),
+            StatusCode::kCorrupt);
 
-  store.release(*first);
-  store.release(*second);
+  // Payload bytes come back out of the slab, whole or from an offset.
+  auto stored = store.payload(key);
+  ASSERT_TRUE(stored.ok()) << stored.status().to_string();
+  std::vector<std::byte> back(payload.size());
+  ASSERT_TRUE(stored->read(0, back.data(), back.size()).ok());
+  EXPECT_EQ(back, payload);
+  ASSERT_TRUE(stored->read(100, back.data(), 50).ok());
+  EXPECT_EQ(std::memcmp(back.data(), payload.data() + 100, 50), 0);
+  EXPECT_FALSE(stored->read(payload.size() - 10, back.data(), 11).ok());
+
+  store.release(key);
+  store.release(key);
   stats = store.stats();
   EXPECT_EQ(stats.unique_chunks, 0u);
   EXPECT_EQ(stats.stored_bytes, 0u);
-}
+  EXPECT_EQ(stats.dead_bytes, record);
+  EXPECT_EQ(store.payload(key).status().code(), StatusCode::kNotFound);
 
-TEST(ChunkStoreTest, SlabReclaimedWhenLastEntryReleased) {
-  ChunkStore store(ChunkStore::Options{1 << 12});
-  // Two chunks fill one slab; a third (distinct key) starts another.
-  std::vector<std::uint64_t> ids;
-  for (unsigned i = 0; i < 3; ++i) {
-    const std::vector<std::byte> payload = pattern_payload(1 << 11, i);
-    auto id = store.put(ChunkKey{0, payload.size(), 100 + i},
-                        payload.data(), payload.size());
-    ASSERT_TRUE(id.ok());
-    ids.push_back(*id);
-  }
-  const std::uint64_t before = store.stats().slab_bytes;
-  EXPECT_GT(before, 0u);
-  store.release(ids[0]);
-  store.release(ids[1]);  // first slab now empty -> reclaimed whole
-  EXPECT_LT(store.stats().slab_bytes, before);
-  store.release(ids[2]);
-  EXPECT_EQ(store.stats().slab_bytes, 0u);
-}
-
-TEST(ChunkStoreTest, ViewSurvivesConcurrentInterning) {
-  auto store = std::make_shared<ChunkStore>(ChunkStore::Options{1 << 14});
-  const std::vector<std::byte> payload = pattern_payload(8192, 3);
-  auto id = store->put(ChunkKey{0, payload.size(), 42}, payload.data(),
-                       payload.size());
-  ASSERT_TRUE(id.ok());
-
-  // Readers stream the view lock-free while writers intern fresh chunks.
-  std::thread writer([&store] {
-    for (unsigned i = 0; i < 64; ++i) {
-      const std::vector<std::byte> p = pattern_payload(4096, 1000 + i);
-      auto r = store->put(ChunkKey{0, p.size(), 5000 + i}, p.data(),
-                          p.size());
-      ASSERT_TRUE(r.ok());
-    }
-  });
-  for (unsigned pass = 0; pass < 64; ++pass) {
-    const ChunkStore::View view = store->view(*id);
-    ASSERT_EQ(view.size, payload.size());
-    ASSERT_EQ(std::memcmp(view.data, payload.data(), view.size), 0);
-  }
-  writer.join();
+  // Compaction drops the dead record.
+  ASSERT_TRUE(store.compact().ok());
+  stats = store.stats();
+  EXPECT_EQ(stats.dead_bytes, 0u);
+  EXPECT_EQ(stats.slab_file_bytes, kSlabFileHeaderBytes);
+  EXPECT_EQ(stats.compactions, 1u);
 }
 
 class RegistryRoundTripTest : public ::testing::TestWithParam<Codec> {};
@@ -143,7 +119,7 @@ class RegistryRoundTripTest : public ::testing::TestWithParam<Codec> {};
 TEST_P(RegistryRoundTripTest, StoreAndReconstructByteIdentical) {
   const std::vector<std::byte> image = build_image(GetParam(), 3 << 20);
 
-  CheckpointRegistry registry(CheckpointRegistry::Options{1 << 20});
+  CheckpointRegistry registry;
   auto sink = registry.begin_put("job-a");
   ASSERT_TRUE(feed(*sink, image).ok());
   ASSERT_TRUE(sink->close().ok());
@@ -180,7 +156,7 @@ INSTANTIATE_TEST_SUITE_P(AllCodecs, RegistryRoundTripTest,
 TEST(RegistryTest, NearIdenticalImagesShareChunks) {
   // The ISSUE's dedup acceptance bar: two near-identical images must cost
   // the store less than twice one image.
-  CheckpointRegistry registry(CheckpointRegistry::Options{1 << 20});
+  CheckpointRegistry registry;
 
   const std::vector<std::byte> a = build_image(Codec::kStore, 8 << 20);
   const std::vector<std::byte> b =

@@ -9,7 +9,8 @@
 //   * each ring edge is a socketpair whose kernel buffer absorbs an entire
 //     shipment, so a ship never blocks on its successor's recv;
 //   * each recv gates on POLLIN before taking its lock, so it only starts
-//     once its predecessor's ship is already streaming.
+//     once its predecessor's ship is already streaming — and once its own
+//     endpoint's ship is, so the endpoint ships before it receives.
 // With those, recv(i) drains ship(i-1) concurrently with ship(i) filling
 // its edge — the advertised overlap, deterministically deadlock-free.
 #include <gtest/gtest.h>
@@ -86,6 +87,10 @@ void rotate_ring(std::array<std::unique_ptr<ProxyClientApi>, kRingSize>& ring) {
     receivers.emplace_back([&, i] {
       const int src = edge[(i + kRingSize - 1) % kRingSize][0];
       wait_readable(src);
+      // This endpoint's own ship must hold its RPC lock first, or the
+      // receive can overwrite the state before it ships (then the ring
+      // rotates by zero or two). Bytes on the outgoing edge prove it does.
+      wait_readable(edge[i][0]);
       recv_st[i] = ring[i]->recv_checkpoint(src);
     });
   }
