@@ -82,8 +82,6 @@ Status CheckpointRegistry::recover() {
   // Fold the replayed state into a fresh manifest + empty WAL so the next
   // recovery starts from a checkpoint, not a replay.
   CRAC_RETURN_IF_ERROR(durable_->checkpoint(snapshot_records_locked()));
-  // Recovery read no payload; check them now, off the GET path.
-  store_->start_scrub();
   recovered_ = true;
   return OkStatus();
 }

@@ -105,8 +105,9 @@ class CheckpointRegistry {
 
   // Durable mode only: opens the backing directory, indexes the slab by
   // its record headers, replays manifest + WAL, and rebuilds every
-  // committed image over the index (payload CRCs are checked as each
-  // payload is first read, not here). Must be called (once) before any
+  // committed image over the index, then compacts dead records away (the
+  // only step that reads payloads; each payload's CRC is checked on its
+  // first read in the process). Must be called (once) before any
   // PUT/GET when options.dir is set; a no-op for volatile registries.
   Status recover();
 

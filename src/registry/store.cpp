@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -95,10 +94,7 @@ Status corrupt_chunk(const std::string& origin, const ChunkKey& key) {
 
 ChunkStore::ChunkStore() = default;
 
-ChunkStore::~ChunkStore() {
-  stop_scrub_.store(true);
-  if (scrubber_.joinable()) scrubber_.join();
-}
+ChunkStore::~ChunkStore() = default;
 
 Status ChunkStore::open_check_locked() const {
   if (opened_) return OkStatus();
@@ -264,22 +260,21 @@ Status ChunkStore::put(const ChunkKey& key, const std::byte* stored,
                    std::to_string(entry.stored_size) + " vs " +
                    std::to_string(stored_size) + " under one key");
   }
-  if (entry.refs > 0 && entry.check != Check::kBad) {
-    ++entry.refs;
-    ++dedup_hits_;
-    return OkStatus();
-  }
-  if (entry.refs == 0) {
-    // Resurrecting dead weight: the WAL commit about to name this key must
-    // find a sound payload, so this is the record's first read.
-    Status checked = OkStatus();
-    if (entry.check != Check::kGood) checked = check_locked(key, entry);
-    if (checked.ok()) {
-      entry.refs = 1;
-      dead_bytes_ -= record_bytes(entry.stored_size);
-      return OkStatus();
+  if (entry.check == Check::kUnchecked) {
+    // The WAL commit about to name this key must find a sound payload, so
+    // this is the record's first read in this process, live or dead.
+    Status checked = check_locked(key, entry);
+    if (!checked.ok() && checked.code() != StatusCode::kCorrupt) {
+      return checked;
     }
-    if (checked.code() != StatusCode::kCorrupt) return checked;
+  }
+  if (entry.check == Check::kGood) {
+    if (entry.refs++ == 0) {
+      dead_bytes_ -= record_bytes(entry.stored_size);  // resurrected
+    } else {
+      ++dedup_hits_;
+    }
+    return OkStatus();
   }
   // The indexed record is damaged: a fresh copy supersedes it, and the old
   // record (dead already, or dead from now on) waits for compaction.
@@ -364,26 +359,6 @@ Status ChunkStore::Payload::read(std::uint64_t at, void* out,
     return Internal("chunk store: read past the end of a chunk payload");
   }
   return file->pread(out, n, offset + at);
-}
-
-void ChunkStore::start_scrub() {
-  if (scrubber_.joinable()) return;
-  scrubber_ = std::thread([this] {
-    std::optional<ChunkKey> cursor;
-    while (!stop_scrub_.load()) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = cursor ? index_.upper_bound(*cursor) : index_.begin();
-        while (it != index_.end() && (it->second.refs == 0 ||
-                                      it->second.check != Check::kUnchecked)) {
-          ++it;
-        }
-        if (it == index_.end()) return;
-        cursor = it->first;
-      }
-      (void)payload(*cursor);  // the verdict stays in the index
-    }
-  });
 }
 
 Status ChunkStore::sync() {

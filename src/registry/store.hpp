@@ -22,11 +22,10 @@
 //
 // Integrity is checked lazily but never skipped: scan() reads record
 // headers only, and each payload's CRC is checked the first time this
-// process reads it (a GET, a compaction copy, a re-PUT that resurrects a
-// dead record, or the background scrub a recovery starts). A mismatch
-// fails that read with a named Corrupt and leaves every other record
-// alone; a later PUT of the same content appends a fresh record that
-// supersedes the damaged one.
+// process reads it (a GET, a compaction copy, or a re-PUT of a record it
+// has not checked yet). A mismatch fails that read with a named Corrupt
+// and leaves every other record alone; a later PUT of the same content
+// appends a fresh record that supersedes the damaged one.
 //
 // Compaction rewrites the live records into a new slab generation and swaps
 // it in. A Payload handle pins the generation its record was found in, so
@@ -38,13 +37,11 @@
 // store over an anonymous temporary file that is never synced.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "common/status.hpp"
 
@@ -142,12 +139,6 @@ class ChunkStore {
   // mismatch.
   Result<Payload> payload(const ChunkKey& key);
 
-  // Checks every live payload not yet checked, on a background thread that
-  // finishes when none is left (or when the store is destroyed), so after
-  // a recovery the first GET of each image does not pay for the check.
-  // A mismatch is remembered: the GET of an image using that chunk fails.
-  void start_scrub();
-
   // fdatasync of the slab file; a no-op for a volatile store.
   Status sync();
 
@@ -185,8 +176,6 @@ class ChunkStore {
   std::uint64_t dedup_hits_ = 0;
   std::uint64_t compactions_ = 0;
   std::uint64_t truncated_bytes_ = 0;
-  std::atomic<bool> stop_scrub_{false};
-  std::thread scrubber_;
 };
 
 }  // namespace crac::registry

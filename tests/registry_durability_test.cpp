@@ -205,6 +205,20 @@ void flip_first_payload_byte(const std::string& dir) {
   ::close(fd);
 }
 
+// Commits images "a" then "b" to a fresh durable registry at opts.dir and,
+// after shutdown, damages the first slab record: a payload of "a" only.
+void commit_then_flip_first_payload(const CheckpointRegistry::Options& opts,
+                                    const std::vector<std::byte>& a,
+                                    const std::vector<std::byte>& b) {
+  {
+    CheckpointRegistry reg(opts);
+    ASSERT_TRUE(reg.recover().ok());
+    ASSERT_TRUE(put_image(reg, "a", a).ok());
+    ASSERT_TRUE(put_image(reg, "b", b).ok());
+  }
+  flip_first_payload_byte(opts.dir);
+}
+
 void append_garbage(const std::string& path, std::size_t n, unsigned seed) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
   ASSERT_GE(fd, 0) << path << ": " << std::strerror(errno);
@@ -496,17 +510,11 @@ TEST(DurableRegistryTest, FlippedPayloadByteFailsOnlyItsImage) {
   // One damaged payload early in the slab must cost exactly the images
   // that use it: recovery reads headers only and keeps every record, and
   // the damage surfaces as a named Corrupt on the first read of it.
-  CheckpointRegistry::Options opts;
-  opts.dir = fresh_dir("flip");
   const auto a = build_image(Codec::kStore, 64 << 10, 40);
   const auto b = build_image(Codec::kStore, 64 << 10, 42);
-  {
-    CheckpointRegistry reg(opts);
-    ASSERT_TRUE(reg.recover().ok());
-    ASSERT_TRUE(put_image(reg, "a", a).ok());  // owns the first record
-    ASSERT_TRUE(put_image(reg, "b", b).ok());
-  }
-  flip_first_payload_byte(opts.dir);
+  CheckpointRegistry::Options opts;
+  opts.dir = fresh_dir("flip");
+  ASSERT_NO_FATAL_FAILURE(commit_then_flip_first_payload(opts, a, b));
   const std::uint64_t slab_bytes = file_size(opts.dir + "/chunks.slab");
 
   CheckpointRegistry reg(opts);
@@ -528,14 +536,63 @@ TEST(DurableRegistryTest, FlippedPayloadByteFailsOnlyItsImage) {
   }
 
   // PUTting the same content again appends a sound record that supersedes
-  // the damaged one, here and after a restart.
+  // the damaged one.
   ASSERT_TRUE(put_image(reg, "a-again", a).ok());
   auto healed = read_image(reg, "a");
   ASSERT_TRUE(healed.ok()) << healed.status().to_string();
   EXPECT_EQ(*healed, a);
+}
+
+TEST(DurableRegistryTest, SupersedingRecordWinsAfterRestart) {
+  // The damaged record and the one superseding it both stay in the slab
+  // until a compaction: the restart's header scan must index the later one,
+  // and the recovery compaction drops the earlier one.
+  const auto a = build_image(Codec::kStore, 64 << 10, 40);
+  const auto b = build_image(Codec::kStore, 64 << 10, 42);
+  CheckpointRegistry::Options opts;
+  opts.dir = fresh_dir("flip_restart");
+  ASSERT_NO_FATAL_FAILURE(commit_then_flip_first_payload(opts, a, b));
   {
-    CheckpointRegistry again(opts);
-    ASSERT_TRUE(again.recover().ok());  // (reg stays open: no writes race)
+    CheckpointRegistry reg(opts);
+    ASSERT_TRUE(reg.recover().ok());
+    ASSERT_FALSE(read_image(reg, "a").ok());  // marks the record damaged
+    ASSERT_TRUE(put_image(reg, "a-again", a).ok());
+    EXPECT_GT(reg.stats().disk.dead_bytes, 0u);
+  }
+  CheckpointRegistry again(opts);
+  Status recovered = again.recover();
+  ASSERT_TRUE(recovered.ok()) << recovered.to_string();
+  const RegistryStats st = again.stats();
+  EXPECT_EQ(st.disk.recovery_truncated_slab, 0u);
+  EXPECT_EQ(st.disk.dead_bytes, 0u);
+  expect_zero_leaked_slab_bytes(st.disk.slab_file_bytes,
+                                st.store.unique_chunks,
+                                st.store.stored_bytes);
+  for (const char* name : {"a", "a-again"}) {
+    auto got = read_image(again, name);
+    ASSERT_TRUE(got.ok()) << name << ": " << got.status().to_string();
+    EXPECT_EQ(*got, a) << name;
+  }
+}
+
+TEST(DurableRegistryTest, RePutOfUncheckedDamagedRecordSupersedesIt) {
+  // After a recovery with nothing dead, no compaction reads the payloads.
+  // A PUT whose content matches a live record this process has not checked
+  // yet must check it before committing against it: the client sent sound
+  // bytes, so the image it commits must read back.
+  const auto a = build_image(Codec::kStore, 64 << 10, 40);
+  const auto b = build_image(Codec::kStore, 64 << 10, 42);
+  CheckpointRegistry::Options opts;
+  opts.dir = fresh_dir("flip_reput");
+  ASSERT_NO_FATAL_FAILURE(commit_then_flip_first_payload(opts, a, b));
+  CheckpointRegistry reg(opts);
+  ASSERT_TRUE(reg.recover().ok());
+  EXPECT_EQ(reg.stats().disk.compactions, 0u);  // nothing read the payloads
+  ASSERT_TRUE(put_image(reg, "a-again", a).ok());  // before any GET of "a"
+  for (const char* name : {"a", "a-again"}) {
+    auto got = read_image(reg, name);
+    ASSERT_TRUE(got.ok()) << name << ": " << got.status().to_string();
+    EXPECT_EQ(*got, a) << name;
   }
 }
 
