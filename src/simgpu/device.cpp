@@ -163,16 +163,12 @@ Status Device::arm_snapshot() {
   regions.push_back(
       {reinterpret_cast<std::uintptr_t>(uvm_->arena_base()),
        config_.managed_capacity});
-  CRAC_RETURN_IF_ERROR(snap_overlay_->arm(regions));
-  // Re-protect every managed page so the first post-freeze write faults
-  // into the preserve path. Without this, a page left writable by an
-  // earlier fault epoch could be mutated invisibly under the snapshot.
-  Status armed = uvm_->arm_all();
-  if (!armed.ok()) {
-    snap_overlay_->release();
-    return armed;
-  }
-  return OkStatus();
+  // Re-protect every managed page *before* arming, so the first
+  // post-freeze write faults into the preserve path. Arming publishes
+  // armed(); a writer that has seen it could otherwise store into a page
+  // an earlier fault epoch left writable, and nothing would preserve it.
+  CRAC_RETURN_IF_ERROR(uvm_->arm_all());
+  return snap_overlay_->arm(regions);
 }
 
 void Device::release_snapshot() { snap_overlay_->release(); }

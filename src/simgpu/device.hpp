@@ -87,10 +87,12 @@ class Device {
   void note_write(const void* p, std::size_t n) noexcept;
 
   // --- copy-on-write snapshot capture ---
-  // Arms the overlay over all three arenas' full reservations and re-arms
-  // UVM protection so every first write faults (and preserves). Call with
-  // the world stopped (streams drained); on return the application may
-  // resume while the capture reads the frozen state via snap_overlay().
+  // Re-arms UVM protection so every first write faults (and preserves),
+  // then arms the overlay over all three arenas' full reservations. The
+  // order matters: arming publishes armed(), and a writer that has seen it
+  // must not find a managed page still writable. Call with the world
+  // stopped (streams drained); on return the application may resume while
+  // the capture reads the frozen state via snap_overlay().
   Status arm_snapshot();
   void release_snapshot();
   ckpt::SnapOverlay& snap_overlay() noexcept { return *snap_overlay_; }

@@ -4,10 +4,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
 #include <numeric>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/crc32.hpp"
@@ -154,6 +157,84 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
   const std::uint32_t base = crc32(buf.data(), buf.size());
   buf[512] ^= 0x01;
   EXPECT_NE(crc32(buf.data(), buf.size()), base);
+}
+
+// crc32() folds inputs of 64 bytes or more with PCLMULQDQ on CPUs that have
+// it and hands the tail to the table; the table path is the reference these
+// cases compare it with. Every failure names the path that ran.
+std::string crc32_path() {
+  return crc32_uses_pclmul() ? "crc32 path: PCLMULQDQ fold + table tail"
+                             : "crc32 path: table only";
+}
+
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> out(n);
+  for (auto& b : out) b = static_cast<unsigned char>(rng.next_u32());
+  return out;
+}
+
+TEST(Crc32Test, MatchesTableAtEveryLengthAndAlignment) {
+  std::printf("[          ] %s\n", crc32_path().c_str());
+  SCOPED_TRACE(crc32_path());
+  const auto buf = random_bytes(4096 + 15, 1);
+  Rng seeds(2);
+  for (std::size_t align = 0; align < 16; ++align) {
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const std::uint32_t seed = seeds.next_u32();
+      const unsigned char* p = buf.data() + align;
+      ASSERT_EQ(crc32(p, len, seed), crc32_table(p, len, seed))
+          << "len " << len << ", align " << align << ", seed " << seed;
+    }
+  }
+}
+
+TEST(Crc32Test, IncrementalSplitsAcrossFoldBoundaryMatchTable) {
+  SCOPED_TRACE(crc32_path());
+  const auto buf = random_bytes(700, 3);
+  const std::uint32_t whole = crc32_table(buf.data(), buf.size());
+  for (std::size_t a = 0; a <= buf.size(); ++a) {
+    for (std::size_t piece : {0, 1, 15, 16, 17, 63, 64, 65, 200}) {
+      const std::size_t b = a + piece;
+      if (b > buf.size()) continue;
+      std::uint32_t c = crc32(buf.data(), a);
+      c = crc32(buf.data() + a, b - a, c);
+      c = crc32(buf.data() + b, buf.size() - b, c);
+      ASSERT_EQ(c, whole) << "splits at " << a << " and " << b;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesTableAroundFoldSizes) {
+  SCOPED_TRACE(crc32_path());
+  const auto buf = random_bytes((std::size_t{1} << 20) + 64, 4);
+  std::vector<std::size_t> lens = {63, 64, 65, buf.size() - 3};
+  for (std::size_t blocks : {4, 5, 8, 255, 256, 4097, 65536}) {
+    lens.insert(lens.end(), {16 * blocks - 1, 16 * blocks, 16 * blocks + 1});
+  }
+  for (std::size_t len : lens) {
+    for (std::size_t align : {0, 1, 3}) {
+      const unsigned char* p = buf.data() + align;
+      ASSERT_EQ(crc32(p, len, 0x5eed), crc32_table(p, len, 0x5eed))
+          << "len " << len << ", align " << align;
+    }
+  }
+}
+
+TEST(Crc32Test, KnownAnswersFromZlib) {
+  // Values from Python's zlib.crc32, an implementation independent of both
+  // paths here.
+  SCOPED_TRACE(crc32_path());
+  const std::vector<unsigned char> zeros(std::size_t{1} << 20);
+  std::vector<unsigned char> ramp(100003);
+  for (std::size_t i = 0; i < ramp.size(); ++i) {
+    ramp[i] = static_cast<unsigned char>(i % 251);
+  }
+  for (auto* f : {&crc32, &crc32_table}) {
+    EXPECT_EQ(f(zeros.data(), zeros.size(), 0), 0xA738EA1Cu);
+    EXPECT_EQ(f(ramp.data(), ramp.size(), 0), 0xBCE3A8C1u);
+    EXPECT_EQ(f(ramp.data() + 3, ramp.size() - 3, 0), 0xC15CB1BEu);
+  }
 }
 
 TEST(RngTest, DeterministicForSeed) {
