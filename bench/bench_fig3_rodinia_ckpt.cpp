@@ -33,7 +33,6 @@
 #include "ckpt/compressor.hpp"
 #include "ckpt/image.hpp"
 #include "ckpt/remote.hpp"
-#include "ckpt/sharded.hpp"
 #include "ckpt/sink.hpp"
 #include "common/bytes.hpp"
 #include "common/crc32.hpp"
@@ -112,8 +111,8 @@ struct BenchJson {
     double ckpt_s = 0, restart_s = 0;
     std::uint64_t image_bytes = 0, ablation_bytes = 0, replayed = 0;
   };
-  struct Cell {  // chunked-parallel / sharded-file cells
-    std::size_t threads = 0, chunk = 0, shards = 0;
+  struct Cell {  // chunked-parallel cells
+    std::size_t threads = 0, chunk = 0;
     double write_mbs = -1, restore_mbs = -1;
   };
   struct Ship {
@@ -126,10 +125,6 @@ struct BenchJson {
     double pace_mbs = 0;
     std::size_t sections = 0;
     double serialized_s = -1, overlapped_s = -1;
-  };
-  struct MultiSocket {
-    std::size_t sockets = 0;
-    double mbs = -1;
   };
   struct ZeroRun {
     std::string codec;
@@ -171,10 +166,9 @@ struct BenchJson {
 
   std::vector<Rodinia> rodinia;
   double serial_write_mbs = 0, serial_restore_mbs = 0;
-  std::vector<Cell> chunked, sharded_files;
+  std::vector<Cell> chunked;
   std::vector<Ship> ship;
   std::vector<Overlap> overlap;
-  std::vector<MultiSocket> multi_socket;
   std::vector<ZeroRun> zero_run;
   std::vector<Prefetch> prefetch;
   std::vector<Delta> delta;
@@ -211,25 +205,16 @@ struct BenchJson {
     s += "  ],\n";
     s += "  \"serial_lz\": {\"write_mbs\": " + num(serial_write_mbs) +
          ", \"restore_mbs\": " + num(serial_restore_mbs) + "},\n";
-    auto cells = [&](const char* key, const std::vector<Cell>& rows,
-                     bool with_shards) {
-      s += std::string("  \"") + key + "\": [\n";
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto& c = rows[i];
-        s += "    {\"threads\": " + num(c.threads);
-        if (with_shards) {
-          s += ", \"shards\": " + num(c.shards);
-        } else {
-          s += ", \"chunk_bytes\": " + num(c.chunk);
-        }
-        s += ", \"write_mbs\": " + num(c.write_mbs) +
-             ", \"restore_mbs\": " + num(c.restore_mbs) + "}";
-        s += i + 1 < rows.size() ? ",\n" : "\n";
-      }
-      s += "  ],\n";
-    };
-    cells("chunked_parallel_lz", chunked, false);
-    cells("sharded_files", sharded_files, true);
+    s += "  \"chunked_parallel_lz\": [\n";
+    for (std::size_t i = 0; i < chunked.size(); ++i) {
+      const auto& c = chunked[i];
+      s += "    {\"threads\": " + num(c.threads) +
+           ", \"chunk_bytes\": " + num(c.chunk) +
+           ", \"write_mbs\": " + num(c.write_mbs) +
+           ", \"restore_mbs\": " + num(c.restore_mbs) + "}";
+      s += i + 1 < chunked.size() ? ",\n" : "\n";
+    }
+    s += "  ],\n";
     s += "  \"ship_loopback\": [\n";
     for (std::size_t i = 0; i < ship.size(); ++i) {
       const auto& c = ship[i];
@@ -248,14 +233,6 @@ struct BenchJson {
            ", \"serialized_s\": " + num(c.serialized_s) +
            ", \"overlapped_s\": " + num(c.overlapped_s) + "}";
       s += i + 1 < overlap.size() ? ",\n" : "\n";
-    }
-    s += "  ],\n";
-    s += "  \"multi_socket_ship\": [\n";
-    for (std::size_t i = 0; i < multi_socket.size(); ++i) {
-      const auto& c = multi_socket[i];
-      s += "    {\"sockets\": " + num(c.sockets) + ", \"mbs\": " +
-           num(c.mbs) + "}";
-      s += i + 1 < multi_socket.size() ? ",\n" : "\n";
     }
     s += "  ],\n";
     s += "  \"zero_run_codec\": [\n";
@@ -452,7 +429,7 @@ void run_chunked_parallel_sweep(BenchJson& json) {
     for (std::size_t chunk : chunk_sizes) {
       const SweepCell cell = chunked_parallel_cell(payload, threads, chunk);
       json.chunked.push_back(
-          {threads, chunk, 0, cell.write_mbs, cell.restore_mbs});
+          {threads, chunk, cell.write_mbs, cell.restore_mbs});
       if (cell.write_mbs < 0) {
         std::printf("      FAILED     ");
         continue;
@@ -474,140 +451,15 @@ void run_chunked_parallel_sweep(BenchJson& json) {
               best_restore / serial_restore_mbs, hw);
 }
 
-// One shards × threads cell: stream `payload` through the sharded file
-// backend (1 shard = the classic single-file FileSink baseline), then
-// restore it back through from_file (which routes through the manifest
-// sniff). Negative values flag a failed leg.
-SweepCell sharded_cell(const std::vector<std::byte>& payload,
-                       std::size_t shards, std::size_t threads,
-                       const std::string& path) {
-  using namespace crac::ckpt;
-  SweepCell cell;
-  crac::ThreadPool pool(threads);
-  {
-    std::unique_ptr<Sink> sink;
-    if (shards > 1) {
-      ShardedFileSink::Options sopts;
-      sopts.shards = shards;
-      auto s = ShardedFileSink::open(path, sopts);
-      if (!s.ok()) {
-        std::fprintf(stderr, "sharded sink open failed: %s\n",
-                     s.status().to_string().c_str());
-        return cell;
-      }
-      sink = std::move(*s);
-    } else {
-      auto s = FileSink::open(path);
-      if (!s.ok()) return cell;
-      sink = std::move(*s);
-    }
-    ImageWriter::Options opts;
-    opts.codec = Codec::kLz;
-    opts.pool = &pool;
-    ImageWriter writer(sink.get(), opts);
-    crac::WallTimer t;
-    const bool ok =
-        writer.begin_section(SectionType::kDeviceBuffers, "synthetic").ok() &&
-        writer.append(payload.data(), payload.size()).ok() &&
-        writer.end_section().ok() && writer.finish().ok() &&
-        sink->close().ok();
-    if (!ok) {
-      std::fprintf(stderr, "sharded write failed: %s\n",
-                   writer.status().to_string().c_str());
-      return cell;
-    }
-    cell.write_mbs =
-        static_cast<double>(payload.size()) / (1 << 20) / t.elapsed_s();
-  }
-  {
-    crac::WallTimer t;
-    ImageReader::Options ropts;
-    ropts.pool = &pool;
-    auto reader = ImageReader::from_file(path, ropts);
-    if (!reader.ok()) {
-      std::fprintf(stderr, "sharded restore open failed: %s\n",
-                   reader.status().to_string().c_str());
-      return cell;
-    }
-    auto stream = reader->open_section(reader->sections()[0]);
-    if (!stream.ok()) return cell;
-    std::vector<std::byte> slice(1 << 20);
-    std::uint64_t total = 0;
-    for (;;) {
-      auto n = stream->read_some(slice.data(), slice.size());
-      if (!n.ok() || *n == 0) {
-        if (!n.ok()) {
-          std::fprintf(stderr, "sharded restore failed: %s\n",
-                       n.status().to_string().c_str());
-          return cell;
-        }
-        break;
-      }
-      total += *n;
-    }
-    if (total != payload.size()) return cell;
-    cell.restore_mbs =
-        static_cast<double>(payload.size()) / (1 << 20) / t.elapsed_s();
-  }
-  return cell;
-}
-
-void run_sharded_sweep(BenchJson& json) {
-  using namespace crac;
-  const std::size_t mb = static_cast<std::size_t>(
-      env_int("CRAC_BENCH_CKPT_MB", quick() ? 8 : 64));
-  const std::size_t n = mb << 20;
-  std::printf("\nsharded-image LZ checkpoint + restore throughput (%zuMB "
-              "synthetic image to /tmp; cells are write/restore MB/s; 1 "
-              "shard = single-file baseline):\n", mb);
-  const auto payload = synthetic_image_payload(n, 4321);
-
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  std::vector<std::size_t> thread_counts = {1, 2, 4};
-  if (hw > 4) thread_counts.push_back(hw);
-  std::vector<std::size_t> shard_counts = {1, 2, 4, 8};
-  if (quick()) {
-    thread_counts = {hw};
-    shard_counts = {1, 4};
-  }
-
-  std::printf("%-24s", "shards \xc3\x97 threads");
-  for (std::size_t shards : shard_counts) {
-    std::printf(" %8zu-shard%s   ", shards, shards == 1 ? " " : "s");
-  }
-  std::printf("\n");
-  for (std::size_t threads : thread_counts) {
-    std::printf("  %2zu thread%s           ", threads,
-                threads == 1 ? " " : "s");
-    for (std::size_t shards : shard_counts) {
-      const std::string path = "/tmp/crac_bench_shard_" +
-                               std::to_string(shards) + ".img";
-      const SweepCell cell = sharded_cell(payload, shards, threads, path);
-      json.sharded_files.push_back(
-          {threads, 0, shards, cell.write_mbs, cell.restore_mbs});
-      if (cell.write_mbs < 0 || cell.restore_mbs < 0) {
-        std::printf("      FAILED     ");
-      } else {
-        std::printf(" %7.1f/%-8.1f", cell.write_mbs, cell.restore_mbs);
-      }
-      std::remove(path.c_str());
-      for (std::size_t k = 0; k < shards; ++k) {
-        std::remove(crac::ckpt::shard_path(path, k).c_str());
-      }
-    }
-    std::printf("\n");
-  }
-}
-
 // One spool-cap × threads cell of the loopback ship sweep: the payload is
 // written through ImageWriter -> SocketSink into one end of a socketpair
-// from a writer thread while the main thread receives it into a
-// SpoolingSource and streams it back out through the reader — the full
-// live-migration pipeline (frame, ship, spool, scan, decode) with no
-// filesystem image. Negative = a failed leg.
+// from a writer thread while the main thread receives the whole stream
+// into a StreamingSpoolSource (start, then wait_complete) and streams it
+// back out through the reader — the full live-migration pipeline (frame,
+// ship, spool, scan, decode) with no filesystem image. Negative = a failed
+// leg.
 struct ShipCell {
   double mbs = -1.0;
-  std::uint64_t peak_resident = 0;
   std::uint64_t spooled_to_disk = 0;
 };
 
@@ -638,24 +490,25 @@ ShipCell ship_loopback_cell(const std::vector<std::byte>& payload,
     ::close(fds[1]);
   });
 
-  SpoolingSource::Options sopts;
+  StreamingSpoolSource::Options sopts;
   sopts.spool_cap_bytes = spool_cap;
   sopts.origin = "bench ship socket";
-  auto spool = SpoolingSource::receive(fds[0], sopts);
+  auto spool = StreamingSpoolSource::start(fds[0], sopts);
+  crac::Status received = spool.ok() ? (*spool)->wait_complete()
+                                     : spool.status();
   // Close the receive end before joining: if the receive failed early the
   // shipper may be blocked writing a full socketpair buffer, and only the
   // peer close (EPIPE — SIGPIPE is ignored in main) unblocks it.
   ::close(fds[0]);
   shipper.join();
-  if (!spool.ok() || !ship_status.ok()) {
+  if (!received.ok() || !ship_status.ok()) {
     std::fprintf(stderr, "ship leg failed: %s\n",
-                 (!spool.ok() ? spool.status() : ship_status)
+                 (!received.ok() ? received : ship_status)
                      .to_string()
                      .c_str());
     return cell;
   }
-  cell.peak_resident = (*spool)->peak_resident_bytes();
-  cell.spooled_to_disk = (*spool)->spooled_to_disk_bytes();
+  cell.spooled_to_disk = (*spool)->outcome()->spooled_to_disk_bytes;
 
   ImageReader::Options ropts;
   ropts.pool = &pool;
@@ -724,10 +577,11 @@ void run_ship_sweep(BenchJson& json) {
 // The sender paces the logical payload onto a socketpair at a fixed rate (a
 // stand-in for a migration NIC), and the receiver runs the full reader-side
 // restart work: spool, directory scan, chunk decode, integrity sweep. The
-// serialized leg (SpoolingSource) spools the entire stream before the scan
-// starts, so it pays transfer + restore; the overlapped leg
-// (StreamingSpoolSource + the reader's incremental scan) restores while
-// receiving and should approach max(transfer, restore).
+// serialized leg (StreamingSpoolSource::start, then wait_complete) spools
+// the entire stream before the scan starts, so it pays transfer + restore;
+// the overlapped leg (the same spool read at once, through the reader's
+// incremental scan) restores while receiving and should approach
+// max(transfer, restore).
 //
 // The sweep runs two image shapes. Several sections is the shape a real
 // image has (heap state, upper memory, log, per-subsystem buffers) and
@@ -786,12 +640,11 @@ double paced_restart_leg(const std::vector<std::byte>& payload,
   double elapsed = -1;
   {
     std::unique_ptr<Source> src;
-    if (overlapped) {
-      auto s = StreamingSpoolSource::start(fds[0]);
-      if (s.ok()) src = std::move(*s);
-    } else {
-      auto s = SpoolingSource::receive(fds[0]);
-      if (s.ok()) src = std::move(*s);
+    auto s = StreamingSpoolSource::start(fds[0]);
+    // The serialized leg waits for the verified trailer, so the reader
+    // sees end_known() and scans the whole directory up front.
+    if (s.ok() && (overlapped || (*s)->wait_complete().ok())) {
+      src = std::move(*s);
     }
     if (src != nullptr) {
       ImageReader::Options ropts;
@@ -874,139 +727,6 @@ void run_overlap_sweep(BenchJson& json) {
       std::printf("  %5.0f MB/s \xc3\x97 %zu sec%s %9.3fs %11.3fs %8.2fx\n",
                   pace, sections, sections == 1 ? " " : "s", ser, ovl,
                   ser / ovl);
-    }
-  }
-}
-
-// ---- multi-socket sharded shipping ----------------------------------------
-//
-// N socketpairs, one ShardedSocketSink striping the shipment across them on
-// the send side and one ShardedSpoolSource reassembling on the receive side
-// (N = 1 is the plain single-socket SocketSink/StreamingSpoolSource
-// baseline). Loopback socketpairs share one memory bus, so the win here is
-// bounded by the copy pipeline, not the NIC aggregation a real multi-link
-// migration sees — the number to watch is that N > 1 keeps up with the
-// baseline while spreading the stream over N fds.
-double multi_socket_ship_cell(const std::vector<std::byte>& payload,
-                              std::size_t sockets, crac::ThreadPool* send_pool,
-                              crac::ThreadPool* recv_pool) {
-  using namespace crac::ckpt;
-  std::vector<int> send_fds, recv_fds;
-  for (std::size_t i = 0; i < sockets; ++i) {
-    int fds[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) return -1;
-    recv_fds.push_back(fds[0]);
-    send_fds.push_back(fds[1]);
-  }
-  auto close_all = [&] {
-    for (int fd : send_fds) ::close(fd);
-    for (int fd : recv_fds) ::close(fd);
-  };
-
-  crac::WallTimer t;
-  crac::Status ship_status = crac::OkStatus();
-  std::thread shipper([&] {
-    std::unique_ptr<Sink> sink;
-    if (sockets > 1) {
-      auto s = ShardedSocketSink::open(send_fds);
-      if (!s.ok()) {
-        ship_status = s.status();
-        return;
-      }
-      sink = std::move(*s);
-    } else {
-      sink = std::make_unique<SocketSink>(send_fds[0], "bench multi-socket");
-    }
-    ImageWriter::Options opts;
-    opts.codec = Codec::kLz;
-    opts.pool = send_pool;
-    ImageWriter writer(sink.get(), opts);
-    ship_status = [&]() -> crac::Status {
-      CRAC_RETURN_IF_ERROR(
-          writer.begin_section(SectionType::kDeviceBuffers, "synthetic"));
-      CRAC_RETURN_IF_ERROR(writer.append(payload.data(), payload.size()));
-      CRAC_RETURN_IF_ERROR(writer.end_section());
-      CRAC_RETURN_IF_ERROR(writer.finish());
-      return sink->close();
-    }();
-  });
-
-  double mbs = -1;
-  {
-    std::unique_ptr<Source> src;
-    if (sockets > 1) {
-      auto s = ShardedSpoolSource::start(recv_fds);
-      if (s.ok()) src = std::move(*s);
-    } else {
-      auto s = StreamingSpoolSource::start(recv_fds[0]);
-      if (s.ok()) src = std::move(*s);
-    }
-    if (src != nullptr) {
-      ImageReader::Options ropts;
-      ropts.pool = recv_pool;
-      auto reader = ImageReader::open(std::move(src), ropts);
-      if (reader.ok()) {
-        auto sec = reader->section_at(0);
-        if (sec.ok() && *sec != nullptr) {
-          auto stream = reader->open_section(**sec);
-          if (stream.ok()) {
-            std::vector<std::byte> slice(1 << 20);
-            std::uint64_t total = 0;
-            bool ok = true;
-            for (;;) {
-              auto got = stream->read_some(slice.data(), slice.size());
-              if (!got.ok()) {
-                ok = false;
-                break;
-              }
-              if (*got == 0) break;
-              total += *got;
-            }
-            if (ok && total == payload.size() &&
-                reader->verify_unread_sections().ok()) {
-              mbs = static_cast<double>(payload.size()) / (1 << 20) /
-                    t.elapsed_s();
-            }
-          }
-        }
-      }
-    }
-  }
-  shipper.join();
-  close_all();
-  if (!ship_status.ok()) {
-    std::fprintf(stderr, "multi-socket ship failed (%zu sockets): %s\n",
-                 sockets, ship_status.to_string().c_str());
-    return -1;
-  }
-  return mbs;
-}
-
-void run_multi_socket_sweep(BenchJson& json) {
-  using namespace crac;
-  const std::size_t mb = static_cast<std::size_t>(
-      env_int("CRAC_BENCH_CKPT_MB", quick() ? 8 : 64));
-  const std::size_t n = mb << 20;
-  std::printf("\nmulti-socket sharded shipping, loopback (%zuMB synthetic "
-              "image; end-to-end ship+restore MB/s; 1 socket = plain "
-              "SocketSink baseline):\n",
-              mb);
-  const auto payload = synthetic_image_payload(n, 1357);
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  ThreadPool send_pool(hw);
-  ThreadPool recv_pool(hw);
-  std::vector<std::size_t> socket_counts = {1, 2, 4};
-  if (quick()) socket_counts = {1, 2};
-  for (const std::size_t sockets : socket_counts) {
-    const double mbs =
-        multi_socket_ship_cell(payload, sockets, &send_pool, &recv_pool);
-    json.multi_socket.push_back({sockets, mbs});
-    if (mbs < 0) {
-      std::printf("  %zu socket%s      FAILED\n", sockets,
-                  sockets == 1 ? " " : "s");
-    } else {
-      std::printf("  %zu socket%s  %8.1f MB/s\n", sockets,
-                  sockets == 1 ? " " : "s", mbs);
     }
   }
 }
@@ -1619,14 +1339,6 @@ int main() {
               "headers; restore additionally holds only the bounded "
               "decode-ahead window resident, never the image).\n");
 
-  run_sharded_sweep(json);
-  std::printf("\nshape check (sharded): with threads and real disks the "
-              "multi-shard columns should beat the single-file column in "
-              "both directions (N concurrent streams vs one fd); on one "
-              "core / tmpfs they should roughly match it, bounded by the "
-              "striping copy. Byte-identity of 1-shard vs N-shard restores "
-              "is asserted in shard_test, not here.\n");
-
   run_ship_sweep(json);
   std::printf("\nshape check (shipping): the in-memory column should track "
               "the chunked-parallel restore numbers minus socket copies; "
@@ -1647,14 +1359,6 @@ int main() {
               "overlap can only hide the sender's pacing stalls, not "
               "compute, so slow paces show the effect and fast paces "
               "converge to 1x.\n");
-
-  run_multi_socket_sweep(json);
-  std::printf("\nshape check (multi-socket): loopback socketpairs share one "
-              "memory bus, so N sockets should roughly match 1 socket here "
-              "(striping + reassembly overhead bounded by one copy); the "
-              "aggregation win needs real NICs. Byte-identity and "
-              "shard-death behavior are asserted in remote_test/"
-              "proxy_test.\n");
 
   run_zero_run_sweep(json);
   std::printf("\nshape check (zero-run): on a ~94%%-zero arena the zero-run "

@@ -15,7 +15,6 @@
 #include "ckpt/delta.hpp"
 #include "ckpt/image.hpp"
 #include "ckpt/memory_section.hpp"
-#include "ckpt/sharded.hpp"
 #include "common/bytes.hpp"
 #include "crac/api_log.hpp"
 
@@ -229,22 +228,6 @@ int main(int argc, char** argv) {
                     link.delta ? "delta" : "base", link.path.c_str(),
                     link.image_id.empty() ? "(none)" : link.image_id.c_str(),
                     link.delta_sections);
-      }
-    }
-  }
-  // A sharded image is a manifest plus striped shard files; show the layout
-  // so a damaged or missing shard is easy to chase down by name.
-  if (ckpt::is_sharded_image(argv[1])) {
-    auto manifest = ckpt::read_shard_manifest(argv[1]);
-    if (manifest.ok()) {
-      std::printf("sharded: %u shards, %s stripe, %s logical bytes\n",
-                  manifest->shard_count,
-                  format_size(manifest->stripe_bytes).c_str(),
-                  format_size(manifest->total_bytes).c_str());
-      for (std::uint32_t k = 0; k < manifest->shard_count; ++k) {
-        std::printf("  shard %u: %-32s %s\n", k,
-                    ckpt::shard_path(argv[1], k).c_str(),
-                    format_size(manifest->shard_bytes[k]).c_str());
       }
     }
   }

@@ -4,15 +4,13 @@
 // A long-running iterative GPU solver (Jacobi on a 2D grid) receives a
 // "spot instance reclaimed" notice mid-run. Instance #1 (a forked child —
 // its own process, its own CRAC context) checkpoints on demand and streams
-// the image *directly into the replacement instance over parallel
-// sockets*: ckpt::ShardedSocketSink stripes the live checkpoint across N
-// shard connections (one slow link no longer bounds the ship), and
-// instance #2 restores while it receives — ckpt::ShardedSpoolSource::start
-// validates every shard preamble and hands the restart path a reassembled
-// source immediately, the directory scan and section restores chase the
-// per-shard receive frontiers, and the restart completes (every shard
-// trailer verified and the reconciled manifest checked) essentially as the
-// last bytes land. Time-to-resume is max(transfer, restore), not
+// the image *directly into the replacement instance over a socket*:
+// ckpt::SocketSink frames the live checkpoint as a CRACSHP1 stream, and
+// instance #2 restores while it receives — ckpt::StreamingSpoolSource::start
+// validates the stream header and hands the restart path a source
+// immediately, the directory scan and section restores chase the receive
+// frontier, and the restart completes (stream trailer verified) essentially
+// as the last bytes land. Time-to-resume is max(transfer, restore), not
 // transfer + restore. No shared filesystem, no intermediate image file on
 // disk — the bytes a dying instance writes are the bytes the replacement
 // restores, concurrently, while #1 is still draining.
@@ -73,7 +71,6 @@ struct SolverState {
 constexpr std::uint64_t kEdge = 256;
 constexpr int kTotalIters = 200;
 constexpr int kReclaimAt = 73;  // the spot notice arrives mid-run
-constexpr std::size_t kShipShards = 3;  // parallel migration connections
 
 SolverState* build_solver(CracContext& ctx) {
   auto st_mem = ctx.heap().alloc(sizeof(SolverState));
@@ -116,8 +113,8 @@ double run_iterations(CracContext& ctx, SolverState* st, int upto,
 }
 
 // Instance #1: runs until the reclaim notice, then checkpoints straight
-// into the migration sockets and dies. Never touches a filesystem path.
-[[noreturn]] void run_reclaimed_instance(const std::vector<int>& ship_fds) {
+// into the migration socket and dies. Never touches a filesystem path.
+[[noreturn]] void run_reclaimed_instance(int ship_fd) {
   std::printf("spot instance #1 (pid %d): starting solve...\n",
               static_cast<int>(::getpid()));
   CracContext ctx;
@@ -127,26 +124,16 @@ double run_iterations(CracContext& ctx, SolverState* st, int upto,
 
   run_iterations(ctx, st, kReclaimAt, "instance-1");
   std::printf("spot instance #1: RECLAIM NOTICE — shipping checkpoint to "
-              "the replacement instance over %zu sockets\n",
-              ship_fds.size());
-  ckpt::ShardedSocketSink::Options ship_opts;
-  ship_opts.origin = "migration sockets";
-  auto sink = ckpt::ShardedSocketSink::open(ship_fds, ship_opts);
-  if (!sink.ok()) {
-    std::fprintf(stderr, "checkpoint ship failed: %s\n",
-                 sink.status().to_string().c_str());
-    ::_exit(1);
-  }
-  auto report = ctx.checkpoint_to_sink(**sink);
+              "the replacement instance\n");
+  ckpt::SocketSink sink(ship_fd, "migration socket");
+  auto report = ctx.checkpoint_to_sink(sink);
   if (!report.ok()) {
     std::fprintf(stderr, "checkpoint ship failed: %s\n",
                  report.status().to_string().c_str());
     ::_exit(1);
   }
-  std::printf("spot instance #1: shipped %llu bytes live across %zu "
-              "streams; terminating.\n",
-              static_cast<unsigned long long>(report->image_bytes),
-              (*sink)->shard_count());
+  std::printf("spot instance #1: shipped %llu bytes live; terminating.\n",
+              static_cast<unsigned long long>(report->image_bytes));
   ::_exit(0);
 }
 
@@ -162,18 +149,11 @@ int main() {
   g_module.add_kernel<const float*, float*, std::uint64_t>(&jacobi_kernel,
                                                            "jacobi");
 
-  // The "network" between the dying instance and its replacement: one
-  // socketpair per shard stream. The image is striped across all of them.
-  std::vector<int> tx_fds;
-  std::vector<int> rx_fds;
-  for (std::size_t i = 0; i < kShipShards; ++i) {
-    int fds[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
-      std::perror("socketpair");
-      return 1;
-    }
-    rx_fds.push_back(fds[0]);
-    tx_fds.push_back(fds[1]);
+  // The "network" between the dying instance and its replacement.
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+    std::perror("socketpair");
+    return 1;
   }
   const pid_t pid = ::fork();
   if (pid < 0) {
@@ -181,37 +161,35 @@ int main() {
     return 1;
   }
   if (pid == 0) {
-    for (int fd : rx_fds) ::close(fd);
-    run_reclaimed_instance(tx_fds);  // never returns
+    ::close(fds[0]);
+    run_reclaimed_instance(fds[1]);  // never returns
   }
-  for (int fd : tx_fds) ::close(fd);
+  ::close(fds[1]);
 
-  // Instance #2: restore while receiving. start() validates every shard
-  // preamble and returns immediately; one receiver thread per shard spools
-  // frames into bounded memory while restart_from_source rebuilds the
-  // context, each section restore blocking only until its bytes land on
-  // whichever streams carry them. Restore work (directory scan,
-  // decompress, device refill, replay) overlaps #1's checkpoint+transfer
-  // instead of following it.
+  // Instance #2: restore while receiving. start() validates the stream
+  // header and returns immediately; a receiver thread spools frames into
+  // bounded memory while restart_from_source rebuilds the context, each
+  // section restore blocking only until its bytes land. Restore work
+  // (directory scan, decompress, device refill, replay) overlaps #1's
+  // checkpoint+transfer instead of following it.
   std::printf("spot instance #2 (pid %d): restoring while the checkpoint "
-              "streams in over %zu sockets...\n",
-              static_cast<int>(::getpid()), rx_fds.size());
-  ckpt::ShardedSpoolSource::Options spool_opts;
-  spool_opts.origin = "migration sockets";
-  auto spool = ckpt::ShardedSpoolSource::start(rx_fds, spool_opts);
+              "streams in...\n",
+              static_cast<int>(::getpid()));
+  ckpt::StreamingSpoolSource::Options spool_opts;
+  spool_opts.origin = "migration socket";
+  auto spool = ckpt::StreamingSpoolSource::start(fds[0], spool_opts);
   if (!spool.ok()) {
     std::fprintf(stderr, "receive failed: %s\n",
                  spool.status().to_string().c_str());
     return 1;
   }
-  const std::size_t shard_count = (*spool)->shard_count();
 
   double interrupted_sum = 0;
   {
     RestartReport report;
     auto restored =
         CracContext::restart_from_source(std::move(*spool), {}, &report);
-    for (int fd : rx_fds) ::close(fd);
+    ::close(fds[0]);
     int child_status = 0;
     ::waitpid(pid, &child_status, 0);
     if (!restored.ok()) {
@@ -224,10 +202,9 @@ int main() {
                    child_status);
       return 1;
     }
-    std::printf("spot instance #2: restarted %s the %zu-stream transfer "
-                "in %.3fs\n",
+    std::printf("spot instance #2: restarted %s the transfer in %.3fs\n",
                 report.overlapped_receive ? "overlapped with" : "after",
-                shard_count, report.total_s);
+                report.total_s);
     CracContext& ctx = **restored;
     auto* st = static_cast<SolverState*>(ctx.root());
     std::printf("spot instance #2: resuming at iteration %d\n",

@@ -6,13 +6,15 @@
 
 #include "common/crc32.hpp"
 #include "common/log.hpp"
-#include "ckpt/sharded.hpp"
 
 namespace crac::ckpt {
 
 namespace {
 constexpr char kMagicV1[8] = {'C', 'R', 'A', 'C', 'I', 'M', 'G', '1'};
 constexpr char kMagicV2[8] = {'C', 'R', 'A', 'C', 'I', 'M', 'G', '2'};
+// Manifest magic of the retired striped multi-file layout: recognized only
+// to reject it by name (docs/image_format.md, "One layout").
+constexpr char kMagicSharded[8] = {'C', 'R', 'A', 'C', 'S', 'H', 'R', 'D'};
 constexpr std::uint32_t kVersion1 = 1;
 constexpr std::uint32_t kVersion2 = 2;
 constexpr std::uint32_t kVersion3 = 3;
@@ -599,6 +601,12 @@ Status ImageReader::scan() {
   CRAC_RETURN_IF_ERROR(source_->read(magic, sizeof(magic)));
   const bool v1 = std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0;
   const bool v2 = std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0;
+  if (std::memcmp(magic, kMagicSharded, sizeof(kMagicSharded)) == 0) {
+    return Corrupt(
+        "CRACSHRD manifest of a sharded multi-file image: that layout is "
+        "retired and no longer readable; only single-file CRACIMG1/CRACIMG2 "
+        "images are supported");
+  }
   if (!v1 && !v2) return Corrupt("bad checkpoint image magic");
 
   CRAC_RETURN_IF_ERROR(read_u32(*source_, version_));
@@ -646,10 +654,7 @@ Result<ImageReader> ImageReader::from_bytes(std::vector<std::byte> bytes,
 
 Result<ImageReader> ImageReader::from_file(const std::string& path,
                                            const Options& options) {
-  // Routes through the shard-manifest sniff: a sharded image opens as a
-  // striped multi-file source, a plain file (v1 or single-file v2) as a
-  // FileSource — callers never care which.
-  auto source = open_image_source(path);
+  auto source = FileSource::open(path);
   if (!source.ok()) return source.status();
   return open(std::move(*source), options);
 }

@@ -3,10 +3,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <functional>
+#include <mutex>
 
 #include "common/bytes.hpp"
 #include "common/crc32.hpp"
@@ -55,9 +57,9 @@ using StreamHook = std::function<Status(const std::byte*, std::size_t)>;
 using ProgressHook = std::function<void()>;
 
 // The one validating walk over the frames of a CRACSHP1 stream (the 16-byte
-// header has already been read and checked by the caller), shared by both
-// spools and the relay so the wire format has a single parser that cannot
-// drift: frame-length caps, abort-marker recognition, running CRC/byte
+// header has already been read and checked by the caller), shared by the
+// spool, the pump and the relay so the wire format has a single parser that
+// cannot drift: frame-length caps, abort-marker recognition, running CRC/byte
 // count, trailer verification.
 //
 //   * `on_wire` (the relay's forwarding hook) sees complete wire units in
@@ -67,7 +69,7 @@ using ProgressHook = std::function<void()>;
 //     bad trailer instead of hanging on a half-forwarded stream. Buffering
 //     whole frames (≤ kShipFrameBytes) is what lets a relay fail at a frame
 //     boundary, where an in-band abort marker is still meaningful.
-//   * `on_payload` (the spools' append hook) sees only the logical stream
+//   * `on_payload` (the spool's and pump's hook) sees only the logical stream
 //     bytes, in bounded slices of `slice_bytes`, so resident receive memory
 //     stays capped no matter how large the shipment is.
 //   * `on_frame_start` fires after each nonzero frame length is accepted,
@@ -160,8 +162,7 @@ Status walk_ship_frames(int fd, const std::string& origin,
   }
 }
 
-// Header + frames: the full-stream walk the serialized spool and the relay
-// use.
+// Header + frames: the full-stream walk the pump and the relay use.
 Status walk_ship_stream(int fd, const std::string& origin,
                         std::size_t slice_bytes, const StreamHook& on_wire,
                         const StreamHook& on_payload, bool* ended_in_band) {
@@ -183,7 +184,7 @@ Status walk_ship_stream(int fd, const std::string& origin,
 // Bounded spool storage: a memory prefix in fixed 64 KiB blocks, overflow
 // to an unlinked temp file. Single appender; read_at() serves any range
 // below the appended frontier. Not thread-safe — StreamingSpoolSource
-// brackets every call with its own mutex, SpoolingSource is single-threaded.
+// brackets every call with its own mutex.
 class SpoolBuffer {
  public:
   SpoolBuffer(std::size_t mem_limit, std::size_t scratch_held,
@@ -307,10 +308,9 @@ class SpoolBuffer {
 namespace {
 
 // Validates/defaults the cap and splits it into receive scratch + whole
-// blocks of memory spool — shared by both spool flavors so they bound
-// memory identically.
-Status plan_spool(const SpoolingSource::Options& opts, std::size_t* scratch,
-                  std::size_t* mem_limit) {
+// blocks of memory spool.
+Status plan_spool(const StreamingSpoolSource::Options& opts,
+                  std::size_t* scratch, std::size_t* mem_limit) {
   std::size_t cap = opts.spool_cap_bytes;
   if (cap == 0) cap = kDefaultSpoolCapBytes;
   if (cap < kMinSpoolCapBytes) {
@@ -441,60 +441,6 @@ Status SocketSink::abort() {
 }
 
 // ---------------------------------------------------------------------------
-// SpoolingSource
-// ---------------------------------------------------------------------------
-
-SpoolingSource::SpoolingSource(Options opts)
-    : opts_(std::move(opts)), origin_(opts_.origin) {}
-
-SpoolingSource::~SpoolingSource() = default;
-
-Result<std::unique_ptr<SpoolingSource>> SpoolingSource::receive(
-    int fd, const Options& opts) {
-  std::size_t scratch = 0, mem_limit = 0;
-  CRAC_RETURN_IF_ERROR(plan_spool(opts, &scratch, &mem_limit));
-  auto source = std::unique_ptr<SpoolingSource>(new SpoolingSource(opts));
-  source->spool_ = std::make_unique<SpoolBuffer>(
-      mem_limit, scratch, opts.spool_dir, source->origin_);
-  CRAC_RETURN_IF_ERROR(source->receive_stream(fd, scratch));
-  source->spool_->release_scratch();  // receive scratch is gone after receive
-  source->total_ = source->spool_->appended();
-  source->file_bytes_ = source->spool_->file_bytes();
-  source->peak_bytes_ = source->spool_->peak_bytes();
-  return source;
-}
-
-Status SpoolingSource::receive_stream(int fd, std::size_t scratch) {
-  // The shared walker validates framing and integrity; this source only
-  // supplies the spool as the payload hook (memory blocks while the budget
-  // lasts, the overflow file after).
-  bool ended_in_band = false;
-  return walk_ship_stream(
-      fd, origin_, scratch, /*on_wire=*/nullptr,
-      [this](const std::byte* data, std::size_t size) {
-        return spool_->append(data, size);
-      },
-      &ended_in_band);
-}
-
-Status SpoolingSource::read(void* out, std::size_t size) {
-  if (size > remaining()) {
-    return Corrupt(truncated_read_message(origin_, size, pos_, remaining()));
-  }
-  CRAC_RETURN_IF_ERROR(spool_->read_at(pos_, out, size));
-  pos_ += size;
-  return OkStatus();
-}
-
-Status SpoolingSource::seek(std::uint64_t offset) {
-  if (offset > total_) {
-    return Corrupt(origin_ + ": seek past end of image");
-  }
-  pos_ = offset;
-  return OkStatus();
-}
-
-// ---------------------------------------------------------------------------
 // StreamingSpoolSource
 // ---------------------------------------------------------------------------
 
@@ -611,28 +557,6 @@ Status StreamingSpoolSource::read(void* out, std::size_t size) {
       pos_ <= impl_->total ? impl_->total - pos_ : 0));
 }
 
-Result<std::size_t> StreamingSpoolSource::read_up_to(void* out,
-                                                     std::size_t max) {
-  if (max == 0) return std::size_t{0};
-  std::unique_lock<std::mutex> lock(impl_->mu);
-  impl_->cv.wait(lock, [&] {
-    return impl_->complete || pos_ < impl_->published;
-  });
-  if (pos_ < impl_->published) {
-    const auto take = static_cast<std::size_t>(
-        std::min<std::uint64_t>(max, impl_->published - pos_));
-    CRAC_RETURN_IF_ERROR(impl_->buf.read_at(pos_, out, take));
-    pos_ += take;
-    return take;
-  }
-  if (!impl_->error.ok()) return impl_->error;
-  if (pos_ > impl_->total) {
-    return Corrupt(origin_ + ": read cursor past the end of the shipped "
-                             "stream");
-  }
-  return std::size_t{0};  // cursor sits exactly at the verified end
-}
-
 Status StreamingSpoolSource::seek(std::uint64_t offset) {
   {
     std::lock_guard<std::mutex> lock(impl_->mu);
@@ -676,499 +600,6 @@ Status StreamingSpoolSource::wait_complete() {
   impl_->cv.wait(lock, [&] { return impl_->complete; });
   return impl_->error;
 }
-
-std::uint64_t StreamingSpoolSource::spooled_to_disk_bytes() const noexcept {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->buf.file_bytes();
-}
-
-std::uint64_t StreamingSpoolSource::peak_resident_bytes() const noexcept {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->buf.peak_bytes();
-}
-
-// ---------------------------------------------------------------------------
-// CRACSHPM preamble
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct ShipPreamble {
-  std::uint32_t shard_index = 0;
-  std::uint32_t shard_count = 0;
-  std::uint64_t stripe_bytes = 0;
-};
-
-std::vector<std::byte> encode_ship_preamble(std::uint32_t shard_index,
-                                            std::uint32_t shard_count,
-                                            std::uint64_t stripe_bytes) {
-  ByteWriter w;
-  w.put_bytes(kShipPreambleMagic, sizeof(kShipPreambleMagic));
-  w.put_u32(kShipPreambleVersion);
-  w.put_u32(shard_index);
-  w.put_u32(shard_count);
-  w.put_u64(stripe_bytes);
-  w.put_u32(crc32(w.data(), w.size()));
-  return std::move(w).take();
-}
-
-Result<ShipPreamble> parse_ship_preamble(const std::byte* buf,
-                                         const std::string& origin) {
-  if (std::memcmp(buf, kShipPreambleMagic, sizeof(kShipPreambleMagic)) != 0) {
-    return Corrupt(origin +
-                   ": not a sharded ship stream (bad preamble magic)");
-  }
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, buf + kShipPreambleBytes - 4, 4);
-  if (crc32(buf, kShipPreambleBytes - 4) != stored_crc) {
-    return Corrupt(origin + ": ship preamble CRC mismatch");
-  }
-  std::uint32_t version = 0;
-  std::memcpy(&version, buf + 8, 4);
-  if (version != kShipPreambleVersion) {
-    return Corrupt(origin + ": unsupported ship preamble version " +
-                   std::to_string(version));
-  }
-  ShipPreamble p;
-  std::memcpy(&p.shard_index, buf + 12, 4);
-  std::memcpy(&p.shard_count, buf + 16, 4);
-  std::memcpy(&p.stripe_bytes, buf + 20, 8);
-  return p;
-}
-
-// Queue cap per sink, mirroring ShardedFileSink: enough for every shard to
-// keep a couple of stripes in flight, floored so tiny test stripes still
-// overlap the workers.
-constexpr std::uint64_t kMinShipQueueCapBytes = std::uint64_t{1} << 20;
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// ShardedSocketSink
-// ---------------------------------------------------------------------------
-
-ShardedSocketSink::ShardedSocketSink(ShardLayout layout, std::string origin)
-    : origin_(std::move(origin)),
-      layout_(layout),
-      queue_cap_bytes_(std::max<std::uint64_t>(
-          kMinShipQueueCapBytes, 2 * layout.stripe * layout.shards)) {}
-
-Result<std::unique_ptr<ShardedSocketSink>> ShardedSocketSink::open(
-    const std::vector<int>& fds, const Options& options) {
-  const std::string origin =
-      options.origin.empty() ? "ship sockets" : options.origin;
-  if (fds.empty() || fds.size() > kMaxShards) {
-    return InvalidArgument(origin + ": shard fd count " +
-                           std::to_string(fds.size()) + " outside [1, " +
-                           std::to_string(kMaxShards) + "]");
-  }
-  if (options.stripe_bytes < kMinStripeBytes ||
-      options.stripe_bytes > kMaxStripeBytes) {
-    return InvalidArgument(origin + ": stripe size " +
-                           std::to_string(options.stripe_bytes) +
-                           " outside [" + std::to_string(kMinStripeBytes) +
-                           ", " + std::to_string(kMaxStripeBytes) + "]");
-  }
-  auto sink = std::unique_ptr<ShardedSocketSink>(new ShardedSocketSink(
-      ShardLayout{fds.size(), options.stripe_bytes}, origin));
-  sink->shards_.resize(fds.size());
-  for (std::size_t k = 0; k < fds.size(); ++k) {
-    Shard& shard = sink->shards_[k];
-    shard.cv = std::make_unique<std::condition_variable>();
-    shard.sink = std::make_unique<SocketSink>(
-        fds[k], origin + " shard " + std::to_string(k));
-  }
-  // Preambles — and each shard's CRACSHP1 stream header — go out
-  // synchronously, before any worker exists: a dead socket fails right
-  // here, and a receiver that validates its shard prologue synchronously
-  // (ShardedSpoolSource::start does) unblocks as soon as open() returns,
-  // even if the first payload byte is still a long way off. On failure the
-  // shards already preambled get an in-band abort so no receiver hangs on
-  // a headerless stream.
-  for (std::size_t k = 0; k < fds.size(); ++k) {
-    const std::vector<std::byte> preamble = encode_ship_preamble(
-        static_cast<std::uint32_t>(k), static_cast<std::uint32_t>(fds.size()),
-        options.stripe_bytes);
-    Status s = write_all_fd(fds[k], preamble.data(), preamble.size(),
-                            origin + " shard " + std::to_string(k));
-    if (s.ok()) s = sink->shards_[k].sink->flush();  // stream header
-    if (!s.ok()) {
-      for (std::size_t j = 0; j < k; ++j) (void)sink->shards_[j].sink->abort();
-      sink->terminated_ = true;  // nothing left worth terminating
-      return s;
-    }
-  }
-  for (std::size_t k = 0; k < fds.size(); ++k) {
-    sink->shards_[k].worker =
-        std::thread([sink = sink.get(), k] { sink->worker_main(k); });
-  }
-  return sink;
-}
-
-ShardedSocketSink::~ShardedSocketSink() {
-  stop_workers();
-  // A sink dropped without close() leaves no receiver hanging: every shard
-  // stream that never got its trailer gets the in-band abort marker.
-  if (!terminated_) (void)abort_all();
-}
-
-void ShardedSocketSink::worker_main(std::size_t shard_index) {
-  Shard& shard = shards_[shard_index];
-  for (;;) {
-    std::vector<std::byte> buf;
-    bool poisoned = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      shard.cv->wait(lock, [&] { return stop_ || !shard.queue.empty(); });
-      if (shard.queue.empty()) {
-        if (stop_) return;
-        continue;
-      }
-      buf = std::move(shard.queue.front());
-      shard.queue.pop_front();
-      poisoned = !error_.ok();  // sink failed elsewhere: drain, don't write
-    }
-    Status s;
-    if (!poisoned) {
-      // SocketSink errors already name "<origin> shard <k>".
-      s = shard.sink->write(buf.data(), buf.size());
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!s.ok() && error_.ok()) error_ = s;
-    queued_bytes_ -= buf.size();
-    space_cv_.notify_all();
-    drain_cv_.notify_all();
-  }
-}
-
-Status ShardedSocketSink::enqueue(std::size_t shard_index,
-                                  std::vector<std::byte> buf) {
-  if (buf.empty()) return OkStatus();
-  std::unique_lock<std::mutex> lock(mu_);
-  // Bounded queue, exactly as in ShardedFileSink: the producer blocks
-  // rather than buffering an unbounded image. Buffers are at most one
-  // stripe and the cap at least two, so admission always comes.
-  space_cv_.wait(lock, [&] {
-    return !error_.ok() || queued_bytes_ == 0 ||
-           queued_bytes_ + buf.size() <= queue_cap_bytes_;
-  });
-  if (!error_.ok()) return error_;
-  queued_bytes_ += buf.size();
-  queued_peak_bytes_ = std::max(queued_peak_bytes_, queued_bytes_);
-  shards_[shard_index].queue.push_back(std::move(buf));
-  shards_[shard_index].cv->notify_one();
-  return OkStatus();
-}
-
-Status ShardedSocketSink::do_write(const void* data, std::size_t size) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!error_.ok()) return error_;
-  }
-  if (closed_) {
-    return FailedPrecondition(origin_ + ": write after close");
-  }
-  const auto* p = static_cast<const std::byte*>(data);
-  while (size > 0) {
-    const ShardLayout::Piece piece = layout_.piece_at(pos_, size);
-    Shard& shard = shards_[piece.shard];
-    shard.pending.insert(shard.pending.end(), p, p + piece.len);
-    p += piece.len;
-    pos_ += piece.len;
-    size -= piece.len;
-    if (shard.pending.size() >= layout_.stripe) {
-      std::vector<std::byte> full;
-      full.swap(shard.pending);
-      CRAC_RETURN_IF_ERROR(enqueue(piece.shard, std::move(full)));
-    }
-  }
-  return OkStatus();
-}
-
-Status ShardedSocketSink::drain() {
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    std::vector<std::byte> tail;
-    tail.swap(shards_[k].pending);
-    CRAC_RETURN_IF_ERROR(enqueue(k, std::move(tail)));
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  drain_cv_.wait(lock, [&] {
-    if (!error_.ok()) return true;
-    for (const Shard& shard : shards_) {
-      if (!shard.queue.empty()) return false;
-    }
-    return queued_bytes_ == 0;
-  });
-  return error_;
-}
-
-Status ShardedSocketSink::flush() { return drain(); }
-
-void ShardedSocketSink::stop_workers() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-    for (Shard& shard : shards_) {
-      if (shard.cv) shard.cv->notify_all();
-    }
-  }
-  for (Shard& shard : shards_) {
-    if (shard.worker.joinable()) shard.worker.join();
-  }
-}
-
-std::uint64_t ShardedSocketSink::buffered_peak_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queued_peak_bytes_;
-}
-
-Status ShardedSocketSink::abort_all() {
-  // Workers are stopped by the time this runs, so the per-shard SocketSinks
-  // are exclusively ours. abort() is a no-op on a shard that already closed
-  // cleanly — only streams still dangling get the marker.
-  Status first;
-  for (Shard& shard : shards_) {
-    if (!shard.sink) continue;
-    const Status s = shard.sink->abort();
-    if (!s.ok() && first.ok()) first = s;
-  }
-  terminated_ = true;
-  return first;
-}
-
-Status ShardedSocketSink::close() {
-  if (closed_) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return error_;
-  }
-  Status s = drain();
-  closed_ = true;
-  stop_workers();
-  if (s.ok()) {
-    // Trailers go out serially; each SocketSink carries its own byte count
-    // and CRC, so every shard stream is individually verifiable.
-    for (Shard& shard : shards_) {
-      const Status c = shard.sink->close();
-      if (!c.ok()) {
-        s = c;
-        break;
-      }
-    }
-  }
-  if (!s.ok()) {
-    // Some streams may be trailer-less: abort them in-band so no receiver
-    // hangs, then surface the original failure.
-    (void)abort_all();
-    std::lock_guard<std::mutex> lock(mu_);
-    if (error_.ok()) error_ = s;
-    return error_;
-  }
-  terminated_ = true;
-  return OkStatus();
-}
-
-Status ShardedSocketSink::abort() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (terminated_) return error_;
-    closed_ = true;
-    // Poison the workers: queued stripes drain without hitting the wire, so
-    // the abort reaches every peer promptly even mid-transfer.
-    if (error_.ok()) {
-      error_ = IoError(origin_ + ": shipment aborted by sender");
-    }
-    space_cv_.notify_all();
-    drain_cv_.notify_all();
-  }
-  stop_workers();
-  return abort_all();
-}
-
-// ---------------------------------------------------------------------------
-// ShardedSpoolSource
-// ---------------------------------------------------------------------------
-
-ShardedSpoolSource::ShardedSpoolSource(ShardLayout layout, std::string origin)
-    : origin_(std::move(origin)), layout_(layout) {}
-
-Result<std::unique_ptr<ShardedSpoolSource>> ShardedSpoolSource::start(
-    const std::vector<int>& fds, const Options& opts) {
-  const std::string origin =
-      opts.origin.empty() ? "ship stream" : opts.origin;
-  if (fds.empty() || fds.size() > kMaxShards) {
-    return InvalidArgument(origin + ": shard fd count " +
-                           std::to_string(fds.size()) + " outside [1, " +
-                           std::to_string(kMaxShards) + "]");
-  }
-  // Phase 1, synchronous: one CRACSHPM preamble per fd. Geometry
-  // disagreements, duplicate or out-of-range shard indices, and damaged
-  // preambles all fail fast, before any thread exists.
-  std::vector<ShipPreamble> preambles(fds.size());
-  for (std::size_t i = 0; i < fds.size(); ++i) {
-    std::byte buf[kShipPreambleBytes];
-    CRAC_RETURN_IF_ERROR(read_all_fd(fds[i], buf, sizeof(buf), origin));
-    auto parsed = parse_ship_preamble(buf, origin);
-    if (!parsed.ok()) return parsed.status();
-    preambles[i] = *parsed;
-  }
-  const std::uint32_t count = preambles[0].shard_count;
-  const std::uint64_t stripe = preambles[0].stripe_bytes;
-  if (count != fds.size()) {
-    return Corrupt(origin + ": ship preamble declares " +
-                   std::to_string(count) + " shard streams, " +
-                   std::to_string(fds.size()) + " fds supplied");
-  }
-  if (stripe < kMinStripeBytes || stripe > kMaxStripeBytes) {
-    return Corrupt(origin + ": ship preamble stripe size " +
-                   std::to_string(stripe) + " outside [" +
-                   std::to_string(kMinStripeBytes) + ", " +
-                   std::to_string(kMaxStripeBytes) + "]");
-  }
-  // The fds may arrive in any order; the preamble says which shard each one
-  // carries. Indices must form a permutation of 0..N-1.
-  std::vector<int> by_shard(fds.size(), -1);
-  for (std::size_t i = 0; i < fds.size(); ++i) {
-    const ShipPreamble& p = preambles[i];
-    if (p.shard_count != count || p.stripe_bytes != stripe) {
-      return Corrupt(origin +
-                     ": ship preambles disagree on stripe geometry");
-    }
-    if (p.shard_index >= count) {
-      return Corrupt(origin + ": ship preamble shard index " +
-                     std::to_string(p.shard_index) + " out of range for " +
-                     std::to_string(count) + " shards");
-    }
-    if (by_shard[p.shard_index] != -1) {
-      return Corrupt(origin + ": duplicate ship preamble for shard " +
-                     std::to_string(p.shard_index));
-    }
-    by_shard[p.shard_index] = fds[i];
-  }
-  auto source = std::unique_ptr<ShardedSpoolSource>(new ShardedSpoolSource(
-      ShardLayout{fds.size(), static_cast<std::size_t>(stripe)}, origin));
-  // Phase 2: one streaming spool per shard stream, the overall cap split
-  // evenly (floored at each child's workable minimum).
-  Options child_opts = opts;
-  const std::size_t cap =
-      opts.spool_cap_bytes == 0 ? kDefaultSpoolCapBytes : opts.spool_cap_bytes;
-  child_opts.spool_cap_bytes = std::max(kMinSpoolCapBytes, cap / fds.size());
-  source->children_.reserve(fds.size());
-  for (std::size_t k = 0; k < fds.size(); ++k) {
-    child_opts.origin = origin + " shard " + std::to_string(k);
-    auto child = StreamingSpoolSource::start(by_shard[k], child_opts);
-    // A failure here destroys the children already started; their joins
-    // drain the remaining frames off those fds.
-    if (!child.ok()) return child.status();
-    source->children_.push_back(std::move(*child));
-  }
-  return source;
-}
-
-ShardedSpoolSource::~ShardedSpoolSource() = default;
-
-Status ShardedSpoolSource::read(void* out, std::size_t size) {
-  auto* p = static_cast<std::byte*>(out);
-  while (size > 0) {
-    const ShardLayout::Piece piece = layout_.piece_at(pos_, size);
-    StreamingSpoolSource& child = *children_[piece.shard];
-    CRAC_RETURN_IF_ERROR(child.seek(piece.local_offset));
-    CRAC_RETURN_IF_ERROR(child.read(p, piece.len));
-    p += piece.len;
-    pos_ += piece.len;
-    size -= piece.len;
-  }
-  return OkStatus();
-}
-
-Result<std::size_t> ShardedSpoolSource::read_up_to(void* out,
-                                                   std::size_t max) {
-  if (max == 0) return std::size_t{0};
-  const ShardLayout::Piece piece = layout_.piece_at(pos_, max);
-  StreamingSpoolSource& child = *children_[piece.shard];
-  CRAC_RETURN_IF_ERROR(child.seek(piece.local_offset));
-  auto got = child.read_up_to(out, piece.len);
-  if (!got.ok()) return got.status();
-  if (*got == 0) {
-    // The owning shard hit its verified local end, which by the striping
-    // invariant is the logical end of the image — but only after every
-    // shard stream completes and the reconstructed manifest validates is
-    // the image declared whole.
-    CRAC_RETURN_IF_ERROR(finalize());
-    if (pos_ != total_) {
-      return Corrupt(origin_ +
-                     ": read cursor past the end of the shipped image");
-    }
-    return std::size_t{0};
-  }
-  pos_ += *got;
-  return *got;
-}
-
-Status ShardedSpoolSource::seek(std::uint64_t offset) {
-  if (finalized_ && final_status_.ok() && offset > total_) {
-    return Corrupt(origin_ + ": seek past end of image");
-  }
-  // While the end is unknown the scan may park the cursor beyond the
-  // receive frontier; the next read or at_end validates.
-  pos_ = offset;
-  return OkStatus();
-}
-
-std::uint64_t ShardedSpoolSource::size() const noexcept {
-  return finalized_ && final_status_.ok() ? total_ : kUnknownSize;
-}
-
-bool ShardedSpoolSource::end_known() const noexcept {
-  return finalized_ && final_status_.ok();
-}
-
-Result<bool> ShardedSpoolSource::at_end(std::uint64_t offset) {
-  const ShardLayout::Piece piece = layout_.piece_at(offset, 1);
-  auto ended = children_[piece.shard]->at_end(piece.local_offset);
-  if (!ended.ok()) return ended.status();
-  if (!*ended) return false;
-  CRAC_RETURN_IF_ERROR(finalize());
-  if (offset > total_) {
-    return Corrupt(origin_ +
-                   ": section directory runs past the end of the shipped "
-                   "stream");
-  }
-  return offset == total_;
-}
-
-Status ShardedSpoolSource::finalize() {
-  if (finalized_) return final_status_;
-  // Wait for every stream even after a failure: the joins double as drains,
-  // and the first error (not an arbitrary one) is what callers see.
-  Status first;
-  for (auto& child : children_) {
-    const Status s = child->wait_complete();
-    if (!s.ok() && first.ok()) first = s;
-  }
-  if (first.ok()) {
-    // Reconstruct the shard manifest from the preamble geometry plus each
-    // stream's verified trailer byte count, and hold it to exactly the
-    // validation the on-disk layout gets.
-    ShardManifest m;
-    m.shard_count = static_cast<std::uint32_t>(children_.size());
-    m.stripe_bytes = layout_.stripe;
-    m.shard_bytes.reserve(children_.size());
-    std::uint64_t total = 0;
-    for (const auto& child : children_) {
-      const std::uint64_t bytes = child->size();
-      m.shard_bytes.push_back(bytes);
-      total += bytes;
-    }
-    m.total_bytes = total;
-    first = validate_shard_manifest(m, origin_);
-    if (first.ok()) total_ = total;
-  }
-  finalized_ = true;
-  final_status_ = first;
-  return final_status_;
-}
-
-Status ShardedSpoolSource::wait_complete() { return finalize(); }
 
 // ---------------------------------------------------------------------------
 // pump_ship_stream

@@ -1,29 +1,26 @@
 // Remote checkpoint transport: live checkpoint shipping over a file
 // descriptor (socket, pipe, anything stream-like).
 //
-// The sharded backend proved the point that a Sink/Source is just "somewhere
-// ordered bytes go": a remote sink is a shard whose fd is a socket. What a
-// raw socket lacks is (a) a way for the receiver to know where the stream
-// ends and whether it arrived intact, and (b) the seekability
-// ImageReader::open() needs for its directory scan. This header supplies
-// both halves:
+// A Sink/Source is just "somewhere ordered bytes go". What a raw socket
+// lacks is (a) a way for the receiver to know where the stream ends and
+// whether it arrived intact, and (b) the seekability ImageReader::open()
+// needs for its directory scan. This header supplies both halves:
 //
 //   * SocketSink frames the ordinary CRACIMG2 logical byte stream over an fd
 //     ("CRACSHP1" wire framing: CRC'd header, length-prefixed frames, a
 //     trailer carrying the total byte count and a CRC32 of the whole logical
 //     stream) — the write-side verb for pushing a live checkpoint to a peer
 //     with no filesystem in between.
-//   * SpoolingSource receives such a stream into a bounded spool — memory up
-//     to a configurable cap, overflow to an unlinked temp file — and then
-//     exposes the seekable Source interface, so the ordinary ImageReader
-//     (directory scan, section streams, random access) runs over a live
-//     shipment exactly as over a file. Peak resident memory is bounded by
-//     the spool cap, never the image size.
-//   * StreamingSpoolSource is the restore-while-receiving variant: the same
-//     bounded spool, filled by a receiver thread, with byte ranges published
-//     to the reader as frames land — restore runs concurrently with the
-//     transfer instead of after it (see docs/image_format.md, "Streaming
-//     restore ordering contract").
+//   * StreamingSpoolSource receives such a stream into a bounded spool —
+//     memory up to a configurable cap, overflow to an unlinked temp file —
+//     filled by a receiver thread, with byte ranges published to the reader
+//     as frames land, behind the seekable Source interface. The ordinary
+//     ImageReader (directory scan, section streams, random access) runs over
+//     a live shipment exactly as over a file, and restore runs concurrently
+//     with the transfer instead of after it (see docs/image_format.md,
+//     "Streaming restore ordering contract"). A caller that needs the whole
+//     stream verified before reading calls wait_complete() first. Peak
+//     resident memory is bounded by the spool cap, never the image size.
 //
 // Wire framing (all integers little-endian, like the rest of the format):
 //
@@ -41,34 +38,14 @@
 // v2 image the same writer configuration would produce, so a spooled
 // shipment and a file on disk are interchangeable to every consumer (see
 // docs/image_format.md, "Wire framing").
-// Multi-socket sharding: one socket is a bandwidth ceiling exactly the way
-// one file descriptor was (the motivation for the sharded file backend), so
-// ShardedSocketSink / ShardedSpoolSource carry the N shard streams of a
-// ShardedFileSink layout over N fds. Each fd holds a 32-byte CRC'd
-// ship-manifest preamble naming its place in the stripe set, then an
-// ordinary CRACSHP1 stream carrying that shard's local byte sequence:
-//
-//   preamble: [magic "CRACSHPM"][u32 version=1][u32 shard_index]
-//             [u32 shard_count][u64 stripe_bytes][u32 crc32(prior 28 bytes)]
-//
-// The per-shard byte counts of the on-disk CRACSHRD manifest come from each
-// stream's own trailer; on completion the receiver reconstructs the full
-// manifest from preambles + trailers and holds it to the same validation as
-// the file layout (validate_shard_manifest). A sender that dies mid-ship
-// aborts ALL shard streams in-band, so every receiver fails with a named
-// error on a still-synchronized connection.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "ckpt/sharded.hpp"
 #include "ckpt/sink.hpp"
 #include "ckpt/source.hpp"
 #include "common/status.hpp"
@@ -77,11 +54,6 @@ namespace crac::ckpt {
 
 inline constexpr char kShipMagic[8] = {'C', 'R', 'A', 'C', 'S', 'H', 'P', '1'};
 inline constexpr std::uint32_t kShipVersion = 1;
-// Multi-socket shipping: per-fd ship-manifest preamble (see header comment).
-inline constexpr char kShipPreambleMagic[8] = {'C', 'R', 'A', 'C',
-                                               'S', 'H', 'P', 'M'};
-inline constexpr std::uint32_t kShipPreambleVersion = 1;
-inline constexpr std::size_t kShipPreambleBytes = 8 + 4 + 4 + 4 + 8 + 4;
 // In-band abort marker (a frame length no well-formed frame can carry): the
 // sender or a relay declares the shipment dead. The receiver fails with a
 // named error but keeps its transport position — the stream terminated
@@ -93,8 +65,8 @@ inline constexpr std::uint32_t kShipAbortMarker = 0xFFFFFFFFu;
 inline constexpr std::size_t kShipFrameBytes = std::size_t{256} << 10;
 inline constexpr std::size_t kShipHeaderBytes = 8 + 4 + 4;
 inline constexpr std::size_t kShipTrailerBytes = 8 + 4;  // after the 0 len
-// Smallest spool cap SpoolingSource accepts: below this the receive scratch
-// could not fit under the cap and the bound would be a lie.
+// Smallest spool cap StreamingSpoolSource accepts: below this the receive
+// scratch could not fit under the cap and the bound would be a lie.
 inline constexpr std::size_t kMinSpoolCapBytes = std::size_t{16} << 10;
 inline constexpr std::size_t kDefaultSpoolCapBytes = std::size_t{64} << 20;
 
@@ -142,73 +114,11 @@ class SocketSink final : public Sink {
 };
 
 // Bounded spool storage (fixed memory blocks up to a cap, overflow to an
-// unlinked temp file) shared by the serialized and streaming spools.
-// Defined in remote.cpp; not thread-safe — the streaming spool provides the
-// locking.
+// unlinked temp file). Defined in remote.cpp; not thread-safe — the
+// streaming spool provides the locking.
 class SpoolBuffer;
 
-// Receives one CRACSHP1 stream from an fd into a bounded spool, then serves
-// it back as a seekable Source. receive() blocks until the trailer arrives
-// and verifies the byte count and stream CRC before handing the source out —
-// a truncated or damaged shipment fails at receive time, not halfway through
-// a restore. The first `spool_cap` bytes (minus a fixed receive scratch)
-// stay in memory; overflow streams to an unlinked temp file, so even a
-// multi-GiB shipment holds at most the cap resident and leaves no debris on
-// any exit path.
-class SpoolingSource final : public Source {
- public:
-  struct Options {
-    // Hard bound on resident spool memory (receive scratch included).
-    std::size_t spool_cap_bytes = kDefaultSpoolCapBytes;
-    // Directory for the overflow file; empty = $TMPDIR, falling back to
-    // /tmp. The file is unlinked immediately after creation.
-    std::string spool_dir;
-    // Names the transport in error messages.
-    std::string origin = "ship stream";
-  };
-
-  // Reads header, frames, and trailer off `fd` (borrowed, never closed).
-  static Result<std::unique_ptr<SpoolingSource>> receive(int fd,
-                                                         const Options& opts);
-  static Result<std::unique_ptr<SpoolingSource>> receive(int fd) {
-    return receive(fd, Options{});
-  }
-
-  ~SpoolingSource() override;
-
-  Status read(void* out, std::size_t size) override;
-  Status seek(std::uint64_t offset) override;
-
-  std::uint64_t position() const noexcept override { return pos_; }
-  std::uint64_t size() const noexcept override { return total_; }
-  std::string describe() const override { return origin_; }
-
-  // Bytes that overflowed to the temp file (0 = the whole image fit in
-  // memory and no file was ever created).
-  std::uint64_t spooled_to_disk_bytes() const noexcept { return file_bytes_; }
-
-  // High-water mark of spool memory held during receive (memory prefix plus
-  // scratch). The bounded-memory guarantee remote_test asserts:
-  // peak_resident_bytes() <= spool_cap_bytes for any image size.
-  std::uint64_t peak_resident_bytes() const noexcept { return peak_bytes_; }
-
- private:
-  explicit SpoolingSource(Options opts);
-
-  Status receive_stream(int fd, std::size_t scratch);
-
-  Options opts_;
-  std::string origin_;
-  // Fixed-block memory prefix + unlinked overflow file; the resident bound
-  // is exact, with no transient doubling a growing vector would sneak in.
-  std::unique_ptr<SpoolBuffer> spool_;
-  std::uint64_t total_ = 0;
-  std::uint64_t pos_ = 0;
-  std::uint64_t file_bytes_ = 0;  // cached off spool_ after receive
-  std::uint64_t peak_bytes_ = 0;  // cached off spool_ after receive
-};
-
-// Restore-while-receiving: the two-phase streaming variant of the spool.
+// Restore-while-receiving: a bounded spool filled by a receiver thread.
 //
 // Phase 1 — start() validates the 16-byte CRACSHP1 header synchronously
 // (bad magic / bad version fail fast, before any thread exists) and hands
@@ -217,9 +127,9 @@ class SpoolingSource final : public Source {
 // header ahead of the payload bytes it describes, so the scan tracks the
 // receive frontier instead of waiting for the whole image.
 //
-// Phase 2 — a receiver thread keeps spooling payload frames into the same
-// bounded spool SpoolingSource uses (fixed memory blocks up to the cap,
-// overflow to an unlinked temp file) and publishes completed byte ranges
+// Phase 2 — a receiver thread keeps spooling payload frames into a bounded
+// spool (fixed memory blocks up to the cap, overflow to an unlinked temp
+// file; the cap counts the receive scratch) and publishes completed byte ranges
 // under a mutex/condvar. read()/at_end() block only until the requested
 // range has landed; a stream failure (EOF, corrupt trailer, abort marker)
 // wakes every blocked reader with the stream's named error.
@@ -240,7 +150,15 @@ class SpoolingSource final : public Source {
 // control connection carrying the stream synchronized.
 class StreamingSpoolSource final : public Source {
  public:
-  using Options = SpoolingSource::Options;
+  struct Options {
+    // Hard bound on resident spool memory (receive scratch included).
+    std::size_t spool_cap_bytes = kDefaultSpoolCapBytes;
+    // Directory for the overflow file; empty = $TMPDIR, falling back to
+    // /tmp. The file is unlinked immediately after creation.
+    std::string spool_dir;
+    // Names the transport in error messages.
+    std::string origin = "ship stream";
+  };
 
   // Terminal state of the receive, shared out so it stays readable after
   // the source (and the ImageReader owning it) is gone — the proxy decides
@@ -260,7 +178,11 @@ class StreamingSpoolSource final : public Source {
     // Final receive accounting (the source itself is usually gone by the
     // time a caller wants these — the restore consumed it).
     std::uint64_t total_bytes = 0;
+    // High-water mark of spool memory (memory prefix plus receive scratch);
+    // never above spool_cap_bytes, for any image size.
     std::uint64_t peak_resident_bytes = 0;
+    // Bytes that overflowed to the temp file (0 = the whole image fit in
+    // memory and no file was ever created).
     std::uint64_t spooled_to_disk_bytes = 0;
   };
 
@@ -282,13 +204,6 @@ class StreamingSpoolSource final : public Source {
   // existed.
   Status read(void* out, std::size_t size) override;
 
-  // Sequential pump primitive: blocks until at least one byte past the
-  // cursor has been released (or the end is verified), then serves up to
-  // `max` released bytes and advances the cursor. Returns 0 only at the
-  // verified end of the stream; the stream's named error if it died. Lets a
-  // relay drain the spool at the frontier without knowing the total.
-  Result<std::size_t> read_up_to(void* out, std::size_t max);
-
   // Accepts any offset while the end is unknown (the scan runs ahead of
   // the frontier); Corrupt past the verified end once known. Never blocks.
   Status seek(std::uint64_t offset) override;
@@ -303,16 +218,13 @@ class StreamingSpoolSource final : public Source {
   std::string describe() const override { return origin_; }
 
   // Blocks until the receiver thread finishes (trailer verified or stream
-  // failed) and returns the terminal stream status.
+  // failed) and returns the terminal stream status. After an OK return the
+  // whole stream is spooled and verified, end_known() is true, and no read
+  // blocks.
   Status wait_complete();
 
   // The shared terminal state; safe to hold past this object's lifetime.
   std::shared_ptr<const Outcome> outcome() const { return outcome_; }
-
-  // Accounting mirrors SpoolingSource; receive-time values are final only
-  // after wait_complete() (or destruction, via outcome()).
-  std::uint64_t spooled_to_disk_bytes() const noexcept;
-  std::uint64_t peak_resident_bytes() const noexcept;
 
  private:
   class Impl;
@@ -325,183 +237,11 @@ class StreamingSpoolSource final : public Source {
   std::uint64_t pos_ = 0;
 };
 
-// Multi-socket striped ship sink: the N shard streams of a ShardedFileSink
-// layout carried over N fds. Each fd gets the 32-byte CRACSHPM preamble
-// (written synchronously in open(), before any worker exists), then an
-// ordinary CRACSHP1 stream holding that shard's local byte sequence — so
-// each shard stream is individually CRC'd and self-delimiting, and the
-// receive side can reconstruct + validate the full shard manifest from
-// preambles and trailers alone.
-//
-// Concurrency mirrors ShardedFileSink: the single-producer image writer
-// appends the logical stream; stripes land in per-shard bounded queues and
-// one worker thread per shard drains its queue into its own SocketSink, so
-// N sockets fill concurrently. close() drains every queue and closes each
-// SocketSink (emitting its trailer). abort() — and any internal shard
-// failure surfaced through close() — sends the in-band abort marker on ALL
-// fds, so every receiver fails with a named error on a still-synchronized
-// connection; no shard stream is ever left dangling without a terminator.
-// fds are borrowed, never closed here.
-class ShardedSocketSink final : public Sink {
- public:
-  struct Options {
-    std::size_t stripe_bytes = kDefaultStripeBytes;
-    // Names the transport in error messages.
-    std::string origin = "ship sockets";
-  };
-
-  // Writes the preamble on every fd (synchronously — a dead socket fails
-  // here, before any bytes are striped) and starts one worker per shard.
-  // Shard k of the stripe set ships over fds[k]. Fails on 0 fds, more than
-  // kMaxShards, or a stripe size outside [kMinStripeBytes, kMaxStripeBytes].
-  static Result<std::unique_ptr<ShardedSocketSink>> open(
-      const std::vector<int>& fds, const Options& options);
-  static Result<std::unique_ptr<ShardedSocketSink>> open(
-      const std::vector<int>& fds) {
-    return open(fds, Options{});
-  }
-
-  // Stops the workers; aborts all shard streams unless close() finished.
-  ~ShardedSocketSink() override;
-
-  // Blocks until every shard queue has drained into its socket.
-  Status flush() override;
-
-  // Drains every queue and closes every shard's SocketSink (terminator +
-  // trailer). On any failure the surviving shard streams are aborted
-  // in-band so no receiver hangs. Idempotent; returns the first error seen.
-  Status close() override;
-
-  // Declares the shipment dead on every shard stream (in-band abort
-  // markers), then closes the sink. Best-effort per fd; returns the first
-  // marker-write failure.
-  Status abort();
-
-  std::size_t shard_count() const noexcept { return shards_.size(); }
-  // High-water mark of bytes accepted but not yet shipped by shard workers.
-  std::uint64_t buffered_peak_bytes() const;
-
- private:
-  struct Shard {
-    std::unique_ptr<SocketSink> sink;          // worker-owned after start
-    std::deque<std::vector<std::byte>> queue;  // guarded by mu_
-    std::vector<std::byte> pending;            // producer-side coalescing
-    std::thread worker;
-    // Per-shard wakeup (state still guarded by the shared mu_).
-    std::unique_ptr<std::condition_variable> cv;
-  };
-
-  ShardedSocketSink(ShardLayout layout, std::string origin);
-
-  Status do_write(const void* data, std::size_t size) override;
-  Status enqueue(std::size_t shard_index, std::vector<std::byte> buf);
-  Status drain();  // wait until every queue is empty
-  void worker_main(std::size_t shard_index);
-  void stop_workers();
-  Status abort_all();  // in-band abort marker on every shard stream
-
-  std::string origin_;
-  ShardLayout layout_;
-  std::vector<Shard> shards_;
-  std::uint64_t pos_ = 0;  // logical bytes accepted
-  std::uint64_t queue_cap_bytes_;
-  bool closed_ = false;
-  bool terminated_ = false;  // every shard stream got a trailer or abort
-
-  mutable std::mutex mu_;
-  std::condition_variable space_cv_;  // producer: this buffer fits the cap
-  std::condition_variable drain_cv_;  // flush/close: all queues empty
-  std::uint64_t queued_bytes_ = 0;
-  std::uint64_t queued_peak_bytes_ = 0;
-  bool stop_ = false;
-  Status error_;  // first shard failure, sticky; names the shard index
-};
-
-// Multi-socket striped receive: N concurrent StreamingSpoolSource children,
-// one per shard stream, reassembled behind the seekable Source interface by
-// the same striping arithmetic ShardedFileSource uses. start() reads and
-// validates the CRACSHPM preamble on every fd synchronously (bad magic,
-// mismatched stripe geometry, duplicate or missing shard indices all fail
-// fast, before any thread exists), permutes the fds into shard order, and
-// splits the spool cap evenly across the children — then restore begins
-// while all N transfers are still in flight.
-//
-// End-of-stream follows the striping invariant: logical offset `o` is past
-// the end of the image iff its owning shard's local offset is past that
-// shard's end. When the owning child reports its verified end, at_end()
-// waits for ALL children to complete, reconstructs the shard manifest from
-// the preamble geometry plus each stream's trailer byte count, and holds it
-// to validate_shard_manifest — exactly the validation the on-disk layout
-// gets. A short, damaged, or aborted shard stream therefore fails the whole
-// receive with a named error, never a silently truncated image.
-//
-// Threading: read/seek/at_end belong to one consumer thread; each child's
-// receiver thread appends and publishes independently. fds are borrowed.
-class ShardedSpoolSource final : public Source {
- public:
-  using Options = SpoolingSource::Options;
-
-  // Reads + validates the preamble and ship header on every fd (borrowed,
-  // never closed), then returns with all N receiver threads running.
-  static Result<std::unique_ptr<ShardedSpoolSource>> start(
-      const std::vector<int>& fds, const Options& opts);
-  static Result<std::unique_ptr<ShardedSpoolSource>> start(
-      const std::vector<int>& fds) {
-    return start(fds, Options{});
-  }
-
-  ~ShardedSpoolSource() override;
-
-  // Blocks until the range has landed across every shard that holds a piece
-  // of it; fails with the owning stream's error if a shard stream dies.
-  Status read(void* out, std::size_t size) override;
-
-  // Sequential pump primitive, mirroring StreamingSpoolSource::read_up_to:
-  // serves up to `max` bytes from the shard owning the cursor's stripe,
-  // blocking until at least one has landed. Returns 0 only at the verified
-  // (and manifest-validated) end of the image.
-  Result<std::size_t> read_up_to(void* out, std::size_t max);
-
-  Status seek(std::uint64_t offset) override;
-
-  std::uint64_t position() const noexcept override { return pos_; }
-  // Final total once every shard trailer verified; kUnknownSize before.
-  std::uint64_t size() const noexcept override;
-  bool end_known() const noexcept override;
-  // Blocks until a byte lands at `offset` (false) or the verified end of
-  // the image is known (true — after all shards complete and the
-  // reconstructed manifest validates).
-  Result<bool> at_end(std::uint64_t offset) override;
-  std::string describe() const override { return origin_; }
-
-  // Blocks until every shard stream finishes, then returns the terminal
-  // status: the first stream error, or the manifest-validation verdict.
-  Status wait_complete();
-
-  std::size_t shard_count() const noexcept { return children_.size(); }
-
- private:
-  ShardedSpoolSource(ShardLayout layout, std::string origin);
-
-  // Waits for all children, reconstructs + validates the manifest, caches
-  // the verdict. Idempotent; called from at_end / wait_complete.
-  Status finalize();
-
-  std::string origin_;
-  ShardLayout layout_;
-  std::vector<std::unique_ptr<StreamingSpoolSource>> children_;
-  std::uint64_t pos_ = 0;
-  // Consumer-thread cache of finalize()'s verdict.
-  bool finalized_ = false;
-  Status final_status_;
-  std::uint64_t total_ = 0;
-};
-
 // Pumps one complete CRACSHP1 stream from `in_fd` into `sink`, validating
 // the header, frame lengths, and trailer (byte count + whole-stream CRC) as
-// it goes — the bridge that lets a single-socket upstream (the proxy
-// server's control connection) feed a multi-socket ShardedSocketSink, which
-// re-frames the logical bytes per shard. Blocks until the stream ends.
+// it goes — the bridge that lands a ship stream in any Sink (the registry
+// server interning a PUT, the registry client writing a GET). Blocks until
+// the stream ends.
 // Errors name `origin`. On return, *upstream_in_band (if non-null) tells
 // whether in_fd delivered a self-delimiting end (trailer or abort marker),
 // i.e. whether a control connection feeding the pump is still in sync. The

@@ -2,11 +2,11 @@
 //
 // A Sink is an ordered, append-only byte destination. The CRACIMG2 writer
 // streams section headers and compressed chunks into one as they are
-// produced, so the full image never has to be materialized in memory. Two
-// implementations ship today — a file and a growable buffer — and the
-// interface is deliberately minimal so future sharded/remote sinks (one
-// file per section shard, a network socket) slot in without touching the
-// writer.
+// produced, so the full image never has to be materialized in memory. Three
+// implementations ship: a file and a growable buffer here, and
+// ckpt::SocketSink (remote.hpp), which frames the stream over a socket. The
+// interface is deliberately minimal so a new destination slots in without
+// touching the writer.
 #pragma once
 
 #include <cstdint>
@@ -20,10 +20,9 @@
 namespace crac::ckpt {
 
 // A sink is single-producer: one thread drives write/flush/close (any
-// internal concurrency — shard workers, socket framing — is the
-// implementation's own). Errors are sticky where loss is possible: once a
-// write fails, every later call reports it, so a checkpoint can never
-// claim success over a short image.
+// internal concurrency is the implementation's own). Errors are sticky
+// where loss is possible: once a write fails, every later call reports it,
+// so a checkpoint can never claim success over a short image.
 class Sink {
  public:
   virtual ~Sink() = default;
@@ -33,7 +32,7 @@ class Sink {
 
   // Appends `size` bytes. Ordering is the caller's: the image writer is the
   // single producer and serializes chunk completions itself. May block on
-  // transport backpressure (a full socket, a bounded shard queue).
+  // transport backpressure (a full socket).
   Status write(const void* data, std::size_t size) {
     CRAC_RETURN_IF_ERROR(do_write(data, size));
     bytes_written_ += size;
@@ -44,10 +43,9 @@ class Sink {
   // handed off (not necessarily durable — close() is the commit).
   virtual Status flush() { return OkStatus(); }
 
-  // Completes the sink: flushes buffers, releases file descriptors, and for
-  // transactional sinks (sharded files) commits the image into place.
-  // Blocks until done. Idempotent; returns the first error seen on this
-  // sink.
+  // Completes the sink: flushes buffers and releases file descriptors (a
+  // socket sink also writes its stream trailer). Blocks until done.
+  // Idempotent; returns the first error seen on this sink.
   virtual Status close() { return flush(); }
 
   // Logical bytes accepted so far. Never blocks.

@@ -4,15 +4,15 @@
 // A Source is a positioned, seekable byte origin. The CRACIMG2 reader scans
 // section headers and chunk frames out of one (skipping payload bytes), then
 // streams payloads back on demand, so the full image never has to be
-// materialized in memory. Two implementations ship today — a file and an
-// in-memory buffer — and the interface is deliberately small so future
-// origins (a socket with a local spool, an object-store range reader) slot
-// in without touching the reader.
+// materialized in memory. Three implementations ship: a file and an
+// in-memory buffer here, and ckpt::StreamingSpoolSource (remote.hpp), the
+// spool a live socket shipment lands in. The interface is deliberately
+// small so another origin (an object-store range reader) slots in without
+// touching the reader.
 //
 // Seekability is part of the contract: the reader's directory scan and its
 // random-access section reads both reposition the cursor. A strictly
-// sequential origin (live socket) needs a spooling adapter
-// (ckpt::SpoolingSource / ckpt::StreamingSpoolSource in remote.hpp).
+// sequential origin (live socket) therefore goes through the spool.
 //
 // A source may still be *filling* while it is read: a StreamingSpoolSource
 // serves bytes as they arrive off a live shipment, before the stream's end
@@ -20,7 +20,7 @@
 // report end_known() == false until the transport trailer lands, return
 // kUnknownSize from size(), and block in read()/at_end() until the
 // requested range has landed or the stream fails. Fully materialized
-// sources (files, memory, shards) never block and keep the defaults.
+// sources (files, memory) never block and keep the defaults.
 #pragma once
 
 #include <cstdint>

@@ -8,7 +8,6 @@
 #include "common/log.hpp"
 #include "ckpt/dirty.hpp"
 #include "ckpt/memory_section.hpp"
-#include "ckpt/sharded.hpp"
 #include "ckpt/source.hpp"
 
 namespace crac {
@@ -40,50 +39,16 @@ ThreadPool* CracContext::ckpt_pool() {
   return ckpt_pool_.get();
 }
 
-namespace {
-
-// Checkpoint-entry validation: a zero or absurd sharding configuration must
-// fail here with a named error, not misbehave (or be silently reinterpreted)
-// somewhere downstream in the sink layer.
-Status validate_ckpt_options(const CracOptions& options) {
-  if (options.ckpt_shards == 0) {
-    return InvalidArgument(
-        "CracOptions::ckpt_shards is 0; a checkpoint image has at least one "
-        "shard (use 1 for the classic single-file layout)");
-  }
-  if (options.ckpt_shards > ckpt::kMaxShards) {
-    return InvalidArgument(
-        "CracOptions::ckpt_shards is " + std::to_string(options.ckpt_shards) +
-        "; readers cap sharded images at " + std::to_string(ckpt::kMaxShards) +
-        " shards");
-  }
-  if (options.ckpt_stripe_bytes != 0 &&
-      (options.ckpt_stripe_bytes < ckpt::kMinStripeBytes ||
-       options.ckpt_stripe_bytes > ckpt::kMaxStripeBytes)) {
-    return InvalidArgument(
-        "CracOptions::ckpt_stripe_bytes is " +
-        std::to_string(options.ckpt_stripe_bytes) + "; stripes must be in [" +
-        std::to_string(ckpt::kMinStripeBytes) + ", " +
-        std::to_string(ckpt::kMaxStripeBytes) +
-        "] bytes (0 selects the default)");
-  }
-  return OkStatus();
-}
-
-}  // namespace
-
 Result<CheckpointReport> CracContext::checkpoint(const std::string& path) {
   auto result = checkpoint_to_temp(path);
-  if (!result.ok() && options_.ckpt_shards <= 1) {
+  if (!result.ok()) {
     // Never leave a truncated partial image where a good one may have
     // been: the stream went to a sibling temp file, which we discard.
-    // (A sharded sink unlinks its own shard temps on destruction.)
     std::remove(temp_image_path(path).c_str());
   }
-  if (result.ok() && options_.ckpt_shards <= 1) {
+  if (result.ok()) {
     // This image is now the newest committed link; later deltas chain onto
-    // it. Sharded images are excluded — chain resolution follows plain
-    // parent file paths.
+    // it.
     delta_base_ = last_captured_;
     delta_base_->path = path;
   }
@@ -92,13 +57,6 @@ Result<CheckpointReport> CracContext::checkpoint(const std::string& path) {
 
 Result<CheckpointReport> CracContext::checkpoint_delta(
     const std::string& path) {
-  CRAC_RETURN_IF_ERROR(validate_ckpt_options(options_));
-  if (options_.ckpt_shards > 1) {
-    return InvalidArgument(
-        "delta checkpoints require the single-file layout "
-        "(CracOptions::ckpt_shards == 1): chain resolution follows plain "
-        "parent file paths");
-  }
   if (!delta_base_.has_value()) {
     return FailedPrecondition(
         "no base image to delta against: take a full checkpoint() first");
@@ -131,8 +89,8 @@ Result<CheckpointReport> CracContext::checkpoint_to_sink(ckpt::Sink& sink) {
   // Streaming pipeline: sections are chunked, chunks compressed/CRC'd on
   // the pool, frames written straight to the sink — the image is never
   // resident in memory. This core is transport-agnostic: it neither knows
-  // nor cares whether the sink is a temp file, a striped shard set, or a
-  // live socket to the replacement instance.
+  // nor cares whether the sink is a temp file or a live socket to the
+  // replacement instance.
   ckpt::ImageWriter::Options wopts;
   wopts.codec = options_.codec;
   wopts.chunk_size = options_.ckpt_chunk_bytes;
@@ -238,9 +196,9 @@ Result<CheckpointReport> CracContext::checkpoint_to_sink(ckpt::Sink& sink) {
     report.drain_s += t.elapsed_s();
   }
 
-  // 5. Drain the chunk pipeline and close the sink — for transactional
-  //    sinks (sharded files) this is the commit, for a socket sink it ships
-  //    the stream trailer that tells the peer the image arrived whole.
+  // 5. Drain the chunk pipeline and close the sink — for a file sink this
+  //    flushes the temp file, for a socket sink it ships the stream trailer
+  //    that tells the peer the image arrived whole.
   {
     WallTimer t;
     report.raw_bytes = writer.raw_bytes();
@@ -274,51 +232,22 @@ Result<CheckpointReport> CracContext::checkpoint_to_sink(ckpt::Sink& sink) {
 
 Result<CheckpointReport> CracContext::checkpoint_to_temp(
     const std::string& path) {
-  CRAC_RETURN_IF_ERROR(validate_ckpt_options(options_));
-
-  // Single-file mode streams to a temp file that replaces `path` only after
-  // the image is complete, so a failed checkpoint can never destroy the
-  // previous image at the same path. Sharded mode stripes across
-  // ckpt_shards files through per-shard writer threads and commits the same
-  // way (manifest temp staged before any live rename, shard temps renamed,
-  // manifest last); overwriting in place is atomic only up to the first
-  // shard rename — a failure or crash inside the multi-file rename sequence
-  // can mix generations under the old manifest — see docs/image_format.md,
-  // and checkpoint to a fresh path when that window matters.
-  std::unique_ptr<ckpt::Sink> sink;
-  std::string tmp;  // single-file mode only; sharded sinks self-commit
-  if (options_.ckpt_shards > 1) {
-    ckpt::ShardedFileSink::Options sopts;
-    sopts.shards = options_.ckpt_shards;
-    if (options_.ckpt_stripe_bytes != 0) {
-      sopts.stripe_bytes = options_.ckpt_stripe_bytes;
-    }
-    auto sharded = ckpt::ShardedFileSink::open(path, sopts);
-    if (!sharded.ok()) return sharded.status();
-    sink = std::move(*sharded);
-  } else {
-    tmp = temp_image_path(path);
-    auto file = ckpt::FileSink::open(tmp);
-    if (!file.ok()) return file.status();
-    sink = std::move(*file);
-  }
-
-  auto result = checkpoint_to_sink(*sink);
+  // Streams to a temp file that replaces `path` only after the image is
+  // complete, so a failed checkpoint can never destroy the previous image
+  // at the same path.
+  const std::string tmp = temp_image_path(path);
+  auto file = ckpt::FileSink::open(tmp);
+  if (!file.ok()) return file.status();
+  auto result = checkpoint_to_sink(**file);
   if (!result.ok()) return result;
   CheckpointReport report = *result;
 
-  if (!tmp.empty()) {
-    WallTimer t;
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-      return IoError("cannot move " + tmp + " into place as " + path);
-    }
-    // A sharded image previously at this path leaves orphaned shard
-    // files behind its manifest; reap them so switching back to the
-    // single-file layout never leaks checkpoint-sized debris.
-    ckpt::remove_stale_shards(path, 0);
-    report.write_s += t.elapsed_s();
-    report.total_s += t.elapsed_s();
+  WallTimer t;
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    return IoError("cannot move " + tmp + " into place as " + path);
   }
+  report.write_s += t.elapsed_s();
+  report.total_s += t.elapsed_s();
 
   CRAC_INFO() << "checkpoint written to " << path << " ("
               << format_size(report.image_bytes) << ", "
@@ -426,8 +355,8 @@ Status CracContext::restore_from_source(std::unique_ptr<ckpt::Source> source,
                                         RestartReport* report) {
   // Open = directory scan only (headers + chunk frames); payload bytes
   // stream during restore with decode prefetched on the checkpoint pool.
-  // The source is wherever the image lives — a file, a striped shard set,
-  // or a spool still receiving off a socket; this core cannot tell. For a
+  // The source is wherever the image lives — a file or a spool still
+  // receiving off a socket; this core cannot tell. For a
   // still-filling source the reader defers the directory and restore runs
   // overlapped with the transfer (restore-while-receiving).
   WallTimer t;
@@ -477,9 +406,8 @@ Result<std::unique_ptr<CracContext>> CracContext::restart_from_image(
     }
   }
 
-  // Thin wrapper: route the path through the shard-manifest sniff and hand
-  // the resulting source to the transport-agnostic core.
-  auto source = ckpt::open_image_source(path);
+  // Thin wrapper: open the file and hand it to the transport-agnostic core.
+  auto source = ckpt::FileSource::open(path);
   if (!source.ok()) return source.status();
   return restart_from_source(std::move(*source), options, report);
 }

@@ -41,14 +41,6 @@ struct CracOptions {
   // workers (0 = hardware concurrency, 1 = no pool / inline encoding).
   std::size_t ckpt_chunk_bytes = ckpt::kDefaultChunkSize;
   std::size_t ckpt_threads = 0;
-  // Sharded image output: > 1 stripes the image across this many shard
-  // files (a CRACSHRD manifest at the image path plus path.shard<k> files),
-  // each fed by its own writer thread, so checkpoint bandwidth scales past
-  // one stream. 1 writes the classic single file. Restore auto-detects the
-  // layout from the manifest magic, so the two are interchangeable on read.
-  std::size_t ckpt_shards = 1;
-  // Striping granularity for sharded output (0 = kDefaultStripeBytes).
-  std::size_t ckpt_stripe_bytes = 0;
   // Copy-on-write capture: the stop-the-world window shrinks to drain
   // streams + advance trackers + arm the snapshot overlay, and the
   // application resumes while the drain reads the frozen state through the
@@ -119,9 +111,9 @@ class CracContext {
     return process_->trampoline().transitions();
   }
 
-  // Streams a checkpoint image to `path` (temp+rename, or the sharded
-  // staged commit when ckpt_shards > 1): a failed checkpoint never
-  // destroys the previous image at the path. Blocks until committed; call
+  // Streams a checkpoint image to `path` through a temp file renamed into
+  // place: a failed checkpoint never destroys the previous image at the
+  // path. Blocks until committed; call
   // from the application thread with the device quiesced by the drain.
   Result<CheckpointReport> checkpoint(const std::string& path);
 
@@ -143,10 +135,10 @@ class CracContext {
 
   // Path-free checkpoint core: streams the image (plugin drain, upper-memory
   // snapshot, chunk pipeline) into `sink` and closes it. Every consumer of
-  // the checkpoint verb is transport-agnostic through this — a file, a
-  // striped shard set, or a live socket to a peer are all just sinks. The
-  // path verb above wraps this with the temp+rename (or sharded commit)
-  // dance; ship a live checkpoint by passing a ckpt::SocketSink. Blocks
+  // the checkpoint verb is transport-agnostic through this — a file or a
+  // live socket to a peer are both just sinks. The path verb above wraps
+  // this with the temp+rename dance; ship a live checkpoint by passing a
+  // ckpt::SocketSink. Blocks
   // until the sink has accepted and closed the whole stream (for a socket,
   // until the peer has drained it); chunk encoding runs on the context's
   // internal pool. Sections go out in restore order — the contract that
@@ -161,9 +153,8 @@ class CracContext {
 
   // Path-free restart core: construct everything anew from an image read
   // off `source` — the receive half of live checkpoint shipping (pass a
-  // ckpt::SpoolingSource fed from a socket). restart_from_image is a thin
-  // wrapper that opens the right source for a path (shard-manifest sniff
-  // included).
+  // ckpt::StreamingSpoolSource fed from a socket). restart_from_image is a
+  // thin wrapper that opens a ckpt::FileSource for a path.
   //
   // Overlapped mode engages automatically when the source is still filling
   // (ckpt::StreamingSpoolSource::start, end_known() == false): the

@@ -217,130 +217,6 @@ Status ProxyClientApi::recv_checkpoint(int src_fd) {
   return OkStatus();
 }
 
-Status ProxyClientApi::ship_checkpoint(const std::vector<int>& dst_fds) {
-  std::lock_guard<std::mutex> lock(rpc_mu_);
-  CRAC_RETURN_IF_ERROR(channel_error_);
-  // Open the fan-out sink first (preambles go out on the peer sockets): a
-  // dead peer fd fails here, before any request touches the control socket.
-  ckpt::ShardedSocketSink::Options sink_opts;
-  sink_opts.origin = "proxy ship fan-out";
-  auto opened = ckpt::ShardedSocketSink::open(dst_fds, sink_opts);
-  if (!opened.ok()) return opened.status();
-  std::unique_ptr<ckpt::ShardedSocketSink> sink = std::move(*opened);
-
-  RequestHeader req{};
-  req.op = Op::kShipCkpt;
-  Status s = write_all(channel_fd_, &req, sizeof(req));
-  ResponseHeader resp{};
-  if (s.ok()) s = read_all(channel_fd_, &resp, sizeof(resp));
-  if (!s.ok()) {
-    (void)sink->abort();
-    return s;
-  }
-  if (resp.err != cuda::cudaSuccess) {
-    (void)sink->abort();
-    return Internal("proxy refused SHIP_CKPT (error " +
-                    std::to_string(resp.err) + ")");
-  }
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.rpcs;
-  }
-  // The server's single stream, validated and striped across the shard
-  // sockets. The sink re-frames each shard's local byte sequence itself.
-  bool upstream_in_band = false;
-  Status pumped = ckpt::pump_ship_stream(channel_fd_, *sink,
-                                         "proxy ship fan-out",
-                                         &upstream_in_band);
-  if (pumped.ok()) {
-    // Trailers on every shard stream; a close failure is a peer-socket
-    // problem — the control socket already consumed its stream and stays
-    // usable.
-    return sink->close();
-  }
-  // In-band abort on every shard stream: no receiver hangs, each fails with
-  // a named error on a still-synchronized connection.
-  (void)sink->abort();
-  if (!upstream_in_band) {
-    // Same desync rule as the single-fd relay: stream bytes may still be
-    // queued on the control socket, so no later request/response framing
-    // can be trusted.
-    channel_error_ = Status(pumped.code(),
-                            "proxy channel desynced by a failed SHIP_CKPT "
-                            "fan-out: " + pumped.message());
-    drop_channel();
-  }
-  return pumped;
-}
-
-Status ProxyClientApi::recv_checkpoint(const std::vector<int>& src_fds) {
-  std::lock_guard<std::mutex> lock(rpc_mu_);
-  CRAC_RETURN_IF_ERROR(channel_error_);
-  // Start the fan-in first (preamble validation is synchronous): a stream
-  // that is not a sharded shipment fails here, before any request touches
-  // the control socket.
-  ckpt::ShardedSpoolSource::Options src_opts;
-  src_opts.origin = "proxy recv fan-in";
-  auto started = ckpt::ShardedSpoolSource::start(src_fds, src_opts);
-  if (!started.ok()) return started.status();
-  std::unique_ptr<ckpt::ShardedSpoolSource> source = std::move(*started);
-
-  RequestHeader req{};
-  req.op = Op::kRecvCkpt;
-  CRAC_RETURN_IF_ERROR(write_all(channel_fd_, &req, sizeof(req)));
-  // Reassemble the logical stream at the receive frontier and re-frame it
-  // onto the control socket — the server restores from an ordinary
-  // single-stream shipment and never learns the transfer was striped.
-  ckpt::SocketSink downstream(channel_fd_, "proxy recv fan-in relay");
-  Status stream_error;      // a shard stream died
-  Status downstream_error;  // the control-socket write failed
-  std::vector<std::byte> buf(ckpt::kShipFrameBytes);
-  for (;;) {
-    auto got = source->read_up_to(buf.data(), buf.size());
-    if (!got.ok()) {
-      stream_error = got.status();
-      break;
-    }
-    if (*got == 0) break;  // verified, manifest-validated end
-    if (Status w = downstream.write(buf.data(), *got); !w.ok()) {
-      downstream_error = w;
-      break;
-    }
-  }
-  bool downstream_in_band = false;
-  Status result;
-  if (stream_error.ok() && downstream_error.ok()) {
-    result = downstream.close();  // terminator + trailer
-    downstream_in_band = result.ok();
-  } else if (!stream_error.ok()) {
-    // The fan-in died but the control socket sits at a frame boundary: an
-    // in-band abort keeps it synchronized and the server rejects cleanly.
-    downstream_in_band = downstream.abort().ok();
-    result = stream_error;
-  } else {
-    result = downstream_error;
-  }
-  if (!downstream_in_band) {
-    channel_error_ = Status(result.code(),
-                            "proxy channel desynced by a failed RECV_CKPT "
-                            "fan-in: " + result.message());
-    drop_channel();
-    return result;
-  }
-  ResponseHeader resp{};
-  CRAC_RETURN_IF_ERROR(read_all(channel_fd_, &resp, sizeof(resp)));
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.rpcs;
-  }
-  if (!result.ok()) return result;  // the fan-in's own (named) failure
-  if (resp.err != cuda::cudaSuccess) {
-    return Internal("proxy rejected the shipped checkpoint (error " +
-                    std::to_string(resp.err) + ")");
-  }
-  return OkStatus();
-}
-
 Result<ResponseHeader> ProxyClientApi::call(RequestHeader req,
                                             const void* payload,
                                             std::size_t payload_bytes,

@@ -101,20 +101,6 @@ class ProxyClientApi final : public cuda::CudaApi {
   Status ship_checkpoint(int dst_fd);
   Status recv_checkpoint(int src_fd);
 
-  // Multi-socket variants of the same verbs: one control-socket stream from
-  // (or to) the server, striped across N peer sockets so a single
-  // connection's bandwidth ceiling stops being the transfer bound.
-  // ship_checkpoint pumps the server's stream into a ShardedSocketSink
-  // (CRACSHPM preamble + per-shard CRACSHP1 stream on each fd); on any
-  // failure every shard stream gets an in-band abort so no receiver hangs.
-  // recv_checkpoint reassembles the logical stream from a ShardedSpoolSource
-  // over the N fds and re-frames it onto the control socket — the server
-  // needs no multi-socket awareness at all. Channel desync semantics match
-  // the single-fd verbs: only a control-socket stream with no known end
-  // tears the connection down.
-  Status ship_checkpoint(const std::vector<int>& dst_fds);
-  Status recv_checkpoint(const std::vector<int>& src_fds);
-
   // --- CudaApi ---
   cuda::cudaError_t cudaMalloc(void** p, std::size_t n) override;
   cuda::cudaError_t cudaFree(void* p) override;

@@ -4,7 +4,7 @@
 // exact failure (node loss) checkpoint/restore exists to absorb. Chunk
 // payloads live in the directory's slab file, owned by the ChunkStore (see
 // store.hpp); this file keeps the *directory* of images durable, with the
-// staged-commit idiom of ShardedFileSink's temp-write/rename commit:
+// same temp-write/rename commit CracContext::checkpoint uses for images:
 //
 //   wal.log     — write-ahead log of directory mutations. An image-commit
 //                 record carries the image's full directory entry (name,

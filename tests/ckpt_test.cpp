@@ -134,6 +134,16 @@ TEST(ImageTest, BadMagicRejected) {
   auto bytes = ImageWriter().serialize();
   bytes[0] = std::byte{'X'};
   EXPECT_FALSE(ImageReader::from_bytes(std::move(bytes)).ok());
+
+  // The manifest of the retired sharded layout is rejected by name, not as
+  // generic garbage: a leftover image says what it is and why it fails.
+  std::vector<std::byte> manifest(48, std::byte{0});
+  std::memcpy(manifest.data(), "CRACSHRD", 8);
+  auto sharded = ImageReader::from_bytes(std::move(manifest));
+  ASSERT_FALSE(sharded.ok());
+  EXPECT_EQ(sharded.status().code(), StatusCode::kCorrupt);
+  EXPECT_NE(sharded.status().message().find("CRACSHRD"), std::string::npos)
+      << sharded.status().to_string();
 }
 
 TEST(ImageTest, FlippedPayloadBitFailsCrc) {
@@ -180,7 +190,7 @@ TEST(ImageTest, MissingFileIsIoError) {
 // tests/data holds a tiny v1 and a tiny single-file v2 image checked into
 // the repository (generated once from golden_payload(); see
 // docs/image_format.md). They are the regression net for every future
-// refactor of the writer, the reader, or the sharding layer: if either
+// refactor of the writer, the reader, or the transports: if either
 // stops restoring, the format broke, not just the code.
 
 std::string golden_path(const char* name) {

@@ -1,7 +1,7 @@
 // Shared test harness for the checkpoint-image suites (chunk_test,
-// restore_test, ckpt_test, shard_test): deterministic payload generators,
-// image builders, file helpers, corruption utilities, and fault-injection
-// Sink/Source doubles. One home instead of per-suite copies, so every suite
+// restore_test, ckpt_test, remote_test, ...): deterministic payload
+// generators, image builders, file helpers, corruption utilities, a
+// whole-stream ship receive, and fault-injection Sink/Source doubles. One home instead of per-suite copies, so every suite
 // corrupts and truncates images the same way.
 #pragma once
 
@@ -19,6 +19,7 @@
 
 #include "ckpt/compressor.hpp"
 #include "ckpt/image.hpp"
+#include "ckpt/remote.hpp"
 #include "ckpt/sink.hpp"
 #include "ckpt/source.hpp"
 #include "common/crc32.hpp"
@@ -169,6 +170,20 @@ inline std::size_t find_byte_run(const std::vector<std::byte>& bytes,
   return 0;
 }
 
+// ---- whole-stream ship receive ----
+
+// Receives one CRACSHP1 stream off `fd` and waits for its trailer to
+// verify before returning: the spool then holds the whole, checked
+// shipment, so a truncated or damaged stream fails here rather than
+// halfway through a read. Receive accounting is in (*spool)->outcome().
+inline Result<std::unique_ptr<StreamingSpoolSource>> receive_whole(
+    int fd, const StreamingSpoolSource::Options& opts = {}) {
+  auto spool = StreamingSpoolSource::start(fd, opts);
+  if (!spool.ok()) return spool.status();
+  CRAC_RETURN_IF_ERROR((*spool)->wait_complete());
+  return spool;
+}
+
 // ---- fault-injection doubles ----
 
 inline constexpr std::uint64_t kNeverFault =
@@ -176,7 +191,7 @@ inline constexpr std::uint64_t kNeverFault =
 
 // Sink wrapper that injects write-side faults at exact byte offsets of the
 // logical stream: an I/O failure at byte K (after short-writing the prefix,
-// like a disk filling mid-stripe) and/or a silent bit flip at byte K (a
+// like a disk filling mid-write) and/or a silent bit flip at byte K (a
 // cable or firmware lying about what was stored). Borrow of `inner`, which
 // must outlive the double.
 class FaultySink final : public Sink {

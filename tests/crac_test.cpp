@@ -207,41 +207,6 @@ class CracRoundTripTest : public ::testing::Test {
   }
 };
 
-TEST_F(CracRoundTripTest, CheckpointRejectsBadShardOptions) {
-  // Zero or absurd sharding configuration fails at checkpoint entry with a
-  // named InvalidArgument — before any sink (or file) exists.
-  struct Case {
-    std::size_t shards;
-    std::size_t stripe;
-    const char* expect;  // substring the error must name
-  };
-  const Case cases[] = {
-      {0, 0, "ckpt_shards"},
-      {100000, 0, "ckpt_shards"},
-      {2, 7, "ckpt_stripe_bytes"},                    // below kMinStripeBytes
-      {2, std::size_t{2} << 30, "ckpt_stripe_bytes"},  // above kMaxStripeBytes
-  };
-  for (const Case& c : cases) {
-    const std::string path = temp_image_path("badopts");
-    CracOptions opts = test_options();
-    opts.ckpt_shards = c.shards;
-    opts.ckpt_stripe_bytes = c.stripe;
-    CracContext ctx(opts);
-    void* dev = nullptr;
-    run_phase(ctx, &dev);
-    auto report = ctx.checkpoint(path);
-    ASSERT_FALSE(report.ok()) << "shards=" << c.shards
-                              << " stripe=" << c.stripe;
-    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(report.status().message().find(c.expect), std::string::npos)
-        << report.status().to_string();
-    // Entry validation means nothing was created at (or next to) the path.
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    EXPECT_EQ(f, nullptr) << path << " exists after a rejected checkpoint";
-    if (f != nullptr) std::fclose(f);
-  }
-}
-
 TEST_F(CracRoundTripTest, CheckpointThenResumeKeepsRunning) {
   const std::string path = temp_image_path("resume");
   CracContext ctx(test_options());

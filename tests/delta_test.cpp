@@ -227,21 +227,6 @@ TEST(CheckpointDeltaTest, RequiresABaseCheckpoint) {
       << report.status().to_string();
 }
 
-TEST(CheckpointDeltaTest, RefusesShardedLayout) {
-  // Chain resolution follows plain parent file paths; the sharded layout
-  // cannot host a delta and must be refused by name before any I/O.
-  CracOptions opts = test_options();
-  opts.ckpt_shards = 4;
-  CracContext ctx(opts);
-  void* dev = nullptr;
-  ASSERT_EQ(ctx.api().cudaMalloc(&dev, 4096), cudaSuccess);
-  auto report = ctx.checkpoint_delta(temp_image_path("sharddelta"));
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(report.status().message().find("single-file"), std::string::npos)
-      << report.status().to_string();
-}
-
 TEST(CheckpointDeltaTest, RefusedAfterInPlaceRestart) {
   // A restore invalidates the dirty history (new tracker epoch); a delta
   // against the pre-restore base would describe memory that no longer

@@ -36,8 +36,9 @@ using testlib::NamedSections;
 // The fault-injection pattern for socket framing: capture the exact wire
 // bytes a shipment produces, corrupt them at a chosen offset (the
 // FaultySink/FaultySource idea applied to the framed stream), and replay
-// them into a SpoolingSource. Capture and replay both run the far end on a
-// thread because a pipe holds far less than an image.
+// them into a whole-stream spool (testlib::receive_whole). Capture and
+// replay both run the far end on a thread because a pipe holds far less
+// than an image.
 
 std::vector<std::byte> capture_ship_stream(
     const std::function<void(Sink&)>& produce) {
@@ -62,16 +63,16 @@ std::vector<std::byte> capture_ship_stream(
   return wire;
 }
 
-Result<std::unique_ptr<SpoolingSource>> replay_stream(
+Result<std::unique_ptr<StreamingSpoolSource>> replay_stream(
     const std::vector<std::byte>& wire,
-    const SpoolingSource::Options& opts = {}) {
+    const StreamingSpoolSource::Options& opts = {}) {
   int fds[2];
   EXPECT_EQ(::pipe(fds), 0);
   std::thread feeder([&] {
     (void)write_all_fd(fds[1], wire.data(), wire.size(), "replay pipe");
     ::close(fds[1]);
   });
-  auto spool = SpoolingSource::receive(fds[0], opts);
+  auto spool = testlib::receive_whole(fds[0], opts);
   feeder.join();
   ::close(fds[0]);
   return spool;
@@ -99,7 +100,7 @@ TEST(RemoteShipTest, RoundTripOverSocketFraming) {
 
   auto spool = replay_stream(wire);
   ASSERT_TRUE(spool.ok()) << spool.status().to_string();
-  EXPECT_EQ((*spool)->spooled_to_disk_bytes(), 0u);  // default cap is ample
+  EXPECT_EQ((*spool)->outcome()->spooled_to_disk_bytes, 0u);  // ample cap
 
   auto reader = ImageReader::open(std::move(*spool));
   ASSERT_TRUE(reader.ok()) << reader.status().to_string();
@@ -135,12 +136,12 @@ TEST(RemoteShipTest, SpoolMemoryBoundedByCapForOversizedImage) {
   const std::size_t cap = 256 << 10;
   ASSERT_GT(wire.size(), 4 * cap);  // image really is larger than the cap
 
-  SpoolingSource::Options opts;
+  StreamingSpoolSource::Options opts;
   opts.spool_cap_bytes = cap;
   auto spool = replay_stream(wire, opts);
   ASSERT_TRUE(spool.ok()) << spool.status().to_string();
-  EXPECT_LE((*spool)->peak_resident_bytes(), cap);
-  EXPECT_GT((*spool)->spooled_to_disk_bytes(), 0u);
+  EXPECT_LE((*spool)->outcome()->peak_resident_bytes, cap);
+  EXPECT_GT((*spool)->outcome()->spooled_to_disk_bytes, 0u);
 
   auto reader = ImageReader::open(std::move(*spool));
   ASSERT_TRUE(reader.ok()) << reader.status().to_string();
@@ -157,7 +158,7 @@ TEST(RemoteShipTest, RandomAccessAcrossSpoolBoundary) {
   const std::vector<std::byte> wire =
       healthy_stream(secs, Codec::kStore, 64 * 1024);
 
-  SpoolingSource::Options opts;
+  StreamingSpoolSource::Options opts;
   opts.spool_cap_bytes = 256 << 10;
   auto spool = replay_stream(wire, opts);
   ASSERT_TRUE(spool.ok()) << spool.status().to_string();
@@ -178,7 +179,7 @@ TEST(RemoteShipTest, SpoolCapBelowMinimumRejected) {
   const std::vector<std::byte> wire =
       healthy_stream({{"s", testlib::random_bytes(1024, 5)}}, Codec::kStore,
                      4096);
-  SpoolingSource::Options opts;
+  StreamingSpoolSource::Options opts;
   opts.spool_cap_bytes = 1;
   auto spool = replay_stream(wire, opts);
   ASSERT_FALSE(spool.ok());
@@ -335,7 +336,7 @@ TEST_F(RemoteFaultTest, RelayForwardsIntactStream) {
     relay_status = relay_ship_stream(left[0], right[1], "test relay");
     ::close(right[1]);
   });
-  auto spool = SpoolingSource::receive(right[0]);
+  auto spool = testlib::receive_whole(right[0]);
   feeder.join();
   relayer.join();
   ::close(left[0]);
@@ -365,7 +366,7 @@ TEST_F(RemoteFaultTest, RelayDetectsCorruptTrailerAndReceiverAgrees) {
     relay_status = relay_ship_stream(left[0], right[1], "test relay");
     ::close(right[1]);
   });
-  auto spool = SpoolingSource::receive(right[0]);
+  auto spool = testlib::receive_whole(right[0]);
   feeder.join();
   relayer.join();
   ::close(left[0]);
@@ -743,9 +744,9 @@ TEST(RemoteShipTest, CracContextShipsAndRestartsOverSocketpair) {
 
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  Result<std::unique_ptr<SpoolingSource>> spool =
+  Result<std::unique_ptr<StreamingSpoolSource>> spool =
       Status(StatusCode::kInternal, "receiver never ran");
-  std::thread receiver([&] { spool = SpoolingSource::receive(fds[0]); });
+  std::thread receiver([&] { spool = testlib::receive_whole(fds[0]); });
 
   void* dev = nullptr;
   {
@@ -829,288 +830,6 @@ TEST(RemoteShipTest, CracContextRestartOverlapsLiveCheckpoint) {
 
   void* dev = (*restored)->root();
   ASSERT_NE(dev, nullptr);
-  std::vector<char> back(n);
-  ASSERT_EQ((*restored)->api().cudaMemcpy(back.data(), dev, n,
-                                          cuda::cudaMemcpyDeviceToHost),
-            cuda::cudaSuccess);
-  EXPECT_EQ(back, pattern);
-}
-
-// ---- sharded shipping ----------------------------------------------------
-//
-// The multi-socket transport: one CRACSHPM preamble + CRACSHP1 stream per
-// shard connection, the logical image striped across them, reassembled by
-// ShardedSpoolSource on the far side.
-
-struct ShardPair {
-  std::vector<int> tx;
-  std::vector<int> rx;
-};
-
-ShardPair make_shard_sockets(std::size_t n) {
-  ShardPair p;
-  for (std::size_t i = 0; i < n; ++i) {
-    int fds[2];
-    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    p.rx.push_back(fds[0]);
-    p.tx.push_back(fds[1]);
-  }
-  return p;
-}
-
-void close_all(const std::vector<int>& fds) {
-  for (int fd : fds) ::close(fd);
-}
-
-TEST(ShardedShipTest, RoundTripAcrossShardCounts) {
-  const NamedSections secs = {
-      {"noise", testlib::random_bytes(300 * 1024, 19)},
-      {"runs", testlib::compressible_bytes(256 * 1024, 29)},
-      {"empty", {}},
-  };
-  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    SCOPED_TRACE(n);
-    ShardPair sp = make_shard_sockets(n);
-
-    Status ship_status = OkStatus();
-    std::thread shipper([&] {
-      ShardedSocketSink::Options sink_opts;
-      sink_opts.stripe_bytes = 32 * 1024;  // force real striping
-      sink_opts.origin = "sharded ship";
-      auto sink = ShardedSocketSink::open(sp.tx, sink_opts);
-      ASSERT_TRUE(sink.ok()) << sink.status().to_string();
-      EXPECT_EQ((*sink)->shard_count(), n);
-      ship_status = testlib::write_image(**sink, secs, Codec::kLz, 4096);
-      if (ship_status.ok()) ship_status = (*sink)->close();
-    });
-
-    ShardedSpoolSource::Options opts;
-    opts.origin = "sharded recv";
-    auto spool = ShardedSpoolSource::start(sp.rx, opts);
-    ASSERT_TRUE(spool.ok()) << spool.status().to_string();
-    EXPECT_EQ((*spool)->shard_count(), n);
-
-    auto reader = ImageReader::open(std::move(*spool));
-    ASSERT_TRUE(reader.ok()) << reader.status().to_string();
-    // The directory scan is incremental while shards still stream in:
-    // sections resolve one by one as their bytes land.
-    for (std::size_t i = 0; i < secs.size(); ++i) {
-      auto sec = reader->section_at(i);
-      ASSERT_TRUE(sec.ok()) << sec.status().to_string();
-      ASSERT_NE(*sec, nullptr);
-      auto payload = reader->read_section(**sec);
-      ASSERT_TRUE(payload.ok()) << payload.status().to_string();
-      EXPECT_EQ(*payload, secs[i].second) << secs[i].first;
-    }
-    ASSERT_TRUE(reader->verify_unread_sections().ok());
-    shipper.join();
-    EXPECT_TRUE(ship_status.ok()) << ship_status.to_string();
-    close_all(sp.tx);
-    close_all(sp.rx);
-  }
-}
-
-TEST(ShardedShipTest, ShuffledFdOrderStillReassembles) {
-  // The receiver identifies shard streams by their preambles, not by fd
-  // order: handing the fds over rotated must change nothing.
-  const NamedSections secs = {{"payload", testlib::random_bytes(200 * 1024, 3)}};
-  ShardPair sp = make_shard_sockets(3);
-
-  Status ship_status = OkStatus();
-  std::thread shipper([&] {
-    ShardedSocketSink::Options sink_opts;
-    sink_opts.stripe_bytes = 16 * 1024;
-    auto sink = ShardedSocketSink::open(sp.tx, sink_opts);
-    ASSERT_TRUE(sink.ok()) << sink.status().to_string();
-    ship_status = testlib::write_image(**sink, secs, Codec::kStore, 4096);
-    if (ship_status.ok()) ship_status = (*sink)->close();
-  });
-
-  const std::vector<int> rotated = {sp.rx[2], sp.rx[0], sp.rx[1]};
-  auto spool = ShardedSpoolSource::start(rotated);
-  ASSERT_TRUE(spool.ok()) << spool.status().to_string();
-  auto reader = ImageReader::open(std::move(*spool));
-  ASSERT_TRUE(reader.ok()) << reader.status().to_string();
-  auto sec = reader->section_at(0);
-  ASSERT_TRUE(sec.ok()) << sec.status().to_string();
-  ASSERT_NE(*sec, nullptr);
-  auto payload = reader->read_section(**sec);
-  ASSERT_TRUE(payload.ok()) << payload.status().to_string();
-  EXPECT_EQ(*payload, secs[0].second);
-  shipper.join();
-  EXPECT_TRUE(ship_status.ok()) << ship_status.to_string();
-  close_all(sp.tx);
-  close_all(sp.rx);
-}
-
-TEST(ShardedShipTest, ShardCountMismatchRejected) {
-  // A receiver wired to fewer sockets than the sender striped across must
-  // fail by name instead of reassembling a hole-ridden stream.
-  ShardPair sp = make_shard_sockets(2);
-  auto sink = ShardedSocketSink::open(sp.tx);
-  ASSERT_TRUE(sink.ok()) << sink.status().to_string();
-
-  auto spool = ShardedSpoolSource::start({sp.rx[0]});
-  ASSERT_FALSE(spool.ok());
-  EXPECT_EQ(spool.status().code(), StatusCode::kCorrupt);
-  EXPECT_NE(spool.status().message().find("2 shard streams"),
-            std::string::npos)
-      << spool.status().to_string();
-
-  (void)(*sink)->abort();
-  close_all(sp.tx);
-  close_all(sp.rx);
-}
-
-TEST(ShardedShipTest, PreambleCorruptionRejected) {
-  int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  const std::vector<std::byte> junk(kShipPreambleBytes, std::byte{0x5A});
-  ASSERT_TRUE(write_all_fd(fds[1], junk.data(), junk.size(), "junk").ok());
-  auto spool = ShardedSpoolSource::start({fds[0]});
-  ASSERT_FALSE(spool.ok());
-  EXPECT_EQ(spool.status().code(), StatusCode::kCorrupt);
-  EXPECT_NE(spool.status().message().find("preamble"), std::string::npos)
-      << spool.status().to_string();
-  ::close(fds[0]);
-  ::close(fds[1]);
-}
-
-TEST(ShardedShipTest, SenderAbortWakesAllShardsInBand) {
-  // A sender that gives up mid-shipment aborts every shard stream in-band:
-  // the reassembled source fails with the abort's named error rather than
-  // hanging a blocked reader or reporting a desynced wire.
-  ShardPair sp = make_shard_sockets(3);
-
-  std::thread shipper([&] {
-    ShardedSocketSink::Options sink_opts;
-    sink_opts.stripe_bytes = 16 * 1024;
-    sink_opts.origin = "doomed ship";
-    auto sink = ShardedSocketSink::open(sp.tx, sink_opts);
-    ASSERT_TRUE(sink.ok()) << sink.status().to_string();
-    const std::vector<std::byte> some = testlib::random_bytes(200 * 1024, 41);
-    ASSERT_TRUE((*sink)->write(some.data(), some.size()).ok());
-    // abort() returns OK when the in-band markers reached every peer.
-    ASSERT_TRUE((*sink)->abort().ok());
-  });
-
-  ShardedSpoolSource::Options opts;
-  opts.origin = "doomed recv";
-  auto spool = ShardedSpoolSource::start(sp.rx, opts);
-  ASSERT_TRUE(spool.ok()) << spool.status().to_string();
-  const Status done = (*spool)->wait_complete();
-  ASSERT_FALSE(done.ok());
-  EXPECT_EQ(done.code(), StatusCode::kIoError);
-  EXPECT_NE(done.message().find("aborted by sender"), std::string::npos)
-      << done.to_string();
-  shipper.join();
-  close_all(sp.tx);
-  close_all(sp.rx);
-}
-
-TEST(ShardedShipTest, DeadShardPeerPoisonsSenderAndAbortsHealthyShards) {
-  // One shard connection dies mid-shipment (its peer closes). The sender's
-  // next writes must fail naming that shard, and the surviving shard
-  // streams must be terminated with the in-band abort marker — so a
-  // receiver on a healthy shard sees a synchronized named failure, never a
-  // silent truncation. As in the migration example, the dead peer must
-  // surface through the Status path — not as SIGPIPE.
-  auto* prior_handler = std::signal(SIGPIPE, SIG_IGN);
-  ShardPair sp = make_shard_sockets(2);
-
-  // Shard 0's peer: drain a little, then hang up.
-  std::thread quitter([&] {
-    std::byte buf[64 * 1024];
-    (void)read_all_fd(sp.rx[0], buf, sizeof(buf), "quitter");
-    ::close(sp.rx[0]);
-  });
-  // Shard 1's peer: capture everything until EOF.
-  std::vector<std::byte> shard1_wire;
-  std::thread keeper([&] {
-    std::byte buf[1 << 16];
-    for (;;) {
-      const ::ssize_t n = ::read(sp.rx[1], buf, sizeof(buf));
-      if (n <= 0) break;
-      shard1_wire.insert(shard1_wire.end(), buf, buf + n);
-    }
-    ::close(sp.rx[1]);
-  });
-
-  ShardedSocketSink::Options sink_opts;
-  sink_opts.stripe_bytes = 16 * 1024;
-  sink_opts.origin = "half-dead ship";
-  auto sink = ShardedSocketSink::open(sp.tx, sink_opts);
-  ASSERT_TRUE(sink.ok()) << sink.status().to_string();
-  const std::vector<std::byte> piece = testlib::random_bytes(64 * 1024, 47);
-  Status ship = OkStatus();
-  for (int i = 0; i < 128 && ship.ok(); ++i) {  // ~8 MiB >> socket buffers
-    ship = (*sink)->write(piece.data(), piece.size());
-  }
-  if (ship.ok()) ship = (*sink)->close();  // at latest, close must notice
-  ASSERT_FALSE(ship.ok());
-  EXPECT_NE(ship.message().find("shard 0"), std::string::npos)
-      << ship.to_string();
-  sink->reset();      // destructor aborts the unterminated shipment
-  close_all(sp.tx);   // keeper's EOF
-  quitter.join();
-  keeper.join();
-
-  // The healthy shard's wire (preamble stripped) must be a well-formed
-  // CRACSHP1 stream ending in the in-band abort marker.
-  ASSERT_GT(shard1_wire.size(), kShipPreambleBytes);
-  const std::vector<std::byte> stream(
-      shard1_wire.begin() + kShipPreambleBytes, shard1_wire.end());
-  auto replayed = replay_stream(stream);
-  ASSERT_FALSE(replayed.ok());
-  EXPECT_EQ(replayed.status().code(), StatusCode::kIoError);
-  EXPECT_NE(replayed.status().message().find("aborted by sender"),
-            std::string::npos)
-      << replayed.status().to_string();
-  std::signal(SIGPIPE, prior_handler);
-}
-
-TEST(ShardedShipTest, CracContextShipsShardedAndRestarts) {
-  // The full migration flow over two shard sockets: checkpoint_to_sink
-  // stripes the live image across both, ShardedSpoolSource reassembles it,
-  // restart brings the device contents back bit for bit.
-  CracOptions opts;
-  opts.split.device.device_capacity = 64 << 20;
-  opts.split.device.pinned_capacity = 16 << 20;
-  opts.split.device.managed_capacity = 64 << 20;
-  opts.split.upper_heap_capacity = 64 << 20;
-
-  const std::size_t n = 512 << 10;
-  std::vector<char> pattern(n);
-  for (std::size_t i = 0; i < n; ++i) pattern[i] = static_cast<char>(i * 29);
-
-  ShardPair sp = make_shard_sockets(2);
-  void* dev = nullptr;
-  Result<std::unique_ptr<ShardedSpoolSource>> spool =
-      Status(StatusCode::kInternal, "receiver never ran");
-  {
-    CracContext ctx(opts);
-    ASSERT_EQ(ctx.api().cudaMalloc(&dev, n), cuda::cudaSuccess);
-    ASSERT_EQ(ctx.api().cudaMemcpy(dev, pattern.data(), n,
-                                   cuda::cudaMemcpyHostToDevice),
-              cuda::cudaSuccess);
-    ctx.set_root(dev);
-    ShardedSocketSink::Options sink_opts;
-    sink_opts.stripe_bytes = 64 * 1024;
-    auto sink = ShardedSocketSink::open(sp.tx, sink_opts);
-    ASSERT_TRUE(sink.ok()) << sink.status().to_string();
-    // The spool's receiver threads drain concurrently with the checkpoint.
-    spool = ShardedSpoolSource::start(sp.rx);
-    ASSERT_TRUE(spool.ok()) << spool.status().to_string();
-    auto report = ctx.checkpoint_to_sink(**sink);
-    ASSERT_TRUE(report.ok()) << report.status().to_string();
-    EXPECT_GT(report->image_bytes, n);
-  }
-  close_all(sp.tx);
-
-  auto restored = CracContext::restart_from_source(std::move(*spool), opts);
-  close_all(sp.rx);
-  ASSERT_TRUE(restored.ok()) << restored.status().to_string();
-  EXPECT_EQ((*restored)->root(), dev);
   std::vector<char> back(n);
   ASSERT_EQ((*restored)->api().cudaMemcpy(back.data(), dev, n,
                                           cuda::cudaMemcpyDeviceToHost),

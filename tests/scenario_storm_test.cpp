@@ -5,7 +5,7 @@
 // intact prior state; a half-delivered image never restores.
 //
 //   * StormOverlayShipTest — the wire framing in-process (SocketSink /
-//     SpoolingSource over pipes): sender dies at a table of stream
+//     StreamingSpoolSource over pipes): sender dies at a table of stream
 //     offsets, the transport dies mid-capture via FaultySink. TSan-safe —
 //     the CI TSan job runs exactly the StormOverlay* fixture.
 //   * StormProxyShipTest — forked proxy endpoints: the shipment wire is
@@ -81,7 +81,7 @@ std::vector<std::byte> capture_ship_stream(
   return wire;
 }
 
-Result<std::unique_ptr<ckpt::SpoolingSource>> replay_stream(
+Result<std::unique_ptr<ckpt::StreamingSpoolSource>> replay_stream(
     const std::vector<std::byte>& wire) {
   int fds[2];
   EXPECT_EQ(::pipe(fds), 0);
@@ -89,7 +89,7 @@ Result<std::unique_ptr<ckpt::SpoolingSource>> replay_stream(
     (void)write_all_fd(fds[1], wire.data(), wire.size(), "storm replay pipe");
     ::close(fds[1]);
   });
-  auto spool = ckpt::SpoolingSource::receive(fds[0]);
+  auto spool = ckpt::testlib::receive_whole(fds[0]);
   feeder.join();
   ::close(fds[0]);
   return spool;
