@@ -13,7 +13,8 @@ namespace {
 constexpr char kMagicV1[8] = {'C', 'R', 'A', 'C', 'I', 'M', 'G', '1'};
 constexpr char kMagicV2[8] = {'C', 'R', 'A', 'C', 'I', 'M', 'G', '2'};
 // Manifest magic of the retired striped multi-file layout: recognized only
-// to reject it by name (docs/image_format.md, "One layout").
+// to reject it by name (docs/image_format.md, "One layout: no sharded
+// images").
 constexpr char kMagicSharded[8] = {'C', 'R', 'A', 'C', 'S', 'H', 'R', 'D'};
 constexpr std::uint32_t kVersion1 = 1;
 constexpr std::uint32_t kVersion2 = 2;

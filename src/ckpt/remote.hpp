@@ -113,11 +113,6 @@ class SocketSink final : public Sink {
   Status error_;  // sticky
 };
 
-// Bounded spool storage (fixed memory blocks up to a cap, overflow to an
-// unlinked temp file). Defined in remote.cpp; not thread-safe — the
-// streaming spool provides the locking.
-class SpoolBuffer;
-
 // Restore-while-receiving: a bounded spool filled by a receiver thread.
 //
 // Phase 1 — start() validates the 16-byte CRACSHP1 header synchronously
@@ -129,8 +124,8 @@ class SpoolBuffer;
 //
 // Phase 2 — a receiver thread keeps spooling payload frames into a bounded
 // spool (fixed memory blocks up to the cap, overflow to an unlinked temp
-// file; the cap counts the receive scratch) and publishes completed byte ranges
-// under a mutex/condvar. read()/at_end() block only until the requested
+// file; the cap counts the receive scratch) and publishes completed byte
+// ranges under a mutex/condvar. read()/at_end() block only until the requested
 // range has landed; a stream failure (EOF, corrupt trailer, abort marker)
 // wakes every blocked reader with the stream's named error.
 //

@@ -1,6 +1,6 @@
 // Exact-length file-descriptor I/O with EINTR retry — the one copy of the
 // subtle short-read/short-write loop, shared by everything that drives raw
-// fds (sharded checkpoint shards, proxy sockets, minimpi pipes, registry
+// fds (checkpoint ship streams, proxy sockets, minimpi pipes, registry
 // files) — plus the sync calls durable files need. Errors name the
 // caller-supplied origin (a path, "proxy socket", ...).
 #pragma once

@@ -47,8 +47,8 @@ Result<CheckpointReport> CracContext::checkpoint(const std::string& path) {
     std::remove(temp_image_path(path).c_str());
   }
   if (result.ok()) {
-    // This image is now the newest committed link; later deltas chain onto
-    // it.
+    // This image is now the newest committed link; later deltas chain
+    // onto it.
     delta_base_ = last_captured_;
     delta_base_->path = path;
   }
@@ -356,9 +356,9 @@ Status CracContext::restore_from_source(std::unique_ptr<ckpt::Source> source,
   // Open = directory scan only (headers + chunk frames); payload bytes
   // stream during restore with decode prefetched on the checkpoint pool.
   // The source is wherever the image lives — a file or a spool still
-  // receiving off a socket; this core cannot tell. For a
-  // still-filling source the reader defers the directory and restore runs
-  // overlapped with the transfer (restore-while-receiving).
+  // receiving off a socket; this core cannot tell. For a still-filling
+  // source the reader defers the directory and restore runs overlapped
+  // with the transfer (restore-while-receiving).
   WallTimer t;
   const bool overlapped = !source->end_known();
   ckpt::ImageReader::Options ropts;

@@ -113,8 +113,8 @@ class CracContext {
 
   // Streams a checkpoint image to `path` through a temp file renamed into
   // place: a failed checkpoint never destroys the previous image at the
-  // path. Blocks until committed; call
-  // from the application thread with the device quiesced by the drain.
+  // path. Blocks until committed; call from the application thread with
+  // the device quiesced by the drain.
   Result<CheckpointReport> checkpoint(const std::string& path);
 
   // Incremental checkpoint: writes a v4 delta image at `path` whose
@@ -138,11 +138,11 @@ class CracContext {
   // the checkpoint verb is transport-agnostic through this — a file or a
   // live socket to a peer are both just sinks. The path verb above wraps
   // this with the temp+rename dance; ship a live checkpoint by passing a
-  // ckpt::SocketSink. Blocks
-  // until the sink has accepted and closed the whole stream (for a socket,
-  // until the peer has drained it); chunk encoding runs on the context's
-  // internal pool. Sections go out in restore order — the contract that
-  // makes restore-while-receiving possible on the far end.
+  // ckpt::SocketSink. Blocks until the sink has accepted and closed the
+  // whole stream (for a socket, until the peer has drained it); chunk
+  // encoding runs on the context's internal pool. Sections go out in
+  // restore order — the contract that makes restore-while-receiving
+  // possible on the far end.
   Result<CheckpointReport> checkpoint_to_sink(ckpt::Sink& sink);
 
   // Restart path A (paper's normal mode, here within a fresh context that

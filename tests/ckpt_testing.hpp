@@ -1,8 +1,9 @@
 // Shared test harness for the checkpoint-image suites (chunk_test,
 // restore_test, ckpt_test, remote_test, ...): deterministic payload
 // generators, image builders, file helpers, corruption utilities, a
-// whole-stream ship receive, and fault-injection Sink/Source doubles. One home instead of per-suite copies, so every suite
-// corrupts and truncates images the same way.
+// whole-stream ship receive, and fault-injection Sink/Source doubles. One
+// home instead of per-suite copies, so every suite corrupts and truncates
+// images the same way.
 #pragma once
 
 #include <gtest/gtest.h>
