@@ -494,8 +494,8 @@ ShipCell ship_loopback_cell(const std::vector<std::byte>& payload,
   sopts.spool_cap_bytes = spool_cap;
   sopts.origin = "bench ship socket";
   auto spool = StreamingSpoolSource::start(fds[0], sopts);
-  crac::Status received = spool.ok() ? (*spool)->wait_complete()
-                                     : spool.status();
+  const crac::Status received =
+      spool.ok() ? (*spool)->wait_complete() : spool.status();
   // Close the receive end before joining: if the receive failed early the
   // shipper may be blocked writing a full socketpair buffer, and only the
   // peer close (EPIPE — SIGPIPE is ignored in main) unblocks it.
