@@ -4,7 +4,7 @@
 // measurement noise dominate there); the shape to check is "CRAC ~= native".
 #include <cstdio>
 
-#include "bench/bench_util.hpp"
+#include "bench/bench_table.hpp"
 
 int main() {
   using namespace crac;
@@ -12,24 +12,13 @@ int main() {
 
   print_header("Figure 2: Rodinia runtimes without and with CRAC",
                "Figure 2 (runtime bars + call counts)");
-
-  std::printf("%-16s %12s %12s %10s %12s\n", "Benchmark", "native (s)",
-              "CRAC (s)", "overhead%", "#CUDA calls");
-  std::printf("----------------------------------------------------------------\n");
-
-  double worst = 0;
+  Report report("fig2");
+  Table& table = report.table("rodinia", {"name"}, paired_measures());
   for (workloads::Workload* w : workloads::rodinia_workloads()) {
-    const auto params = scaled_params(w);
-    const PairedRun pair = run_paired(w, params);
-    const TimedRun& native = pair.native;
-    const TimedRun& crac = pair.crac;
-    const double pct = overhead_pct(native.seconds, crac.seconds);
-    worst = std::max(worst, pct);
-    std::printf("%-16s %12.4f %12.4f %9.2f%% %12llu\n", w->name(),
-                native.seconds, crac.seconds, pct,
-                static_cast<unsigned long long>(native.cuda_calls));
+    repeat_paired(table.row({w->name()}), w, scaled_params(w));
   }
-  std::printf("\nworst CRAC overhead: %.2f%% (paper: 0-2%% for >10s runs, "
-              "1-14%% for short ones)\n", worst);
-  return 0;
+  table.print();
+  std::printf("\nshape check (paper): overhead_pct 0-2%% for >10s runs, "
+              "1-14%% for short ones.\n");
+  return report.write();
 }

@@ -7,8 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.hpp"
-#include "common/bytes.hpp"
+#include "bench/bench_table.hpp"
 #include "workloads/apps.hpp"
 
 int main() {
@@ -17,12 +16,13 @@ int main() {
 
   print_header("Figure 5: stream-oriented and real-world benchmarks",
                "Figures 5(a), 5(b), 5(c)");
+  Report report("fig5");
 
-  struct Row {
+  struct App {
     workloads::Workload* w;
     const char* figure;
   };
-  const std::vector<Row> rows = {
+  const std::vector<App> apps = {
       {workloads::simple_streams_workload(), "5a"},
       {workloads::unified_memory_streams_workload(), "5a"},
       {workloads::mini_lulesh_workload(), "5a"},
@@ -30,67 +30,54 @@ int main() {
       {workloads::mini_hypre_workload(), "5b"},
   };
 
-  std::printf("-- runtimes (5a, 5b) --\n");
-  std::printf("%-6s %-24s %12s %12s %10s %12s\n", "fig", "Benchmark",
-              "native (s)", "CRAC (s)", "overhead%", "#CUDA calls");
-  std::printf("--------------------------------------------------------------------------------\n");
-  for (const Row& row : rows) {
-    const auto params = scaled_params(row.w);
-    const PairedRun pair = run_paired(row.w, params);
-    const TimedRun& native = pair.native;
-    const TimedRun& crac = pair.crac;
-    std::printf("%-6s %-24s %12.4f %12.4f %9.2f%% %12llu\n", row.figure,
-                row.w->name(), native.seconds, crac.seconds,
-                overhead_pct(native.seconds, crac.seconds),
-                static_cast<unsigned long long>(native.cuda_calls));
+  Table& runtime =
+      report.table("runtime", {"fig", "name"}, paired_measures());
+  for (const App& app : apps) {
+    repeat_paired(runtime.row({app.figure, app.w->name()}), app.w,
+                   scaled_params(app.w));
   }
+  runtime.print();
 
-  std::printf("\n-- checkpoint/restart (5c) --\n");
-  std::printf("%-24s %10s %10s %12s %10s\n", "Benchmark", "ckpt (s)",
-              "restart(s)", "image", "replayed");
-  std::printf("--------------------------------------------------------------------------------\n");
-  for (const Row& row : rows) {
-    const auto params = scaled_params(row.w);
+  Table& ckpt_restart = report.table(
+      "ckpt_restart", {"name"},
+      {lower("ckpt_s"), lower("restart_s"), lower("image_bytes", "%.0f"),
+       lower("calls_replayed", "%.0f")});
+  for (const App& app : apps) {
+    const auto params = scaled_params(app.w);
     const std::string path =
-        "/tmp/crac_bench5c_" + std::string(row.w->name()) + ".img";
-    CheckpointReport ckpt;
-    {
-      CracContext ctx(crac_options());
-      bool done = false;
-      auto hook = [&](int iteration) {
-        if (done || iteration < 1) return;
-        auto report = ctx.checkpoint(path);
-        if (report.ok()) ckpt = *report;
-        done = true;
-      };
-      auto run = row.w->run(ctx.api(), params, hook);
-      if (!run.ok()) {
-        std::printf("%-24s FAILED: %s\n", row.w->name(),
-                    run.status().to_string().c_str());
-        continue;
+        "/tmp/crac_bench5c_" + std::string(app.w->name()) + ".img";
+    Table::Row& row = ckpt_restart.row({app.w->name()});
+    row.repeat([&]() -> Status {
+      Result<CheckpointReport> ckpt = Internal("checkpoint never ran");
+      {
+        CracContext ctx(crac_options());
+        bool done = false;
+        auto hook = [&](int iteration) {
+          if (done || iteration < 1) return;
+          ckpt = ctx.checkpoint(path);
+          done = true;
+        };
+        CRAC_RETURN_IF_ERROR(status_of(app.w->run(ctx.api(), params, hook)));
+        if (!done) ckpt = ctx.checkpoint(path);
+        CRAC_RETURN_IF_ERROR(status_of(ckpt));
       }
-      if (!done) {
-        auto report = ctx.checkpoint(path);
-        if (report.ok()) ckpt = *report;
-      }
-    }
-    RestartReport restart;
-    auto restored =
-        CracContext::restart_from_image(path, crac_options(), &restart);
-    if (!restored.ok()) {
-      std::printf("%-24s RESTART FAILED: %s\n", row.w->name(),
-                  restored.status().to_string().c_str());
-      continue;
-    }
-    std::printf("%-24s %10.4f %10.4f %12s %10zu\n", row.w->name(),
-                ckpt.total_s, restart.total_s,
-                format_size(ckpt.image_bytes).c_str(),
-                restart.replay.calls_replayed);
-    std::remove(path.c_str());
+      RestartReport restart;
+      const Status restored = status_of(
+          CracContext::restart_from_image(path, crac_options(), &restart));
+      std::remove(path.c_str());
+      CRAC_RETURN_IF_ERROR(restored);
+      row.add("ckpt_s", ckpt->total_s);
+      row.add("restart_s", restart.total_s);
+      row.add("image_bytes", static_cast<double>(ckpt->image_bytes));
+      row.add("calls_replayed",
+              static_cast<double>(restart.replay.calls_replayed));
+      return OkStatus();
+    });
   }
+  ckpt_restart.print();
   std::printf("\nshape check (paper): overhead <2%% (LULESH, HPGMG), ~1.5%% "
               "(UMS), ~3%% (HYPRE); HYPRE has the largest image (big UVM "
               "regions); HPGMG's restart is the slowest relative to its "
               "image because of its long replay log.\n");
-  return 0;
+  return report.write();
 }

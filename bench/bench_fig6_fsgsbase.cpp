@@ -6,7 +6,7 @@
 // nothing at all.
 #include <cstdio>
 
-#include "bench/bench_util.hpp"
+#include "bench/bench_table.hpp"
 #include "splitproc/trampoline.hpp"
 
 int main() {
@@ -15,52 +15,46 @@ int main() {
 
   print_header("Figure 6: CRAC overhead, unpatched vs FSGSBASE Linux",
                "Figure 6 (left: runtimes; right: overhead %% and delta)");
-
   std::printf("CPU FSGSBASE support: %s\n\n",
-              split::Trampoline::cpu_supports_fsgsbase() ? "yes"
-                                                         : "no (direct-mode "
-                                                           "cost = plain call)");
-  std::printf("%-16s %11s %11s %11s %8s %8s %8s\n", "Benchmark", "native(s)",
-              "syscall(s)", "fsgsb(s)", "ovh%", "ovh-fs%", "delta");
-  std::printf("--------------------------------------------------------------------------------\n");
-
+              split::Trampoline::cpu_supports_fsgsbase()
+                  ? "yes"
+                  : "no (direct-mode cost = plain call)");
+  Report report("fig6");
+  Table& table = report.table(
+      "rodinia", {"name"},
+      {lower("native_s"), lower("syscall_s"), lower("fsgsbase_s"),
+       lower("overhead_pct", "%.2f"), lower("fsgsbase_overhead_pct", "%.2f"),
+       lower("delta_pts", "%+.2f")});
   for (workloads::Workload* w : workloads::rodinia_workloads()) {
     const auto params = scaled_params(w);
-    // Interleave the three arms per repetition (same discipline as
-    // run_paired) so load drift cannot masquerade as a patch effect.
-    std::vector<double> tn, ts, tf;
-    TimedRun native, unpatched, patched;
-    for (int r = 0; r < reps(); ++r) {
-      {
-        NativeBackend backend;
-        WallTimer t;
-        (void)w->run(backend.api(), params);
-        tn.push_back(t.elapsed_s());
-      }
-      {
-        CracContext ctx(crac_options(split::FsSwitchMode::kSyscall));
-        WallTimer t;
-        (void)w->run(ctx.api(), params);
-        ts.push_back(t.elapsed_s());
-      }
-      {
-        CracContext ctx(crac_options(split::FsSwitchMode::kFsgsbase));
-        WallTimer t;
-        (void)w->run(ctx.api(), params);
-        tf.push_back(t.elapsed_s());
-      }
-    }
-    native.seconds = median_of(tn);
-    unpatched.seconds = median_of(ts);
-    patched.seconds = median_of(tf);
-    const double ovh_unpatched = overhead_pct(native.seconds, unpatched.seconds);
-    const double ovh_patched = overhead_pct(native.seconds, patched.seconds);
-    std::printf("%-16s %11.4f %11.4f %11.4f %7.2f%% %7.2f%% %+7.2f\n",
-                w->name(), native.seconds, unpatched.seconds, patched.seconds,
-                ovh_unpatched, ovh_patched, ovh_patched - ovh_unpatched);
+    Table::Row& row = table.row({w->name()});
+    // The three arms interleave per repetition (as repeat_paired does) so
+    // load drift cannot masquerade as a patch effect.
+    row.repeat([&]() -> Status {
+      CRAC_ASSIGN_OR_RETURN(TimedRun native,
+                            time_run<NativeBackend>(w, params));
+      CRAC_ASSIGN_OR_RETURN(
+          TimedRun unpatched,
+          time_run<CracContext>(w, params,
+                                crac_options(split::FsSwitchMode::kSyscall)));
+      CRAC_ASSIGN_OR_RETURN(
+          TimedRun patched,
+          time_run<CracContext>(w, params,
+                                crac_options(split::FsSwitchMode::kFsgsbase)));
+      const double ovh = overhead_pct(native.seconds, unpatched.seconds);
+      const double ovh_fs = overhead_pct(native.seconds, patched.seconds);
+      row.add("native_s", native.seconds);
+      row.add("syscall_s", unpatched.seconds);
+      row.add("fsgsbase_s", patched.seconds);
+      row.add("overhead_pct", ovh);
+      row.add("fsgsbase_overhead_pct", ovh_fs);
+      row.add("delta_pts", ovh_fs - ovh);
+      return OkStatus();
+    });
   }
+  table.print();
   std::printf("\nshape check (paper fig 6, right-bottom): the FSGSBASE "
               "delta is small (within ~2 points either way) because the "
               "per-call fs-switch cost is tiny relative to kernel work.\n");
-  return 0;
+  return report.write();
 }

@@ -3,10 +3,12 @@
 // For every workload: UVM usage, stream usage, CUDA calls-per-second (CPS,
 // equation 2 of §4.3: total upper->lower calls / native execution time, with
 // each kernel launch counting as 3 calls via push/pop/launch), and the
-// stream-count range. Also prints each app's original command line (Table 2).
+// stream-count range. Also records each app's original command line
+// (Table 2).
 #include <cstdio>
+#include <string>
 
-#include "bench/bench_util.hpp"
+#include "bench/bench_table.hpp"
 #include "workloads/apps.hpp"
 
 int main() {
@@ -15,49 +17,35 @@ int main() {
 
   print_header("Table 1: Application benchmarks characterization",
                "Table 1 and Table 2 of the paper");
-
-  std::printf("%-24s %-4s %-8s %10s %10s  %s\n", "Application", "UVM",
-              "Streams", "CPS", "#calls", "#streams");
-  std::printf("----------------------------------------------------------------\n");
-
-  double rodinia_cps_min = 1e18, rodinia_cps_max = 0;
+  Report report("table1");
+  Table& table = report.table(
+      "characterization", {"name", "uvm", "streams", "stream_range"},
+      {higher("cps", "%.0f"), lower("cuda_calls", "%.0f")});
   for (workloads::Workload* w : workloads::all_workloads()) {
     const auto params = scaled_params(w);
-    const TimedRun native = run_native(w, params);
-    const double cps =
-        native.seconds > 0 ? static_cast<double>(native.cuda_calls) /
-                                 native.seconds
-                           : 0;
-    const bool rodinia = [&] {
-      for (auto* r : workloads::rodinia_workloads()) {
-        if (r == w) return true;
-      }
-      return false;
-    }();
-    if (rodinia) {
-      rodinia_cps_min = std::min(rodinia_cps_min, cps);
-      rodinia_cps_max = std::max(rodinia_cps_max, cps);
-    }
-    char streams_col[32] = "-";
+    std::string range = "-";
     if (w->uses_streams()) {
       const auto [lo, hi] = w->stream_range();
-      std::snprintf(streams_col, sizeof(streams_col), "%d-%d", lo, hi);
+      range = std::to_string(lo) + "-" + std::to_string(hi);
     }
-    std::printf("%-24s %-4s %-8s %10.0f %10llu  %s\n", w->name(),
-                w->uses_uvm() ? "yes" : "no",
-                w->uses_streams() ? "yes" : "no", cps,
-                static_cast<unsigned long long>(native.cuda_calls),
-                streams_col);
+    Table::Row& row = table.row({w->name(), w->uses_uvm() ? "yes" : "no",
+                                 w->uses_streams() ? "yes" : "no", range});
+    row.repeat([&]() -> Status {
+      CRAC_ASSIGN_OR_RETURN(TimedRun native,
+                            time_run<NativeBackend>(w, params));
+      row.add("cps", static_cast<double>(native.cuda_calls) / native.seconds);
+      row.add("cuda_calls", static_cast<double>(native.cuda_calls));
+      return OkStatus();
+    });
   }
+  table.print();
+  std::printf("\nshape check (paper): Rodinia CPS spans 38K-132K on a V100 "
+              "at full problem sizes.\n\n");
 
-  std::printf("\nRodinia CPS range: %.0f - %.0f (paper: 38K-132K on V100 at "
-              "full problem sizes)\n",
-              rodinia_cps_min, rodinia_cps_max);
-
-  std::printf("\nTable 2: original command-line arguments\n");
-  std::printf("----------------------------------------------------------------\n");
+  Table& args = report.table("paper_args", {"name", "args"}, {});
   for (workloads::Workload* w : workloads::all_workloads()) {
-    std::printf("%-24s %s\n", w->name(), w->paper_args());
+    args.row({w->name(), w->paper_args()});
   }
-  return 0;
+  args.print();
+  return report.write();
 }

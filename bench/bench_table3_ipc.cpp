@@ -14,7 +14,7 @@
 #include <memory>
 #include <vector>
 
-#include "bench/bench_util.hpp"
+#include "bench/bench_table.hpp"
 #include "common/rng.hpp"
 #include "cublas/cublas.hpp"
 #include "proxy/client_api.hpp"
@@ -123,19 +123,25 @@ int main() {
   const double min_seconds = 1.0 * scale();
   const std::size_t sizes_mb[] = {1, 4, 10, 100};
   const char* ops[] = {"cublasSdot", "cublasSgemv", "cublasSgemm"};
+  proxy::ProxyClientApi::Options popts;
+  popts.host.staging_bytes = std::size_t{256} << 20;
+  std::printf("proxy transport: %s\n\n",
+              proxy::ProxyClientApi(popts).cma_available()
+                  ? "CMA"
+                  : "socket (no Cross-Memory-Attach)");
 
-  std::printf("%-12s %6s | %10s | %10s %8s | %12s %10s\n", "CUDA call",
-              "size", "native ms", "CRAC ms", "ovh%", "CMA/IPC ms", "ovh%");
-  std::printf("---------------------------------------------------------------------------------\n");
-
+  Report report("table3");
+  Table& table = report.table(
+      "ipc", {"op", "size_mb"},
+      {lower("native_ms", "%.3f"), lower("crac_ms", "%.3f"),
+       lower("crac_overhead_pct", "%.1f"), lower("ipc_ms", "%.3f"),
+       lower("ipc_overhead_pct", "%.0f")});
   for (const char* op : ops) {
     OpSpec spec{op};
     for (std::size_t mb : sizes_mb) {
       // 100MB gemm is O(m^3) with m~5000 — out of laptop range for the
       // simulated device; scale gemm's operand cap.
       if (std::string_view(op) == "cublasSgemm" && mb > 4 && scale() <= 1.0) {
-        std::printf("%-12s %4zuMB | %10s | (skipped at scale<=1; set "
-                    "CRAC_BENCH_SCALE>1)\n", op, mb, "-");
         continue;
       }
       const int m = spec.m(mb);
@@ -144,57 +150,55 @@ int main() {
                                       : static_cast<std::size_t>(m) * m;
       const std::size_t b_elems = std::string_view(op) == "cublasSgemm"
                                       ? static_cast<std::size_t>(m) * m
-                                      : (std::string_view(op) == "cublasSgemv"
-                                             ? static_cast<std::size_t>(m)
-                                             : static_cast<std::size_t>(m));
+                                      : static_cast<std::size_t>(m);
       Rng rng(1234);
       std::vector<float> host_a(a_elems), host_b(b_elems);
       for (auto& v : host_a) v = rng.next_float(-1.0f, 1.0f);
       for (auto& v : host_b) v = rng.next_float(-1.0f, 1.0f);
 
-      double native_ms = 0, crac_ms = 0, ipc_ms = 0;
-      bool cma = false;
-      {
-        NativeBackend backend;
-        blas::cublasHandle_t handle = nullptr;
-        blas::cublasCreate(&handle, backend.api());
-        auto buf = alloc_buffers(backend.api(), op, m, host_a, host_b);
-        native_ms = time_op(backend.api(), handle, op, m, min_calls,
-                            min_seconds, false, host_a, host_b, buf.da,
-                            buf.db, buf.dc);
-        blas::cublasDestroy(handle);
-      }
-      {
-        CracContext ctx(crac_options());
-        blas::cublasHandle_t handle = nullptr;
-        blas::cublasCreate(&handle, ctx.api());
-        auto buf = alloc_buffers(ctx.api(), op, m, host_a, host_b);
-        crac_ms = time_op(ctx.api(), handle, op, m, min_calls,
-                          min_seconds, false, host_a, host_b, buf.da,
-                          buf.db, buf.dc);
-        blas::cublasDestroy(handle);
-      }
-      {
-        proxy::ProxyClientApi::Options popts;
-        popts.host.staging_bytes = std::size_t{256} << 20;
-        proxy::ProxyClientApi api(popts);
-        cma = api.cma_available();
+      // One pass per backend: operands resident device-side (native, CRAC)
+      // or shipped per call (the proxy).
+      auto time_backend = [&](cuda::CudaApi& api, bool ship_per_call) {
         blas::cublasHandle_t handle = nullptr;
         blas::cublasCreate(&handle, api);
         auto buf = alloc_buffers(api, op, m, host_a, host_b);
-        ipc_ms = time_op(api, handle, op, m, min_calls, min_seconds,
-                         true, host_a, host_b, buf.da, buf.db, buf.dc);
+        const double ms =
+            time_op(api, handle, op, m, min_calls, min_seconds,
+                    ship_per_call, host_a, host_b, buf.da, buf.db, buf.dc);
         blas::cublasDestroy(handle);
-      }
-      std::printf("%-12s %4zuMB | %10.3f | %10.3f %7.1f%% | %12.3f %9.0f%%%s\n",
-                  op, mb, native_ms, crac_ms,
-                  overhead_pct(native_ms, crac_ms), ipc_ms,
-                  overhead_pct(native_ms, ipc_ms),
-                  cma ? "  [CMA]" : "  [socket]");
+        return ms;
+      };
+      Table::Row& row = table.row({op, mb});
+      row.repeat([&]() -> Status {
+        double native_ms = 0, crac_ms = 0, ipc_ms = 0;
+        {
+          NativeBackend backend;
+          native_ms = time_backend(backend.api(), false);
+        }
+        {
+          CracContext ctx(crac_options());
+          crac_ms = time_backend(ctx.api(), false);
+        }
+        {
+          proxy::ProxyClientApi api(popts);
+          ipc_ms = time_backend(api, true);
+        }
+        row.add("native_ms", native_ms);
+        row.add("crac_ms", crac_ms);
+        row.add("crac_overhead_pct", overhead_pct(native_ms, crac_ms));
+        row.add("ipc_ms", ipc_ms);
+        row.add("ipc_overhead_pct", overhead_pct(native_ms, ipc_ms));
+        return OkStatus();
+      });
     }
+  }
+  table.print();
+  if (scale() <= 1.0) {
+    std::printf("(cublasSgemm above 4MB is skipped at scale<=1; set "
+                "CRAC_BENCH_SCALE>1)\n");
   }
   std::printf("\nshape check (paper): CRAC ~= native (<4%%); CMA/IPC 1-4 "
               "orders of magnitude slower for transfer-dominated ops, "
               "narrowing to a few hundred %% for compute-dominated Sgemm.\n");
-  return 0;
+  return report.write();
 }

@@ -1,16 +1,17 @@
 // Shared infrastructure for the paper-reproduction benchmark binaries.
 //
 // Every bench binary regenerates one table or figure from the paper's
-// evaluation (see DESIGN.md §4). Problem sizes are scaled for a laptop-class
-// run and can be grown with CRAC_BENCH_SCALE (multiplies iteration counts)
-// and CRAC_BENCH_REPS (repetitions averaged per measurement, default 3 vs
-// the paper's 10).
+// evaluation. Problem sizes are scaled for a laptop-class run and can be
+// grown with CRAC_BENCH_SCALE (multiplies iteration counts); each cell runs
+// CRAC_BENCH_REPS times (default 3 vs the paper's 10) and reports the
+// median with its quartiles (bench_table.hpp).
 #pragma once
 
 #include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -73,7 +74,6 @@ inline CracOptions crac_options(
 
 struct TimedRun {
   double seconds = 0;
-  double checksum = 0;
   std::uint64_t cuda_calls = 0;
 };
 
@@ -83,81 +83,20 @@ inline double median_of(std::vector<double>& xs) {
   return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
 }
 
-// Median native run time over reps().
-inline TimedRun run_native(workloads::Workload* w,
-                           const workloads::WorkloadParams& params) {
-  TimedRun out;
-  std::vector<double> times;
-  for (int r = 0; r < reps(); ++r) {
-    NativeBackend backend;
-    const std::uint64_t calls0 = backend.cuda_calls();
-    WallTimer t;
-    auto result = w->run(backend.api(), params);
-    times.push_back(t.elapsed_s());
-    if (result.ok()) out.checksum = result->checksum;
-    out.cuda_calls = backend.cuda_calls() - calls0;
-  }
-  out.seconds = median_of(times);
-  return out;
-}
-
-// Median run time under a fresh CracContext per repetition.
-inline TimedRun run_crac(workloads::Workload* w,
-                         const workloads::WorkloadParams& params,
-                         split::FsSwitchMode fs = split::FsSwitchMode::kSyscall) {
-  TimedRun out;
-  std::vector<double> times;
-  for (int r = 0; r < reps(); ++r) {
-    CracContext ctx(crac_options(fs));
-    const std::uint64_t calls0 = ctx.cuda_calls();
-    WallTimer t;
-    auto result = w->run(ctx.api(), params);
-    times.push_back(t.elapsed_s());
-    if (result.ok()) out.checksum = result->checksum;
-    out.cuda_calls = ctx.cuda_calls() - calls0;
-  }
-  out.seconds = median_of(times);
-  return out;
-}
-
-// Interleaved A/B comparison: native and CRAC repetitions alternate so
-// machine-load drift hits both arms equally; medians are reported. This is
-// the overhead-measurement discipline all runtime-comparison benches use
-// (on a shared single-core box, back-to-back arms can diverge by tens of
-// percent from scheduler noise alone).
-struct PairedRun {
-  TimedRun native;
-  TimedRun crac;
-};
-
-inline PairedRun run_paired(
-    workloads::Workload* w, const workloads::WorkloadParams& params,
-    split::FsSwitchMode fs = split::FsSwitchMode::kSyscall) {
-  PairedRun out;
-  std::vector<double> native_times, crac_times;
-  for (int r = 0; r < reps(); ++r) {
-    {
-      NativeBackend backend;
-      const std::uint64_t calls0 = backend.cuda_calls();
-      WallTimer t;
-      auto result = w->run(backend.api(), params);
-      native_times.push_back(t.elapsed_s());
-      if (result.ok()) out.native.checksum = result->checksum;
-      out.native.cuda_calls = backend.cuda_calls() - calls0;
-    }
-    {
-      CracContext ctx(crac_options(fs));
-      const std::uint64_t calls0 = ctx.cuda_calls();
-      WallTimer t;
-      auto result = w->run(ctx.api(), params);
-      crac_times.push_back(t.elapsed_s());
-      if (result.ok()) out.crac.checksum = result->checksum;
-      out.crac.cuda_calls = ctx.cuda_calls() - calls0;
-    }
-  }
-  out.native.seconds = median_of(native_times);
-  out.crac.seconds = median_of(crac_times);
-  return out;
+// One timed run of `w` on a fresh Backend (NativeBackend, or a CracContext
+// built from `args`): wall seconds and the CUDA calls the run made. A
+// failed run is an error, never a time.
+template <typename Backend, typename... Args>
+Result<TimedRun> time_run(workloads::Workload* w,
+                          const workloads::WorkloadParams& params,
+                          Args&&... args) {
+  Backend backend(std::forward<Args>(args)...);
+  const std::uint64_t calls0 = backend.cuda_calls();
+  WallTimer t;
+  auto result = w->run(backend.api(), params);
+  const double seconds = t.elapsed_s();
+  if (!result.ok()) return result.status();
+  return TimedRun{seconds, backend.cuda_calls() - calls0};
 }
 
 inline double overhead_pct(double native_s, double crac_s) {

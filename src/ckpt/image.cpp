@@ -28,12 +28,16 @@ bool needs_v3(Codec codec) {
   return static_cast<std::uint32_t>(codec) >
          static_cast<std::uint32_t>(Codec::kLz);
 }
-// Hard cap on a v2 section-name length. Real names are a few dozen bytes;
-// the cap is what bounds the allocation when the source's size is still
-// unknown (a live shipment) and the usual remaining()-based check is
-// vacuously permissive.
-constexpr std::uint32_t kMaxSectionNameBytes = 4096;
+Status check_name_cap(const char* what, const std::string& name) {
+  if (name.size() <= kMaxSectionNameBytes) return OkStatus();
+  return InvalidArgument(name_cap_error(what, name.size()));
+}
 }  // namespace
+
+std::string name_cap_error(const std::string& what, std::uint64_t len) {
+  return what + " of " + std::to_string(len) + " bytes exceeds the " +
+         std::to_string(kMaxSectionNameBytes) + "-byte cap";
+}
 
 // ---------------------------------------------------------------------------
 // ImageWriter
@@ -68,6 +72,8 @@ Status ImageWriter::write_header() {
   w.put_u32(static_cast<std::uint32_t>(options_.codec));
   w.put_u64(options_.chunk_size);
   if (version == kVersion4) {
+    CRAC_RETURN_IF_ERROR(check_name_cap("parent id", options_.parent_id));
+    CRAC_RETURN_IF_ERROR(check_name_cap("parent path", options_.parent_path));
     w.put_string(options_.parent_id);
     w.put_string(options_.parent_path);
   }
@@ -85,6 +91,7 @@ Status ImageWriter::begin_section(SectionType type, std::string name) {
     return (error_ = FailedPrecondition("nested begin_section (section '" +
                                         name + "')"));
   }
+  CRAC_RETURN_IF_ERROR((error_ = check_name_cap("section name", name)));
   CRAC_RETURN_IF_ERROR((error_ = write_header()));
   ByteWriter w;
   w.put_u32(static_cast<std::uint32_t>(type));
@@ -317,8 +324,17 @@ Status SectionStream::get_string(std::string& out) {
     return (error_ = Corrupt("checkpoint section '" + name_ +
                              "' truncated string"));
   }
-  out.resize(len);
-  return read(out.data(), len);
+  // A section still filling off a live shipment reports remaining() near
+  // 2^64, so the length alone must not size the buffer: it grows a bounded
+  // piece at a time, only as the string's bytes actually arrive.
+  constexpr std::size_t kPiece = 64 << 10;
+  out.clear();
+  while (out.size() < len) {
+    const std::size_t at = out.size();
+    out.resize(at + std::min<std::size_t>(kPiece, len - at));
+    CRAC_RETURN_IF_ERROR(read(out.data() + at, out.size() - at));
+  }
+  return OkStatus();
 }
 
 std::uint64_t SectionStream::buffered_peak_bytes() const noexcept {
@@ -339,10 +355,14 @@ Status read_u32(Source& s, std::uint32_t& v) { return s.read(&v, sizeof(v)); }
 Status read_u64(Source& s, std::uint64_t& v) { return s.read(&v, sizeof(v)); }
 Status read_u8(Source& s, std::uint8_t& v) { return s.read(&v, sizeof(v)); }
 
-Status read_string(Source& s, std::string& out) {
+// Reads a section name or v4 parent string. remaining() bounds the claim
+// for a complete source; the cap is what bounds it while a live shipment's
+// size is still unknown.
+Status read_capped_string(Source& s, const char* what, std::string& out) {
   std::uint32_t len = 0;
   CRAC_RETURN_IF_ERROR(read_u32(s, len));
-  if (len > s.remaining()) return Corrupt("truncated string");
+  if (len > kMaxSectionNameBytes) return Corrupt(name_cap_error(what, len));
+  if (len > s.remaining()) return Corrupt(std::string("truncated ") + what);
   out.resize(len);
   return s.read(out.data(), len);
 }
@@ -366,7 +386,7 @@ Status ImageReader::scan_v1() {
     if (type_raw == static_cast<std::uint32_t>(SectionType::kDeltaChunks)) {
       return Corrupt("delta-chunk section in a non-delta (v1) image");
     }
-    CRAC_RETURN_IF_ERROR(read_string(*source_, sec.name));
+    CRAC_RETURN_IF_ERROR(read_capped_string(*source_, "section name", sec.name));
     CRAC_RETURN_IF_ERROR(read_u64(*source_, sec.raw_size));
     CRAC_RETURN_IF_ERROR(read_u64(*source_, stored_size));
     CRAC_RETURN_IF_ERROR(read_u8(*source_, section_codec));
@@ -415,23 +435,12 @@ Status ImageReader::scan_v2_params() {
   }
   chunk_size_ = static_cast<std::size_t>(chunk_size);
   if (version_ == kVersion4) {
-    // Delta headers name their parent. The section-name cap bounds both
-    // strings against hostile headers (real ids are 16 hex chars, paths a
+    // Delta headers name their parent (real ids are 16 hex chars, paths a
     // few hundred bytes).
-    std::uint32_t id_len = 0;
-    CRAC_RETURN_IF_ERROR(read_u32(*source_, id_len));
-    if (id_len > source_->remaining() || id_len > kMaxSectionNameBytes) {
-      return Corrupt("truncated string");
-    }
-    parent_id_.resize(id_len);
-    CRAC_RETURN_IF_ERROR(source_->read(parent_id_.data(), id_len));
-    std::uint32_t path_len = 0;
-    CRAC_RETURN_IF_ERROR(read_u32(*source_, path_len));
-    if (path_len > source_->remaining() || path_len > kMaxSectionNameBytes) {
-      return Corrupt("truncated string");
-    }
-    parent_path_.resize(path_len);
-    CRAC_RETURN_IF_ERROR(source_->read(parent_path_.data(), path_len));
+    CRAC_RETURN_IF_ERROR(
+        read_capped_string(*source_, "parent id", parent_id_));
+    CRAC_RETURN_IF_ERROR(
+        read_capped_string(*source_, "parent path", parent_path_));
     if (parent_id_.empty()) {
       return Corrupt("delta image header missing its parent image id");
     }
@@ -538,15 +547,7 @@ Status ImageReader::scan_one_v2() {
     return Corrupt("delta-chunk section in a non-delta (v" +
                    std::to_string(version_) + ") image");
   }
-  std::uint32_t name_len = 0;
-  CRAC_RETURN_IF_ERROR(read_u32(*source_, name_len));
-  // remaining() bounds the claim for a complete source; the fixed cap is
-  // what bounds it when the total size is not known yet (live shipment).
-  if (name_len > source_->remaining() || name_len > kMaxSectionNameBytes) {
-    return Corrupt("truncated string");
-  }
-  sec.name.resize(name_len);
-  CRAC_RETURN_IF_ERROR(source_->read(sec.name.data(), name_len));
+  CRAC_RETURN_IF_ERROR(read_capped_string(*source_, "section name", sec.name));
   sec.type = static_cast<SectionType>(type_raw);
   sec.payload_offset = source_->position();
 

@@ -68,6 +68,17 @@
 
 namespace crac::ckpt {
 
+// Longest section name or v4 parent string (id, path) an image may carry.
+// The writer refuses longer ones with InvalidArgument, and every reader
+// (ImageReader, the registry's ingest) rejects them as Corrupt. Real names
+// are a few dozen bytes; the cap bounds the allocation when a live
+// shipment's size is still unknown and remaining() bounds nothing.
+inline constexpr std::uint32_t kMaxSectionNameBytes = 4096;
+
+// "<what> of <len> bytes exceeds the 4096-byte cap": the one wording every
+// enforcer of the cap uses.
+std::string name_cap_error(const std::string& what, std::uint64_t len);
+
 enum class SectionType : std::uint32_t {
   kMetadata = 1,       // image-level key/values (hostname, timestamps, root)
   kMemoryRegions = 2,  // upper-half memory contents
@@ -151,6 +162,8 @@ class ImageWriter {
   ImageWriter& operator=(const ImageWriter&) = delete;
 
   // --- streaming producer API ---
+  // A name longer than kMaxSectionNameBytes fails with InvalidArgument (as
+  // does a parent_id or parent_path over the cap, when the header goes out).
   Status begin_section(SectionType type, std::string name);
   Status append(const void* data, std::size_t size);
   Status end_section();
@@ -398,11 +411,6 @@ class ImageReader {
   bool is_delta() const noexcept { return !parent_id_.empty(); }
   const std::string& parent_id() const noexcept { return parent_id_; }
   const std::string& parent_path() const noexcept { return parent_path_; }
-
-  // The decode-ahead pool this reader was opened with (nullptr when decode
-  // is inline). Restore phases borrow it for work that should overlap the
-  // read path — e.g. fanning UVM prefetch application out during replay.
-  ThreadPool* pool() const noexcept { return pool_; }
 
   // Largest decode-ahead high-water mark seen across this reader's streams
   // — lets restore report (and tests assert) peak resident restore memory.

@@ -1,5 +1,7 @@
 #include "ckpt/memory_section.hpp"
 
+#include <algorithm>
+
 #include "common/bytes.hpp"
 #include "ckpt/image.hpp"
 
@@ -49,13 +51,19 @@ Result<std::vector<MemoryRecord>> decode_memory_records(
   std::uint64_t count = 0;
   CRAC_RETURN_IF_ERROR(r.get_u64(count));
   std::vector<MemoryRecord> out;
-  out.reserve(count);
+  // Each record costs at least 24 encoded bytes (addr, size, prot, name
+  // length); a hostile count cannot demand more reserve than that.
+  out.reserve(std::min<std::uint64_t>(count, r.remaining() / 24));
   for (std::uint64_t i = 0; i < count; ++i) {
     MemoryRecord rec;
     CRAC_RETURN_IF_ERROR(r.get_u64(rec.addr));
     CRAC_RETURN_IF_ERROR(r.get_u64(rec.size));
     CRAC_RETURN_IF_ERROR(r.get_u32(rec.prot));
     CRAC_RETURN_IF_ERROR(r.get_string(rec.name));
+    if (rec.size > r.remaining()) {
+      return Corrupt("memory record '" + rec.name +
+                     "' contents overrun the section payload");
+    }
     rec.bytes.resize(rec.size);
     CRAC_RETURN_IF_ERROR(r.get_bytes(rec.bytes.data(), rec.size));
     out.push_back(std::move(rec));

@@ -327,28 +327,16 @@ Status CracContext::restore_from_reader(ckpt::ImageReader& reader,
   if (report != nullptr) report->memory_s = t.elapsed_s();
 
   // 2. Plugin restart: full-log replay, refill, residency, re-registration.
-  // restore_uvm_residency dispatches its per-range prefetch application
-  // onto the checkpoint pool; those tasks keep draining through step 3.
   t.reset();
   const Status restarted = registry_.run_restart(reader);
   if (report != nullptr) report->replay_s = t.elapsed_s();
+  if (report != nullptr) report->replay = plugin_->last_replay_stats();
+  CRAC_RETURN_IF_ERROR(restarted);
 
   // 3. Integrity backstop: lazy reading must not weaken the old guarantee
   // that a successful restart has CRC-checked the whole image. Sections no
-  // consumer pulled (e.g. the stream inventory) get a skip-read here —
-  // concurrently with the UVM prefetch tasks still in flight.
-  const Status verified =
-      restarted.ok() ? reader.verify_unread_sections() : restarted;
-
-  // The barrier before the first post-restore fault service: every UVM
-  // range is resident (or its failure surfaced) before control returns to
-  // application code. Runs on the error paths too, so no task outlives the
-  // restore that dispatched it.
-  const Status prefetched = plugin_->join_deferred_restore();
-  if (report != nullptr) report->replay = plugin_->last_replay_stats();
-  CRAC_RETURN_IF_ERROR(restarted);
-  CRAC_RETURN_IF_ERROR(prefetched);
-  return verified;
+  // consumer pulled (e.g. the stream inventory) get a skip-read here.
+  return reader.verify_unread_sections();
 }
 
 Status CracContext::restore_from_source(std::unique_ptr<ckpt::Source> source,

@@ -1010,45 +1010,9 @@ Status CracPlugin::restore_uvm_residency(ckpt::ImageReader& image,
     return FailedPrecondition("UVM page size changed across restart");
   }
   // Per-range application: walk the bitmap and prefetch contiguous
-  // device-resident runs back to the device. Safe to run for distinct
-  // ranges concurrently — UvmManager::prefetch is internally locked, and
-  // each range is a distinct managed allocation whose refill (the ordering
-  // hazard: a refill write to an armed page re-faults and clobbers the
-  // restored residency) already completed in step 4.
-  ThreadPool* pool = image.pool();
-  auto apply_range = [page, &uvm](std::uint64_t addr,
-                                  std::vector<std::uint8_t> bitmap,
-                                  std::uint64_t n_pages,
-                                  std::uint64_t* pages_out) -> Status {
-    std::uint64_t run_start = 0;
-    std::uint64_t run_len = 0;
-    auto flush_run = [&]() -> Status {
-      if (run_len == 0) return OkStatus();
-      CRAC_RETURN_IF_ERROR(
-          uvm.prefetch(reinterpret_cast<void*>(addr + run_start * page),
-                       run_len * page, /*to_device=*/true));
-      *pages_out += run_len;
-      run_len = 0;
-      return OkStatus();
-    };
-    for (std::uint64_t p = 0; p < n_pages; ++p) {
-      const bool device = (bitmap[p / 8] >> (p % 8)) & 1;
-      if (device) {
-        if (run_len == 0) run_start = p;
-        ++run_len;
-      } else {
-        CRAC_RETURN_IF_ERROR(flush_run());
-      }
-    }
-    return flush_run();
-  };
-  std::shared_ptr<UvmPrefetchJoin> join;
-  if (pool != nullptr && ranges > 1) {
-    join = std::make_shared<UvmPrefetchJoin>();
-    // Registered up front so an error return mid-loop still leaves the
-    // already-dispatched tasks joinable.
-    uvm_prefetch_ = join;
-  }
+  // device-resident runs back to the device. Each range's refill (the
+  // ordering hazard: a refill write to an armed page re-faults and clobbers
+  // the restored residency) already completed in step 4.
   for (std::uint64_t i = 0; i < ranges; ++i) {
     std::uint64_t addr = 0, n_pages = 0;
     CRAC_RETURN_IF_ERROR(r.get_u64(addr));
@@ -1066,41 +1030,29 @@ Status CracPlugin::restore_uvm_residency(ckpt::ImageReader& image,
     }
     std::vector<std::uint8_t> bitmap(static_cast<std::size_t>(bitmap_bytes));
     CRAC_RETURN_IF_ERROR(r.read(bitmap.data(), bitmap.size()));
-    if (join == nullptr) {
-      // Inline path (no pool, or a single range): apply right here.
-      CRAC_RETURN_IF_ERROR(apply_range(addr, std::move(bitmap), n_pages,
-                                       &stats->uvm_pages_restored));
-      continue;
+    std::uint64_t run_start = 0;
+    std::uint64_t run_len = 0;
+    auto flush_run = [&]() -> Status {
+      if (run_len == 0) return OkStatus();
+      CRAC_RETURN_IF_ERROR(
+          uvm.prefetch(reinterpret_cast<void*>(addr + run_start * page),
+                       run_len * page, /*to_device=*/true));
+      stats->uvm_pages_restored += run_len;
+      run_len = 0;
+      return OkStatus();
+    };
+    for (std::uint64_t p = 0; p < n_pages; ++p) {
+      const bool device = (bitmap[p / 8] >> (p % 8)) & 1;
+      if (device) {
+        if (run_len == 0) run_start = p;
+        ++run_len;
+      } else {
+        CRAC_RETURN_IF_ERROR(flush_run());
+      }
     }
-    // Overlapped path: the prefetch application of this range runs on the
-    // pool while this thread decodes the next range's bitmap off the
-    // section stream — and, once the loop ends, while the caller proceeds
-    // to the rest of the restore. join_deferred_restore() is the barrier
-    // before the first post-restore fault service.
-    {
-      std::lock_guard<std::mutex> lock(join->mu);
-      ++join->outstanding;
-    }
-    pool->submit([join, apply_range, addr, n_pages,
-                  bitmap = std::move(bitmap)]() mutable {
-      std::uint64_t pages = 0;
-      const Status s = apply_range(addr, std::move(bitmap), n_pages, &pages);
-      std::lock_guard<std::mutex> lock(join->mu);
-      join->pages += pages;
-      if (!s.ok() && join->error.ok()) join->error = s;
-      if (--join->outstanding == 0) join->cv.notify_all();
-    });
+    CRAC_RETURN_IF_ERROR(flush_run());
   }
   return OkStatus();
-}
-
-Status CracPlugin::join_deferred_restore() {
-  std::shared_ptr<UvmPrefetchJoin> join = std::move(uvm_prefetch_);
-  if (join == nullptr) return OkStatus();
-  std::unique_lock<std::mutex> lock(join->mu);
-  join->cv.wait(lock, [&] { return join->outstanding == 0; });
-  last_replay_.uvm_pages_restored += static_cast<std::size_t>(join->pages);
-  return join->error;
 }
 
 }  // namespace crac

@@ -16,7 +16,6 @@
 //     residency, and re-registers the application's fat binaries (§3.2.4-5).
 #pragma once
 
-#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -123,17 +122,6 @@ class CracPlugin final : public cuda::ForwardingApi, public ckpt::CkptPlugin {
   // lower half. Exposed for the in-place restart path and tests.
   Result<ReplayStats> replay_into_fresh_lower_half(ckpt::ImageReader& image);
 
-  // Joins the restart work restore_uvm_residency dispatched onto the image
-  // reader's thread pool: per-range UVM prefetch application runs
-  // concurrently with the rest of replay (later ranges' bitmap decode, the
-  // restore's trailing integrity pass), and this blocks until every range
-  // has been applied, folding the page count into last_replay_stats().
-  // MUST be called before the first post-restore fault is serviced — the
-  // restore driver (CracContext::restore_from_reader) calls it before
-  // handing control back; a bare replay_into_fresh_lower_half caller joins
-  // here itself. Idempotent; returns the first prefetch failure.
-  Status join_deferred_restore();
-
   // --- introspection ---
   const CudaApiLog& log() const noexcept { return log_; }
   std::size_t active_allocation_count() const;
@@ -175,17 +163,6 @@ class CracPlugin final : public cuda::ForwardingApi, public ckpt::CkptPlugin {
   struct RegStorage {
     std::string name;
     std::vector<std::size_t> arg_sizes;
-  };
-
-  // Completion state for the pool-dispatched UVM prefetch tasks. Heap-held
-  // and shared with the tasks so an early-erroring restore cannot leave a
-  // worker touching freed state.
-  struct UvmPrefetchJoin {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t outstanding = 0;
-    Status error;  // first task failure, sticky
-    std::uint64_t pages = 0;
   };
 
   // The logical snapshot freeze() pins while the world is stopped. Every
@@ -235,9 +212,6 @@ class CracPlugin final : public cuda::ForwardingApi, public ckpt::CkptPlugin {
   // still lands on the right buffers (upper-half pointers into them remain
   // stale — the reason CRAC prefers determinism).
   std::map<std::uint64_t, std::uint64_t> replay_translation_;
-  // Non-null while pool-dispatched UVM prefetch tasks are in flight; cleared
-  // by join_deferred_restore().
-  std::shared_ptr<UvmPrefetchJoin> uvm_prefetch_;
   ReplayStats last_replay_;
   bool verify_determinism_ = true;
   std::optional<DeltaDrainPlan> delta_plan_;  // armed for the next drain

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -164,7 +165,9 @@ Result<std::vector<ImageInfo>> RegistryClient::list() {
   std::uint32_t count = 0;
   CRAC_RETURN_IF_ERROR(in.get_u32(count));
   std::vector<ImageInfo> out;
-  out.reserve(count);
+  // Each entry costs at least 25 encoded bytes (two string lengths, two
+  // u64s, the delta flag); a hostile count cannot demand more reserve.
+  out.reserve(std::min<std::uint64_t>(count, in.remaining() / 25));
   for (std::uint32_t i = 0; i < count; ++i) {
     ImageInfo info;
     CRAC_RETURN_IF_ERROR(in.get_string(info.name));

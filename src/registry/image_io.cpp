@@ -14,10 +14,6 @@ namespace {
 constexpr char kMagicV1[8] = {'C', 'R', 'A', 'C', 'I', 'M', 'G', '1'};
 constexpr char kMagicV2[8] = {'C', 'R', 'A', 'C', 'I', 'M', 'G', '2'};
 
-// Hostile-header gate for the strings a registry ingests blind (section
-// names, v4 parent ids): real names are tens of bytes.
-constexpr std::uint32_t kMaxStringBytes = 64u << 10;
-
 std::uint32_t get_u32_at(const std::vector<std::byte>& b, std::size_t off) {
   std::uint32_t v = 0;
   std::memcpy(&v, b.data() + off, 4);
@@ -171,9 +167,8 @@ Status RegistrySink::consume() {
       // as a length stage then a payload stage.
       if (stage_ % 2 == 0) {
         const std::uint32_t len = get_u32_at(buf_, buf_.size() - 4);
-        if (len > kMaxStringBytes) {
-          return Corrupt("hostile parent string length " +
-                         std::to_string(len));
+        if (len > ckpt::kMaxSectionNameBytes) {
+          return Corrupt(ckpt::name_cap_error("parent string", len));
         }
         if (len > 0) {
           ++stage_;
@@ -206,9 +201,8 @@ Status RegistrySink::consume() {
     case State::kSectionHeader: {
       if (stage_ == 0) {
         const std::uint32_t name_len = get_u32_at(buf_, 4);
-        if (name_len > kMaxStringBytes) {
-          return Corrupt("hostile section name length " +
-                         std::to_string(name_len));
+        if (name_len > ckpt::kMaxSectionNameBytes) {
+          return Corrupt(ckpt::name_cap_error("section name", name_len));
         }
         if (name_len > 0) {
           stage_ = 1;

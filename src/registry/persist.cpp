@@ -5,6 +5,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
@@ -130,7 +131,9 @@ Status decode_image_record(ByteReader& in, ImageRecordWire& out) {
   std::uint32_t seg_count = 0;
   CRAC_RETURN_IF_ERROR(in.get_u32(seg_count));
   out.segs.clear();
-  out.segs.reserve(seg_count);
+  // Each segment costs at least 25 encoded bytes (offset, size, kind and an
+  // 8-byte literal offset); a hostile count cannot demand more reserve.
+  out.segs.reserve(std::min<std::uint64_t>(seg_count, in.remaining() / 25));
   for (std::uint32_t i = 0; i < seg_count; ++i) {
     ImageRecordWire::Seg s;
     CRAC_RETURN_IF_ERROR(in.get_u64(s.logical_offset));

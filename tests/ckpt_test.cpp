@@ -3,6 +3,7 @@
 // lifecycle ordering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -10,6 +11,7 @@
 #include "ckpt/image.hpp"
 #include "ckpt/memory_section.hpp"
 #include "ckpt/plugin.hpp"
+#include "common/bytes.hpp"
 #include "tests/ckpt_testing.hpp"
 
 namespace crac::ckpt {
@@ -168,6 +170,108 @@ TEST(ImageTest, TruncatedImageRejected) {
   EXPECT_FALSE(ImageReader::from_bytes(std::move(bytes)).ok());
 }
 
+TEST(ImageTest, SectionNameCapIsOneLimit) {
+  // A name exactly at the cap round-trips.
+  const std::string at_cap(kMaxSectionNameBytes, 'n');
+  ImageWriter w;
+  w.add_section(SectionType::kMetadata, at_cap, make_bytes({1, 2, 3}));
+  auto reader = ImageReader::from_bytes(w.serialize());
+  ASSERT_TRUE(reader.ok()) << reader.status().to_string();
+  const SectionInfo* sec = reader->find(SectionType::kMetadata, at_cap);
+  ASSERT_NE(sec, nullptr);
+  EXPECT_EQ(*reader->read_section(*sec), make_bytes({1, 2, 3}));
+
+  // The writer refuses one byte more instead of writing an image no reader
+  // opens, and the reader's refusal names the cap.
+  MemorySink sink;
+  ImageWriter over(&sink, ImageWriter::Options{});
+  const Status refused =
+      over.begin_section(SectionType::kMetadata, at_cap + "n");
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+      << refused.to_string();
+  EXPECT_NE(refused.message().find("4096-byte cap"), std::string::npos)
+      << refused.to_string();
+  auto hostile = ImageReader::from_bytes(testlib::over_cap_name_image());
+  ASSERT_FALSE(hostile.ok());
+  EXPECT_EQ(hostile.status().code(), StatusCode::kCorrupt);
+  EXPECT_NE(hostile.status().message().find("4096-byte cap"),
+            std::string::npos)
+      << hostile.status().to_string();
+
+  // v4 parent strings share the cap.
+  MemorySink delta_sink;
+  ImageWriter::Options delta_opts;
+  delta_opts.parent_id = "parent";
+  delta_opts.parent_path = std::string(kMaxSectionNameBytes + 1, 'p');
+  ImageWriter delta(&delta_sink, delta_opts);
+  EXPECT_EQ(delta.finish().code(), StatusCode::kInvalidArgument);
+}
+
+// A source whose total size stays unknown, like a live shipment before its
+// trailer: remaining() bounds nothing, reads past the bytes fail as a dead
+// stream would, and at_end() answers from the real size.
+class StillFillingSource final : public Source {
+ public:
+  explicit StillFillingSource(std::vector<std::byte> bytes)
+      : bytes_(std::move(bytes)) {}
+  Status read(void* out, std::size_t size) override {
+    if (pos_ > bytes_.size() || size > bytes_.size() - pos_) {
+      return Corrupt(describe() + ": stream ended");
+    }
+    std::memcpy(out, bytes_.data() + pos_, size);
+    pos_ += size;
+    return OkStatus();
+  }
+  Status seek(std::uint64_t offset) override {
+    pos_ = offset;
+    return OkStatus();
+  }
+  std::uint64_t position() const noexcept override { return pos_; }
+  std::uint64_t size() const noexcept override { return kUnknownSize; }
+  bool end_known() const noexcept override { return false; }
+  Result<bool> at_end(std::uint64_t offset) override {
+    return offset >= bytes_.size();
+  }
+  std::string describe() const override { return "still-filling source"; }
+
+ private:
+  std::vector<std::byte> bytes_;
+  std::uint64_t pos_ = 0;
+};
+
+TEST(ImageTest, HostileStringOnStillFillingSourceStaysBounded) {
+  // A section string claiming 1 GiB, followed by 16 real bytes. The
+  // section's size is unknown while the source fills, so only the bytes
+  // that actually arrive may be allocated.
+  if (testlib::kSanitizedAllocator) {
+    GTEST_SKIP() << "RSS bounds need the plain malloc";
+  }
+  ByteWriter payload;
+  payload.put_u32(std::uint32_t{1} << 30);
+  payload.put_bytes(random_bytes(16, 5).data(), 16);
+  ImageWriter w;
+  w.add_section(SectionType::kMemoryRegions, "upper-memory",
+                std::move(payload).take());
+  auto reader = ImageReader::open(
+      std::make_unique<StillFillingSource>(w.serialize()));
+  ASSERT_TRUE(reader.ok()) << reader.status().to_string();
+  auto sec = reader->section_at(0);
+  ASSERT_TRUE(sec.ok() && *sec != nullptr);
+  EXPECT_FALSE((*sec)->size_known);
+  auto stream = reader->open_section(**sec);
+  ASSERT_TRUE(stream.ok()) << stream.status().to_string();
+
+  std::string name;
+  const std::uint64_t before = testlib::vm_rss_bytes();
+  const Status got = stream->get_string(name);
+  const std::uint64_t after = testlib::vm_rss_bytes();
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.code(), StatusCode::kCorrupt) << got.to_string();
+  ASSERT_GT(before, 0u);
+  EXPECT_LT(after - std::min(after, before), std::uint64_t{16} << 20)
+      << "VmRSS grew from " << before << " to " << after << " bytes";
+}
+
 TEST(ImageTest, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/crac_image_test.img";
   ImageWriter w;
@@ -258,6 +362,33 @@ TEST(MemorySectionTest, TruncatedPayloadRejected) {
   auto payload = encode_memory_records(records);
   payload.resize(payload.size() - 50);
   EXPECT_FALSE(decode_memory_records(payload).ok());
+}
+
+TEST(MemorySectionTest, HostileCountIsCorrupt) {
+  // A count of 2^40 records over an 8-byte payload: the reserve is capped
+  // by what the payload could hold, and the walk fails by name.
+  ByteWriter w;
+  w.put_u64(std::uint64_t{1} << 40);
+  auto decoded = decode_memory_records(std::move(w).take());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorrupt);
+}
+
+TEST(MemorySectionTest, HostileRecordSizeIsCorrupt) {
+  // A record claiming 64 GiB of contents is refused before anything is
+  // sized for it.
+  std::vector<MemoryRecord> records(1);
+  records[0].name = "heap";
+  records[0].size = 4;
+  records[0].bytes.resize(4);
+  auto payload = encode_memory_records(records);
+  const std::uint64_t hostile = std::uint64_t{1} << 36;
+  std::memcpy(payload.data() + 16, &hostile, sizeof(hostile));  // count, addr
+  auto decoded = decode_memory_records(payload);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorrupt);
+  EXPECT_NE(decoded.status().message().find("'heap'"), std::string::npos)
+      << decoded.status().to_string();
 }
 
 // ---- plugin lifecycle ----

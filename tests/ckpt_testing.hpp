@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -29,6 +32,41 @@
 #include "registry/persist.hpp"
 
 namespace crac::ckpt::testlib {
+
+// ---- resident memory ----
+
+// Sanitizer runtimes replace malloc and hold freed blocks in a quarantine,
+// so resident-memory bounds only mean something in a plain build.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizedAllocator = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitizedAllocator = true;
+#else
+constexpr bool kSanitizedAllocator = false;
+#endif
+#else
+constexpr bool kSanitizedAllocator = false;
+#endif
+
+// Resident set size of this process, from /proc/self/status. Free heap
+// memory goes back to the kernel first, so a later allocation shows up as
+// growth instead of quietly reusing pages that are already resident.
+inline std::uint64_t vm_rss_bytes() {
+  ::malloc_trim(0);
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  std::uint64_t kb = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::strncmp(line, "VmRSS:", 6) == 0) {
+      kb = std::strtoull(line + 6, nullptr, 10);
+      break;
+    }
+  }
+  std::fclose(f);
+  return kb << 10;
+}
 
 // ---- deterministic payloads ----
 
@@ -66,6 +104,22 @@ inline std::vector<std::byte> golden_payload(std::size_t n) {
 }
 
 // ---- image builders ----
+
+// An image whose one section name is a byte over kMaxSectionNameBytes. The
+// writer refuses such a name, so the image is written at the cap and then
+// widened in place: the v2 name length sits after the 24-byte header and
+// the section's type field.
+inline std::vector<std::byte> over_cap_name_image() {
+  ImageWriter w;
+  w.add_section(SectionType::kMetadata,
+                std::string(kMaxSectionNameBytes, 'n'), golden_payload(64));
+  std::vector<std::byte> image = w.serialize();
+  constexpr std::size_t kNameLenAt = 28;
+  const std::uint32_t len = kMaxSectionNameBytes + 1;
+  std::memcpy(image.data() + kNameLenAt, &len, sizeof(len));
+  image.insert(image.begin() + kNameLenAt + sizeof(len), std::byte{'n'});
+  return image;
+}
 
 // Hand-rolled v1 image, byte-for-byte what the seed-era writer emitted, so
 // the reader keeps decoding pre-refactor checkpoints no matter what the

@@ -413,12 +413,11 @@ TEST_F(CracRoundTripTest, ManagedMemoryAndResidencySurvive) {
 }
 
 TEST_F(CracRoundTripTest, UvmPrefetchOverlapMatchesSerialRestore) {
-  // Replay-time UVM prefetch: with a checkpoint pool and multiple managed
-  // ranges, the per-range residency application runs on the pool,
-  // concurrent with the restore tail, and join_deferred_restore() is the
-  // barrier before the first post-restore fault. Overlap may only change
-  // wall time: residency map, restored-page count, and contents must be
-  // byte-identical to the inline (ckpt_threads = 1) restore.
+  // Replay-time UVM residency restore with several managed ranges: the
+  // checkpoint pool size (ckpt_threads) drives the decode-ahead of the
+  // restore, never what it restores. The residency map, restored-page
+  // count and contents must be byte-identical to the ckpt_threads = 1
+  // restore.
   const std::string path = temp_image_path("uvm_prefetch");
   constexpr std::size_t kRanges = 5;
   const std::size_t bytes = 256 << 10;
@@ -474,12 +473,12 @@ TEST_F(CracRoundTripTest, UvmPrefetchOverlapMatchesSerialRestore) {
     return got;
   };
 
-  const Observed serial = restore_with_threads(1);   // no pool: inline
-  const Observed overlap = restore_with_threads(4);  // pool: concurrent
+  const Observed serial = restore_with_threads(1);  // no pool
+  const Observed pooled = restore_with_threads(4);
   EXPECT_GT(serial.pages_restored, 0u);
-  EXPECT_EQ(overlap.pages_restored, serial.pages_restored);
-  EXPECT_EQ(overlap.residency, serial.residency);
-  EXPECT_EQ(overlap.contents, serial.contents);
+  EXPECT_EQ(pooled.pages_restored, serial.pages_restored);
+  EXPECT_EQ(pooled.residency, serial.residency);
+  EXPECT_EQ(pooled.contents, serial.contents);
   std::remove(path.c_str());
 }
 

@@ -23,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
-#include <malloc.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -58,6 +57,8 @@ using ckpt::Codec;
 using ckpt::ImageWriter;
 using ckpt::SectionType;
 namespace testlib = ckpt::testlib;
+using testlib::kSanitizedAllocator;
+using testlib::vm_rss_bytes;
 
 std::vector<std::byte> pattern_payload(std::size_t n, unsigned seed) {
   std::vector<std::byte> out(n);
@@ -151,39 +152,6 @@ std::vector<std::byte> build_random_image(std::size_t section_bytes,
                      random_payload(section_bytes, seed));
   EXPECT_TRUE(writer.status().ok()) << writer.status().to_string();
   return writer.serialize();
-}
-
-// Sanitizer runtimes replace malloc and hold freed blocks in a quarantine,
-// so resident-memory bounds only mean something in a plain build.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitizedAllocator = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitizedAllocator = true;
-#else
-constexpr bool kSanitizedAllocator = false;
-#endif
-#else
-constexpr bool kSanitizedAllocator = false;
-#endif
-
-// Resident set size of this process, from /proc/self/status. Free heap
-// memory goes back to the kernel first, so a later allocation shows up as
-// growth instead of quietly reusing pages that are already resident.
-std::uint64_t vm_rss_bytes() {
-  ::malloc_trim(0);
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0;
-  char line[256];
-  std::uint64_t kb = 0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::strncmp(line, "VmRSS:", 6) == 0) {
-      kb = std::strtoull(line + 6, nullptr, 10);
-      break;
-    }
-  }
-  std::fclose(f);
-  return kb << 10;
 }
 
 std::uint64_t file_size(const std::string& path) {
@@ -687,6 +655,24 @@ TEST(DurableRegistryTest, VolatilePutLeavesPayloadsOnDisk) {
   auto got = read_image(reg, "big");
   ASSERT_TRUE(got.ok()) << got.status().to_string();
   EXPECT_TRUE(*got == image);
+}
+
+TEST(DurableRegistryTest, HostileSegmentCountIsCorrupt) {
+  // A WAL/manifest image record claiming 2^32-1 segments over a payload
+  // that holds none: the reserve is capped by the bytes left, and the walk
+  // fails by name.
+  ImageRecordWire rec;
+  rec.name = "img";
+  ByteWriter w;
+  encode_image_record(rec, w);
+  std::vector<std::byte> bytes = std::move(w).take();
+  const std::uint32_t hostile = 0xFFFFFFFFu;
+  std::memcpy(bytes.data() + bytes.size() - sizeof(hostile), &hostile,
+              sizeof(hostile));  // seg_count is the record's last field
+  ByteReader in(bytes);
+  ImageRecordWire out;
+  const Status got = decode_image_record(in, out);
+  EXPECT_EQ(got.code(), StatusCode::kCorrupt) << got.to_string();
 }
 
 // ---------------------------------------------------------------------------

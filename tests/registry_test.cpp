@@ -21,11 +21,13 @@
 #include "ckpt/remote.hpp"
 #include "ckpt/sink.hpp"
 #include "common/bytes.hpp"
+#include "proxy/protocol.hpp"
 #include "registry/client.hpp"
 #include "registry/image_io.hpp"
 #include "registry/registry.hpp"
 #include "registry/server.hpp"
 #include "registry/store.hpp"
+#include "tests/ckpt_testing.hpp"
 
 namespace crac::registry {
 namespace {
@@ -546,6 +548,26 @@ TEST(RegistryEvictionTest, OpenReaderPinsImageAgainstEviction) {
   EXPECT_EQ(registry.list()[0].name, "c");
 }
 
+TEST(RegistryClientTest, HostileListCountIsCorrupt) {
+  // A peer answering LIST with a count of 2^32-1 and no entries: the client
+  // reserves only what the payload could hold and fails by name.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::uint32_t hostile = 0xFFFFFFFFu;
+  proxy::ResponseHeader resp{};
+  resp.payload_bytes = sizeof(hostile);
+  ASSERT_EQ(::write(fds[1], &resp, sizeof(resp)),
+            static_cast<ssize_t>(sizeof(resp)));
+  ASSERT_EQ(::write(fds[1], &hostile, sizeof(hostile)),
+            static_cast<ssize_t>(sizeof(hostile)));
+  RegistryClient client(fds[0]);
+  auto list = client.list();
+  ASSERT_FALSE(list.ok());
+  EXPECT_EQ(list.status().code(), StatusCode::kCorrupt)
+      << list.status().to_string();
+  ::close(fds[1]);
+}
+
 // ---- Forked server suite (excluded from TSan runs) ----
 
 RegistryClient connect_client(const RegistryHost& host) {
@@ -592,6 +614,25 @@ TEST(RegistryHostTest, RejectedPutLeavesChannelUsable) {
 
   // The server drained the whole stream and answered in-band; a good PUT
   // on the same channel succeeds and the bad one left nothing behind.
+  const std::vector<std::byte> image = build_image(Codec::kStore, 1 << 20);
+  ASSERT_TRUE(client.put_bytes("good", image).ok());
+  auto list = client.list();
+  ASSERT_TRUE(list.ok());
+  ASSERT_EQ(list->size(), 1u);
+  EXPECT_EQ((*list)[0].name, "good");
+}
+
+TEST(RegistryHostTest, OverCapSectionNameRejectedInBand) {
+  // The registry ingests names under the same cap the image reader
+  // enforces, so it never commits an image every later restore refuses.
+  auto host = RegistryHost::spawn();
+  ASSERT_TRUE(host.ok()) << host.status().to_string();
+  RegistryClient client = connect_client(*host);
+  EXPECT_FALSE(
+      client.put_bytes("long-name", ckpt::testlib::over_cap_name_image()).ok());
+
+  // Refused in-band: the same channel takes a good PUT, and the refused
+  // image left nothing behind.
   const std::vector<std::byte> image = build_image(Codec::kStore, 1 << 20);
   ASSERT_TRUE(client.put_bytes("good", image).ok());
   auto list = client.list();
