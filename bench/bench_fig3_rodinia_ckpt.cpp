@@ -16,6 +16,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -555,56 +556,22 @@ void run_cow_pause_sweep(Table& table) {
 
 // ---- fleet serving sweep --------------------------------------------------
 //
-// One event-loop proxy server, N attached clients hammering small RPCs
-// while two checkpoint shipments stream concurrently from the same device —
-// the serving shape the epoll rework exists for. Reported per client count:
-// aggregate small-RPC throughput, aggregate ship bandwidth, and the
-// registry's dedup of the two (near-identical) shipped images.
+// One event-loop proxy server and N attached clients hammering small RPCs
+// on its one device — the serving shape the epoll loop exists for. Reported
+// per client count: aggregate small-RPC throughput, and the registry's dedup
+// of two images of the cell's seeded payload, the second with one 64 KiB
+// island rewritten.
 Status fleet_cell(Table::Row& row, const proxy::ProxyClientApi::Options& opts,
                   std::size_t clients, const std::vector<std::byte>& payload,
                   int rpc_iters) {
   proxy::ProxyClientApi owner(opts);
-  void* dev = nullptr;
-  if (owner.cudaMalloc(&dev, payload.size()) != cuda::cudaSuccess ||
-      owner.cudaMemcpy(dev, payload.data(), payload.size(),
-                       cuda::cudaMemcpyHostToDevice) != cuda::cudaSuccess) {
-    return Internal("fleet device seed failed");
-  }
   std::atomic<std::uint64_t> rpcs{0};
   std::atomic<bool> failed{false};
-  std::vector<std::vector<std::byte>> images(2);
-
-  // Two overlapping shipments, each on its own attached channel with a
-  // dedicated consumer pumping the CRACSHP1 stream off a pipe.
   WallTimer wall;
-  std::vector<std::thread> shippers;
-  for (int s = 0; s < 2; ++s) {
-    shippers.emplace_back([&, s] {
-      proxy::ProxyClientApi shipper(owner.host(), opts);
-      int pipefd[2];
-      if (::pipe(pipefd) != 0) {
-        failed = true;
-        return;
-      }
-      Status ship_status = OkStatus();
-      std::thread tx([&] {
-        ship_status = shipper.ship_checkpoint(pipefd[1]);
-        ::close(pipefd[1]);
-      });
-      ckpt::MemorySink sink;
-      bool in_band = false;
-      const Status pumped =
-          ckpt::pump_ship_stream(pipefd[0], sink, "fleet bench", &in_band);
-      tx.join();
-      ::close(pipefd[0]);
-      if (!ship_status.ok() || !pumped.ok()) failed = true;
-      images[s] = std::move(sink).take();
-    });
-  }
   std::vector<std::thread> hammer;
   for (std::size_t c = 0; c < clients; ++c) {
     hammer.emplace_back([&] {
-      proxy::ProxyClientApi api(owner.host(), opts);
+      proxy::ProxyClientApi api(owner.host());
       void* p = nullptr;
       if (api.cudaMalloc(&p, 64 << 10) != cuda::cudaSuccess) {
         failed = true;
@@ -625,23 +592,30 @@ Status fleet_cell(Table::Row& row, const proxy::ProxyClientApi::Options& opts,
   }
   for (auto& t : hammer) t.join();
   const double hammer_s = wall.elapsed_s();
-  for (auto& t : shippers) t.join();
-  const double ship_s = wall.elapsed_s();
-  if (failed.load()) return Internal("fleet RPC or shipment failed");
+  if (failed.load()) return Internal("fleet RPC failed");
 
-  // Registry dedup of the two shipped images: both carry the same seeded
-  // buffer, so the second should intern mostly into the first's chunks.
+  // Registry dedup of the two images: the second differs from the first in
+  // one 64 KiB island, so it should intern mostly into the first's chunks.
+  std::vector<std::byte> edited = payload;
+  const std::size_t at = edited.size() / 2;
+  const std::size_t island =
+      std::min<std::size_t>(64 << 10, edited.size() - at);
+  for (std::size_t b = at; b < at + island; ++b) edited[b] = ~edited[b];
   registry::CheckpointRegistry reg;
   std::uint64_t after_first = 0;
-  for (int s = 0; s < 2; ++s) {
-    auto sink = reg.begin_put(s == 0 ? "fleet-a" : "fleet-b");
-    CRAC_RETURN_IF_ERROR(sink->write(images[s].data(), images[s].size()));
+  const std::vector<std::byte>* versions[] = {&payload, &edited};
+  for (int v = 0; v < 2; ++v) {
+    ckpt::ImageWriter w(Codec::kStore);
+    w.add_section(ckpt::SectionType::kDeviceBuffers, "fleet-device",
+                  *versions[v]);
+    const auto image = w.serialize();
+    auto sink = reg.begin_put(v == 0 ? "fleet-a" : "fleet-b");
+    CRAC_RETURN_IF_ERROR(sink->write(image.data(), image.size()));
     CRAC_RETURN_IF_ERROR(sink->close());
     CRAC_RETURN_IF_ERROR(reg.commit(*sink));
-    if (s == 0) after_first = reg.stats().store.stored_bytes;
+    if (v == 0) after_first = reg.stats().store.stored_bytes;
   }
   row.add("rpcs_per_s", static_cast<double>(rpcs.load()) / hammer_s);
-  row.add("ship_mbs", mbs(images[0].size() + images[1].size(), ship_s));
   row.add("dedup_single_bytes", static_cast<double>(after_first));
   row.add("dedup_pair_bytes",
           static_cast<double>(reg.stats().store.stored_bytes));
@@ -653,15 +627,14 @@ void run_fleet_sweep(Table& table) {
   const int rpc_iters = bench::quick() ? 50 : 200;
   std::vector<std::size_t> counts = {1, 2, 4, 8};
   if (bench::quick()) counts = {1, 4};
-  std::printf("\nfleet serving: one proxy server, N clients + 2 concurrent "
-              "shipments (%zuMB device image):\n", mb);
+  std::printf("\nfleet serving: one proxy server, N clients (registry dedup "
+              "over two %zuMB images):\n", mb);
   proxy::ProxyClientApi::Options opts;
   opts.host.device.device_capacity = 512 << 20;
   opts.host.device.pinned_capacity = 64 << 20;
   opts.host.device.managed_capacity = 256 << 20;
   opts.host.device.device_chunk = 8 << 20;
   opts.host.staging_bytes = 32 << 20;
-  opts.host.session_threads = 4;
   for (const std::size_t clients : counts) {
     const auto payload = synthetic_image_payload(mb << 20, 777 + clients);
     Table::Row& row = table.row({clients});
@@ -926,15 +899,13 @@ int main() {
 
   run_fleet_sweep(report.table(
       "fleet_throughput", {"clients"},
-      {higher("rpcs_per_s", "%.0f"), higher("ship_mbs", kMbs),
-       lower("dedup_single_bytes", kInt), lower("dedup_pair_bytes", kInt)}));
+      {higher("rpcs_per_s", "%.0f"), lower("dedup_single_bytes", kInt),
+       lower("dedup_pair_bytes", kInt)}));
   std::printf("\nshape check (fleet): rpcs/s should grow with client count "
-              "until the loop thread or cores saturate (never collapse — a "
-              "shipment must not stall unrelated RPCs), ship MB/s holds "
-              "roughly flat across client counts, and the registry's "
-              "two-image bytes stay well under 2x one image "
-              "(scenario_fleet_test asserts the serving behavior; the CI "
-              "bench smoke asserts the dedup ratio).\n");
+              "until the loop thread or cores saturate (never collapse), "
+              "and the registry's two-image bytes stay well under 2x one "
+              "image (scenario_fleet_test asserts the serving behavior; the "
+              "CI bench smoke asserts the dedup ratio).\n");
 
   run_delta_sweep(report.table(
       "delta_checkpoint", {"dirty_fraction"},

@@ -58,20 +58,13 @@ using ProgressHook = std::function<void()>;
 
 // The one validating walk over the frames of a CRACSHP1 stream (the 16-byte
 // header has already been read and checked by the caller), shared by the
-// spool, the pump and the relay so the wire format has a single parser that
-// cannot drift: frame-length caps, abort-marker recognition, running CRC/byte
+// spool and the pump so the wire format has a single parser that cannot
+// drift: frame-length caps, abort-marker recognition, running CRC/byte
 // count, trailer verification.
 //
-//   * `on_wire` (the relay's forwarding hook) sees complete wire units in
-//     arrival order — one whole [len][payload] frame at a time, and the
-//     terminator+trailer as one unit, delivered *before* trailer validation
-//     so a relay's downstream peer always reaches (and rejects) the same
-//     bad trailer instead of hanging on a half-forwarded stream. Buffering
-//     whole frames (≤ kShipFrameBytes) is what lets a relay fail at a frame
-//     boundary, where an in-band abort marker is still meaningful.
-//   * `on_payload` (the spool's and pump's hook) sees only the logical stream
-//     bytes, in bounded slices of `slice_bytes`, so resident receive memory
-//     stays capped no matter how large the shipment is.
+//   * `on_payload` sees only the logical stream bytes, in bounded slices of
+//     `slice_bytes`, so resident receive memory stays capped no matter how
+//     large the shipment is.
 //   * `on_frame_start` fires after each nonzero frame length is accepted,
 //     before its payload is read — the streaming spool's "everything before
 //     this frame is now releasable" publication point.
@@ -80,8 +73,7 @@ using ProgressHook = std::function<void()>;
 // self-delimiting end on the wire — a complete trailer (valid or not) or an
 // abort marker — i.e. whether a connection carrying it is still in sync.
 Status walk_ship_frames(int fd, const std::string& origin,
-                        std::size_t slice_bytes, const StreamHook& on_wire,
-                        const StreamHook& on_payload,
+                        std::size_t slice_bytes, const StreamHook& on_payload,
                         const ProgressHook& on_frame_start,
                         bool* ended_in_band) {
   *ended_in_band = false;
@@ -93,18 +85,15 @@ Status walk_ship_frames(int fd, const std::string& origin,
     CRAC_RETURN_IF_ERROR(read_all_fd(fd, &frame_len, sizeof(frame_len),
                                      origin));
     if (frame_len == 0) {
-      std::byte unit[4 + kShipTrailerBytes] = {};
-      std::memcpy(unit, &frame_len, 4);
+      std::byte trailer[kShipTrailerBytes];
       CRAC_RETURN_IF_ERROR(
-          read_all_fd(fd, unit + 4, kShipTrailerBytes, origin));
-      // The full trailer has been read off `fd`: whatever happens from
-      // here — a failed forward, a failed verdict — the *upstream* stream
-      // ended at a known wire position.
+          read_all_fd(fd, trailer, sizeof(trailer), origin));
+      // The full trailer has been read off `fd`: whatever the verdict, the
+      // stream ended at a known wire position.
       *ended_in_band = true;
-      if (on_wire) CRAC_RETURN_IF_ERROR(on_wire(unit, sizeof(unit)));
       ShipTrailer parsed;
-      std::memcpy(&parsed.total_bytes, unit + 4, 8);
-      std::memcpy(&parsed.crc, unit + 12, 4);
+      std::memcpy(&parsed.total_bytes, trailer, 8);
+      std::memcpy(&parsed.crc, trailer + 8, 4);
       if (parsed.total_bytes != total) {
         return Corrupt(origin + ": ship trailer declares " +
                        std::to_string(parsed.total_bytes) +
@@ -116,14 +105,9 @@ Status walk_ship_frames(int fd, const std::string& origin,
       return OkStatus();
     }
     if (frame_len == kShipAbortMarker) {
-      // As with the trailer: the marker came off `fd`, so the upstream
-      // stream is self-delimited even if forwarding it fails.
+      // As with the trailer: the marker came off `fd`, so the stream is
+      // self-delimited.
       *ended_in_band = true;
-      if (on_wire) {
-        CRAC_RETURN_IF_ERROR(on_wire(
-            reinterpret_cast<const std::byte*>(&frame_len),
-            sizeof(frame_len)));
-      }
       return IoError(origin + ": ship stream aborted by sender");
     }
     if (frame_len > kShipFrameBytes) {
@@ -132,21 +116,6 @@ Status walk_ship_frames(int fd, const std::string& origin,
                      "-byte limit");
     }
     if (on_frame_start) on_frame_start();
-    if (on_wire) {
-      // Forwarding mode: assemble the whole frame so the unit either goes
-      // downstream complete or not at all (a failure leaves the downstream
-      // peer at a frame boundary, where an abort marker is meaningful).
-      if (scratch.size() < 4 + kShipFrameBytes) {
-        scratch.resize(4 + kShipFrameBytes);
-      }
-      std::memcpy(scratch.data(), &frame_len, 4);
-      CRAC_RETURN_IF_ERROR(
-          read_all_fd(fd, scratch.data() + 4, frame_len, origin));
-      crc = crc32(scratch.data() + 4, frame_len, crc);
-      total += frame_len;
-      CRAC_RETURN_IF_ERROR(on_wire(scratch.data(), 4 + frame_len));
-      continue;
-    }
     std::size_t left = frame_len;
     while (left > 0) {
       // Frame payloads stream through a bounded scratch slice, so resident
@@ -162,16 +131,15 @@ Status walk_ship_frames(int fd, const std::string& origin,
   }
 }
 
-// Header + frames: the full-stream walk the pump and the relay use.
+// Header + frames: the full-stream walk the pump uses.
 Status walk_ship_stream(int fd, const std::string& origin,
-                        std::size_t slice_bytes, const StreamHook& on_wire,
-                        const StreamHook& on_payload, bool* ended_in_band) {
+                        std::size_t slice_bytes, const StreamHook& on_payload,
+                        bool* ended_in_band) {
   *ended_in_band = false;
   std::byte header[kShipHeaderBytes];
   CRAC_RETURN_IF_ERROR(read_all_fd(fd, header, sizeof(header), origin));
   CRAC_RETURN_IF_ERROR(check_ship_header(header, origin));
-  if (on_wire) CRAC_RETURN_IF_ERROR(on_wire(header, sizeof(header)));
-  return walk_ship_frames(fd, origin, slice_bytes, on_wire, on_payload,
+  return walk_ship_frames(fd, origin, slice_bytes, on_payload,
                           /*on_frame_start=*/nullptr, ended_in_band);
 }
 
@@ -497,7 +465,7 @@ Result<std::unique_ptr<StreamingSpoolSource>> StreamingSpoolSource::start(
   source->receiver_ = std::thread([fd, impl, outcome, origin, scratch] {
     bool ended_in_band = false;
     const Status s = walk_ship_frames(
-        fd, origin, scratch, /*on_wire=*/nullptr,
+        fd, origin, scratch,
         [impl](const std::byte* data, std::size_t size) {
           std::lock_guard<std::mutex> lock(impl->mu);
           return impl->buf.append(data, size);
@@ -609,62 +577,12 @@ Status pump_ship_stream(int in_fd, Sink& sink, const std::string& origin,
                         bool* upstream_in_band) {
   bool ended = false;
   const Status s = walk_ship_stream(
-      in_fd, origin, kSpoolBlockBytes, /*on_wire=*/nullptr,
+      in_fd, origin, kSpoolBlockBytes,
       [&sink](const std::byte* data, std::size_t size) {
         return sink.write(data, size);
       },
       &ended);
   if (upstream_in_band != nullptr) *upstream_in_band = ended;
-  return s;
-}
-
-// ---------------------------------------------------------------------------
-// relay_ship_stream
-// ---------------------------------------------------------------------------
-
-Status relay_ship_stream(int in_fd, int out_fd, const std::string& origin,
-                         RelayOutcome* outcome) {
-  // Same walker as the spools; the relay's hook forwards complete wire
-  // units verbatim (the walker hands it the trailer before validating, so
-  // on a corrupt stream the downstream receiver reaches — and rejects — the
-  // same trailer instead of hanging on a half-delivered stream).
-  RelayOutcome local;
-  std::uint64_t forwarded = 0;
-  Status downstream_error;  // first failure writing to out_fd
-  Status s = walk_ship_stream(
-      in_fd, origin, kSpoolBlockBytes,
-      [&](const std::byte* data, std::size_t size) {
-        const Status w = write_all_fd(out_fd, data, size, origin);
-        if (!w.ok() && downstream_error.ok()) downstream_error = w;
-        if (w.ok()) forwarded += size;
-        return w;
-      },
-      /*on_payload=*/nullptr, &local.upstream_in_band);
-  if (s.ok()) {
-    local.downstream_in_band = true;
-  } else {
-    // The stream died on the relay. If the downstream peer already holds a
-    // self-delimiting end (the forwarded trailer, or an upstream abort
-    // marker the hook passed through), leave it be; otherwise append an
-    // abort marker at the frame boundary the buffered forwarding
-    // guarantees, so the peer fails with a named error on a connection
-    // that is still in sync.
-    local.downstream_in_band =
-        local.upstream_in_band && downstream_error.ok();
-    if (!local.downstream_in_band && downstream_error.ok()) {
-      Status aborted = OkStatus();
-      if (forwarded == 0) {
-        const std::vector<std::byte> header = encode_ship_header();
-        aborted = write_all_fd(out_fd, header.data(), header.size(), origin);
-      }
-      if (aborted.ok()) {
-        const std::uint32_t marker = kShipAbortMarker;
-        aborted = write_all_fd(out_fd, &marker, sizeof(marker), origin);
-      }
-      local.downstream_in_band = aborted.ok();
-    }
-  }
-  if (outcome != nullptr) *outcome = local;
   return s;
 }
 

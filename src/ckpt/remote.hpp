@@ -29,10 +29,10 @@
 //   abort:   [u32 0xFFFFFFFF]   (optional, in place of any frame)
 //   trailer: [u32 0][u64 total_bytes][u32 crc32(whole logical stream)]
 //
-// The abort marker is an in-band "sender gave up" terminator: a relay whose
-// upstream dies mid-shipment emits it so the downstream receiver fails with
-// a named error *and a still-synchronized connection*, instead of wedging on
-// a stream that will never finish.
+// The abort marker is an in-band "sender gave up" terminator: a sender whose
+// checkpoint fails mid-shipment emits it so the receiver fails with a named
+// error *and a still-synchronized connection*, instead of wedging on a
+// stream that will never finish.
 //
 // The logical stream inside the frames is byte-identical to the single-file
 // v2 image the same writer configuration would produce, so a spooled
@@ -55,7 +55,7 @@ namespace crac::ckpt {
 inline constexpr char kShipMagic[8] = {'C', 'R', 'A', 'C', 'S', 'H', 'P', '1'};
 inline constexpr std::uint32_t kShipVersion = 1;
 // In-band abort marker (a frame length no well-formed frame can carry): the
-// sender or a relay declares the shipment dead. The receiver fails with a
+// sender declares the shipment dead. The receiver fails with a
 // named error but keeps its transport position — the stream terminated
 // in-band, so a control connection carrying it stays usable.
 inline constexpr std::uint32_t kShipAbortMarker = 0xFFFFFFFFu;
@@ -156,7 +156,7 @@ class StreamingSpoolSource final : public Source {
   };
 
   // Terminal state of the receive, shared out so it stays readable after
-  // the source (and the ImageReader owning it) is gone — the proxy decides
+  // the source (and the ImageReader owning it) is gone — a receiver decides
   // "clean rejection vs. desynced connection" from this after a failed
   // restore. Fields are final once the source is destroyed (or
   // wait_complete() returned).
@@ -244,32 +244,5 @@ class StreamingSpoolSource final : public Source {
 // from the returned status.
 Status pump_ship_stream(int in_fd, Sink& sink, const std::string& origin,
                         bool* upstream_in_band = nullptr);
-
-// Forwards one complete CRACSHP1 stream from `in_fd` to `out_fd` verbatim,
-// validating the header, frame lengths, and trailer (byte count + stream
-// CRC) as it goes — the building block that lets a process relay a live
-// shipment it cannot or should not spool (the proxy client piping a server's
-// checkpoint to a peer). Holds at most one frame buffered; blocks until the
-// stream ends. Errors name `origin`.
-//
-// Failure semantics: if the upstream stream dies (EOF, framing damage, an
-// abort marker), the relay emits an abort marker downstream before
-// returning, so the destination fails with a named error on a connection
-// that is still in sync. On a Corrupt result (trailer mismatch) the full
-// stream including the bad trailer was forwarded, so the receiver's own
-// verification fails the same way.
-struct RelayOutcome {
-  // True when in_fd delivered a self-delimiting end (complete trailer —
-  // valid or not — or an abort marker): a control connection feeding the
-  // relay is still in sync.
-  bool upstream_in_band = false;
-  // True when out_fd was left holding a self-delimiting stream (forwarded
-  // trailer/abort, or the relay's own abort marker): the destination fails
-  // cleanly instead of waiting forever. False only when writing to out_fd
-  // itself failed.
-  bool downstream_in_band = false;
-};
-Status relay_ship_stream(int in_fd, int out_fd, const std::string& origin,
-                         RelayOutcome* outcome = nullptr);
 
 }  // namespace crac::ckpt

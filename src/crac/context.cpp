@@ -22,7 +22,6 @@ constexpr const char* kSectionRoot = "root";
 CracContext::CracContext(const CracOptions& options) : options_(options) {
   process_ = std::make_unique<SplitProcess>(options_.split);
   plugin_ = std::make_unique<CracPlugin>(process_.get());
-  plugin_->set_verify_determinism(options_.verify_determinism);
   registry_.register_plugin(plugin_.get());
 }
 
@@ -285,9 +284,8 @@ Status CracContext::restore_from_reader(ckpt::ImageReader& reader,
     return Corrupt("image missing heap state");
   }
   {
-    // Small metadata section: materialize and decode through the shared
-    // arena-snapshot codec (the same one the proxy's checkpoint shipping
-    // uses for its device arena).
+    // Small metadata section: materialize and decode through the
+    // arena-snapshot codec.
     CRAC_ASSIGN_OR_RETURN(auto bytes, reader.read_section(*heap_sec));
     CRAC_ASSIGN_OR_RETURN(
         auto heap_snap, sim::decode_arena_snapshot(bytes.data(), bytes.size()));

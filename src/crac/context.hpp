@@ -35,7 +35,6 @@ namespace crac {
 struct CracOptions {
   SplitProcessOptions split;
   ckpt::Codec codec = ckpt::Codec::kStore;  // paper runs with gzip disabled
-  bool verify_determinism = true;
   // Streaming checkpoint pipeline: sections are chunked at this granularity
   // and chunks are compressed/CRC'd in parallel on a pool of ckpt_threads
   // workers (0 = hardware concurrency, 1 = no pool / inline encoding).

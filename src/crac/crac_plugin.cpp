@@ -668,7 +668,6 @@ Result<ReplayStats> CracPlugin::replay_into_fresh_lower_half(
     fatbins_.clear();
     reg_storage_.clear();
     handle_to_seq_.clear();
-    replay_translation_.clear();
     live_streams_.clear();
     live_events_.clear();
   }
@@ -743,7 +742,7 @@ Result<ReplayStats> CracPlugin::replay_into_fresh_lower_half(
   cuda::CudaApi* api = inner();
   auto verify_addr = [&](std::uint64_t got, std::uint64_t want,
                          const LogRecord& rec) -> Status {
-    if (verify_determinism_ && got != want) {
+    if (got != want) {
       return DeterminismViolation(
           std::string(to_string(rec.op)) + " replayed to 0x" +
           std::to_string(got) + " but original was 0x" +
@@ -763,7 +762,6 @@ Result<ReplayStats> CracPlugin::replay_into_fresh_lower_half(
         CRAC_RETURN_IF_ERROR(
             verify_addr(reinterpret_cast<std::uint64_t>(p), rec.addr, rec));
         std::lock_guard<std::mutex> lock(mu_);
-        replay_translation_[rec.addr] = reinterpret_cast<std::uint64_t>(p);
         active_.emplace(reinterpret_cast<std::uint64_t>(p),
                         ActiveAlloc{rec.size, AllocKind::kDevice, rec.flags});
         ++stats.allocations_restored;
@@ -782,7 +780,6 @@ Result<ReplayStats> CracPlugin::replay_into_fresh_lower_half(
         CRAC_RETURN_IF_ERROR(
             verify_addr(reinterpret_cast<std::uint64_t>(p), rec.addr, rec));
         std::lock_guard<std::mutex> lock(mu_);
-        replay_translation_[rec.addr] = reinterpret_cast<std::uint64_t>(p);
         active_.emplace(reinterpret_cast<std::uint64_t>(p),
                         ActiveAlloc{rec.size, AllocKind::kPinnedHost,
                                     rec.flags});
@@ -798,41 +795,28 @@ Result<ReplayStats> CracPlugin::replay_into_fresh_lower_half(
         CRAC_RETURN_IF_ERROR(
             verify_addr(reinterpret_cast<std::uint64_t>(p), rec.addr, rec));
         std::lock_guard<std::mutex> lock(mu_);
-        replay_translation_[rec.addr] = reinterpret_cast<std::uint64_t>(p);
         active_.emplace(reinterpret_cast<std::uint64_t>(p),
                         ActiveAlloc{rec.size, AllocKind::kManaged, rec.flags});
         ++stats.allocations_restored;
         break;
       }
       case LogOp::kFree: {
-        std::uint64_t target = rec.addr;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          auto it = replay_translation_.find(rec.addr);
-          if (it != replay_translation_.end()) target = it->second;
-        }
-        if (api->cudaFree(reinterpret_cast<void*>(target)) !=
+        if (api->cudaFree(reinterpret_cast<void*>(rec.addr)) !=
             cuda::cudaSuccess) {
           return Internal("replay cudaFree failed");
         }
         std::lock_guard<std::mutex> lock(mu_);
-        active_.erase(target);
+        active_.erase(rec.addr);
         ++stats.frees_replayed;
         break;
       }
       case LogOp::kFreeHost: {
-        std::uint64_t target = rec.addr;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          auto it = replay_translation_.find(rec.addr);
-          if (it != replay_translation_.end()) target = it->second;
-        }
-        if (api->cudaFreeHost(reinterpret_cast<void*>(target)) !=
+        if (api->cudaFreeHost(reinterpret_cast<void*>(rec.addr)) !=
             cuda::cudaSuccess) {
           return Internal("replay cudaFreeHost failed");
         }
         std::lock_guard<std::mutex> lock(mu_);
-        active_.erase(target);
+        active_.erase(rec.addr);
         ++stats.frees_replayed;
         break;
       }
@@ -965,12 +949,6 @@ Status CracPlugin::refill_allocations(ckpt::ImageReader& image,
       return Corrupt("allocation contents overrun the section payload");
     }
     const auto kind = static_cast<AllocKind>(kind_raw);
-    std::uint64_t target = addr;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = replay_translation_.find(addr);
-      if (it != replay_translation_.end()) target = it->second;
-    }
     for (std::uint64_t off = 0; off < size; off += kDrainSliceBytes) {
       const std::size_t n = static_cast<std::size_t>(
           std::min<std::uint64_t>(kDrainSliceBytes, size - off));
@@ -979,7 +957,7 @@ Status CracPlugin::refill_allocations(ckpt::ImageReader& image,
       // Refill through the CUDA API itself (H2D copy), as the real plugin
       // must.
       const cuda::cudaError_t err = inner()->cudaMemcpy(
-          reinterpret_cast<void*>(target + off), staging.data(), n,
+          reinterpret_cast<void*>(addr + off), staging.data(), n,
           refill_kind(kind));
       if (err != cuda::cudaSuccess) {
         return Internal("refill memcpy failed: " +
@@ -1017,11 +995,6 @@ Status CracPlugin::restore_uvm_residency(ckpt::ImageReader& image,
     std::uint64_t addr = 0, n_pages = 0;
     CRAC_RETURN_IF_ERROR(r.get_u64(addr));
     CRAC_RETURN_IF_ERROR(r.get_u64(n_pages));
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = replay_translation_.find(addr);
-      if (it != replay_translation_.end()) addr = it->second;
-    }
     // Divide before rounding so a hostile n_pages near 2^64 cannot wrap
     // the byte count to zero and sail past the bound.
     const std::uint64_t bitmap_bytes = n_pages / 8 + (n_pages % 8 != 0);

@@ -128,10 +128,6 @@ class CracPlugin final : public cuda::ForwardingApi, public ckpt::CkptPlugin {
   std::uint64_t active_allocation_bytes() const;
   const ReplayStats& last_replay_stats() const noexcept { return last_replay_; }
 
-  // Enable/disable address-determinism verification during replay (ablation
-  // hook; always on by default).
-  void set_verify_determinism(bool on) noexcept { verify_determinism_ = on; }
-
   // --- incremental drains ---
   // Arms the next precheckpoint to write the "allocations" section as a
   // sparse kDeltaChunks patch (see DeltaDrainPlan). One-shot per capture;
@@ -206,14 +202,7 @@ class CracPlugin final : public cuda::ForwardingApi, public ckpt::CkptPlugin {
   std::map<cuda::FatBinaryHandle, std::size_t> handle_to_seq_;
   std::vector<cuda::cudaStream_t> live_streams_;
   std::vector<cuda::cudaEvent_t> live_events_;
-  // Logged address -> replayed address. Identity when determinism holds;
-  // with verification disabled this implements the paper's future-work
-  // option (a), "virtualization of library-allocated addresses", so refill
-  // still lands on the right buffers (upper-half pointers into them remain
-  // stale — the reason CRAC prefers determinism).
-  std::map<std::uint64_t, std::uint64_t> replay_translation_;
   ReplayStats last_replay_;
-  bool verify_determinism_ = true;
   std::optional<DeltaDrainPlan> delta_plan_;  // armed for the next drain
   bool last_drain_was_delta_ = false;
   // Snapshot pinned by freeze(), consumed by precheckpoint(). Only the

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "ckpt/remote.hpp"
 #include "common/log.hpp"
 
 namespace crac::proxy {
@@ -22,13 +21,11 @@ ProxyClientApi::ProxyClientApi(const Options& options)
         CRAC_CHECK_MSG(h.ok(), "proxy spawn failed: " << h.status().to_string());
         return std::make_shared<ProxyHost>(std::move(*h));
       }()),
-      channel_fd_(host_->fd()),
-      shadow_sync_enabled_(options.shadow_sync_enabled) {
-  init_channel(options.use_cma);
+      channel_fd_(host_->fd()) {
+  init_channel();
 }
 
-ProxyClientApi::ProxyClientApi(std::shared_ptr<ProxyHost> host,
-                               const Options& options)
+ProxyClientApi::ProxyClientApi(std::shared_ptr<ProxyHost> host)
     : host_(std::move(host)),
       channel_fd_([&] {
         auto fd = host_->connect();
@@ -36,12 +33,11 @@ ProxyClientApi::ProxyClientApi(std::shared_ptr<ProxyHost> host,
                        "proxy attach failed: " << fd.status().to_string());
         return *fd;
       }()),
-      attached_(true),
-      shadow_sync_enabled_(options.shadow_sync_enabled) {
-  init_channel(options.use_cma);
+      attached_(true) {
+  init_channel();
 }
 
-void ProxyClientApi::init_channel(bool use_cma) {
+void ProxyClientApi::init_channel() {
   RequestHeader req{};
   req.op = Op::kHello;
   HelloInfo info{};
@@ -51,7 +47,7 @@ void ProxyClientApi::init_channel(bool use_cma) {
   // just leaves info zeroed: the CMA probe fails and bulk payloads go
   // inline. Every channel gets its own staging region, so concurrent bulk
   // transfers from different clients never collide.
-  if (use_cma && resp->err == cudaSuccess) {
+  if (resp->err == cudaSuccess) {
     cma_.initialize(info.server_pid,
                     reinterpret_cast<void*>(info.staging_addr),
                     info.staging_bytes);
@@ -59,20 +55,13 @@ void ProxyClientApi::init_channel(bool use_cma) {
 }
 
 ProxyClientApi::~ProxyClientApi() {
-  // Free client-side pinned buffers. An attached client closes only its own
-  // channel; the server itself dies when the last ProxyHost reference drops
-  // (its destructor sends shutdown and reaps the child).
+  // Free client-side pinned buffers and the shadow mirrors of managed
+  // buffers still live. An attached client closes only its own channel; the
+  // server itself dies when the last ProxyHost reference drops (its
+  // destructor sends shutdown and reaps the child).
   for (void* p : local_pinned_) ::free(p);
+  for (const auto& [p, e] : shadow_.entries()) ::free(e.shadow);
   if (attached_ && channel_fd_ >= 0) ::close(channel_fd_);
-}
-
-void ProxyClientApi::drop_channel() {
-  if (attached_) {
-    if (channel_fd_ >= 0) ::close(channel_fd_);
-  } else {
-    host_->shutdown();
-  }
-  channel_fd_ = -1;
 }
 
 ProxyStats ProxyClientApi::stats() const {
@@ -129,9 +118,7 @@ Status ProxyClientApi::restore_managed(ckpt::ImageReader& image) {
           "drained managed region (remote " + std::to_string(remote) + ", " +
           std::to_string(size) + " bytes) has no matching live shadow");
     }
-    // Pre-write interceptor first (snapshot preserve + dirty mark), then
-    // the decoded chunks land straight in the shadow mirror.
-    shadow_.note_write(it->second.shadow, size);
+    // The decoded chunks land straight in the shadow mirror.
     CRAC_RETURN_IF_ERROR(stream.read(it->second.shadow, size));
     // Push the restored bytes to the device so both sides agree again
     // (the CRUM write-before-call discipline, applied eagerly).
@@ -143,87 +130,12 @@ Status ProxyClientApi::restore_managed(ckpt::ImageReader& image) {
   return OkStatus();
 }
 
-Status ProxyClientApi::ship_checkpoint(int dst_fd) {
-  // Manual RPC framing: the response header is followed by the shipped
-  // stream, which call() has no notion of. Holding rpc_mu_ across the whole
-  // relay keeps other callers from interleaving requests into the stream.
-  std::lock_guard<std::mutex> lock(rpc_mu_);
-  CRAC_RETURN_IF_ERROR(channel_error_);
-  RequestHeader req{};
-  req.op = Op::kShipCkpt;
-  CRAC_RETURN_IF_ERROR(write_all(channel_fd_, &req, sizeof(req)));
-  ResponseHeader resp{};
-  CRAC_RETURN_IF_ERROR(read_all(channel_fd_, &resp, sizeof(resp)));
-  if (resp.err != cuda::cudaSuccess) {
-    return Internal("proxy refused SHIP_CKPT (error " +
-                    std::to_string(resp.err) + ")");
-  }
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.rpcs;
-  }
-  ckpt::RelayOutcome relay_outcome;
-  Status relayed = ckpt::relay_ship_stream(channel_fd_, dst_fd,
-                                           "proxy ship relay", &relay_outcome);
-  if (!relayed.ok() && !relay_outcome.upstream_in_band) {
-    // Stream bytes may still be queued on the control socket; no later
-    // request/response can be trusted. Tear the connection down too: the
-    // server is still streaming frames with no reader, and only a peer
-    // close unblocks it (its write fails, it exits, shutdown reaps it).
-    // (An in-band end — the server aborting its own failed checkpoint, or
-    // a trailer its receiver rejects — leaves the control socket framed,
-    // so the connection stays usable and no teardown is needed.)
-    channel_error_ = Status(relayed.code(),
-                            "proxy channel desynced by a failed SHIP_CKPT "
-                            "relay: " + relayed.message());
-    drop_channel();
-  }
-  return relayed;
-}
-
-Status ProxyClientApi::recv_checkpoint(int src_fd) {
-  std::lock_guard<std::mutex> lock(rpc_mu_);
-  CRAC_RETURN_IF_ERROR(channel_error_);
-  RequestHeader req{};
-  req.op = Op::kRecvCkpt;
-  CRAC_RETURN_IF_ERROR(write_all(channel_fd_, &req, sizeof(req)));
-  ckpt::RelayOutcome relay_outcome;
-  Status relayed = ckpt::relay_ship_stream(src_fd, channel_fd_,
-                                           "proxy recv relay", &relay_outcome);
-  if (!relayed.ok() && !relay_outcome.downstream_in_band) {
-    // The server sits mid-stream waiting for frames this relay will never
-    // deliver; the connection cannot be resynced. Close it so the server's
-    // blocked read sees EOF and exits instead of wedging forever.
-    channel_error_ = Status(relayed.code(),
-                            "proxy channel desynced by a failed RECV_CKPT "
-                            "relay: " + relayed.message());
-    drop_channel();
-    return relayed;
-  }
-  // The server holds a self-delimiting stream — complete, or terminated by
-  // a bad trailer / abort marker it will reject cleanly — so a response
-  // header follows either way and the connection stays in sync.
-  ResponseHeader resp{};
-  CRAC_RETURN_IF_ERROR(read_all(channel_fd_, &resp, sizeof(resp)));
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.rpcs;
-  }
-  if (!relayed.ok()) return relayed;  // the stream's own (named) failure
-  if (resp.err != cuda::cudaSuccess) {
-    return Internal("proxy rejected the shipped checkpoint (error " +
-                    std::to_string(resp.err) + ")");
-  }
-  return OkStatus();
-}
-
 Result<ResponseHeader> ProxyClientApi::call(RequestHeader req,
                                             const void* payload,
                                             std::size_t payload_bytes,
                                             void* recv_into,
                                             std::size_t recv_bytes) {
   std::lock_guard<std::mutex> lock(rpc_mu_);
-  CRAC_RETURN_IF_ERROR(channel_error_);
   {
     std::lock_guard<std::mutex> slock(stats_mu_);
     ++stats_.rpcs;
@@ -327,7 +239,6 @@ bool ProxyClientApi::is_remote_ptr(const void* p) const {
 }
 
 cudaError_t ProxyClientApi::sync_shadows_to_device() {
-  if (!shadow_sync_enabled_) return cudaSuccess;
   for (const auto& [p, e] : shadow_.entries()) {
     if (push_to_device(e.remote, e.shadow, e.size) != cudaSuccess) {
       return cuda::cudaErrorUnknown;
@@ -340,12 +251,7 @@ cudaError_t ProxyClientApi::sync_shadows_to_device() {
 }
 
 cudaError_t ProxyClientApi::sync_shadows_from_device() {
-  if (!shadow_sync_enabled_) return cudaSuccess;
   for (const auto& [p, e] : shadow_.entries()) {
-    // note_write precedes the mutation (the pull writes the device bytes
-    // into the shadow): a COW capture must see the pre-image preserved
-    // first.
-    shadow_.note_write(e.shadow, e.size);
     if (pull_from_device(e.shadow, e.remote, e.size) != cudaSuccess) {
       return cuda::cudaErrorUnknown;
     }
@@ -518,7 +424,6 @@ cudaError_t ProxyClientApi::cudaMemcpyAsync(void* dst, const void* src,
 
 cudaError_t ProxyClientApi::cudaMemset(void* dst, int value, std::size_t n) {
   if (shadow_.is_shadow(dst)) {
-    shadow_.note_write(dst, n);
     std::memset(dst, value, n);
     auto remote = shadow_.translate(dst);
     if (!remote.ok()) return record(cuda::cudaErrorInvalidDevicePointer);

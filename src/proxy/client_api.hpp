@@ -37,8 +37,6 @@ class ProxyClientApi final : public cuda::CudaApi {
  public:
   struct Options {
     ProxyHostOptions host;
-    bool use_cma = true;            // prefer CMA for bulk payloads
-    bool shadow_sync_enabled = true;  // CRUM read-modify-write support
   };
 
   ProxyClientApi();  // default options; spawns its own server
@@ -48,7 +46,7 @@ class ProxyClientApi final : public cuda::CudaApi {
   // its own CMA staging buffer, every verb — and shares the server's device
   // with everyone else. The shared_ptr keeps the server alive: it shuts
   // down when the last holder (owner or attached) lets go.
-  ProxyClientApi(std::shared_ptr<ProxyHost> host, const Options& options);
+  explicit ProxyClientApi(std::shared_ptr<ProxyHost> host);
   ~ProxyClientApi() override;
 
   ProxyClientApi(const ProxyClientApi&) = delete;
@@ -61,8 +59,6 @@ class ProxyClientApi final : public cuda::CudaApi {
   bool cma_available() const noexcept { return cma_.available(); }
   ProxyStats stats() const;
   const ShadowUvm& shadow() const noexcept { return shadow_; }
-  // Mutable access for attaching dirty-tracking / COW-snapshot hooks.
-  ShadowUvm& shadow() noexcept { return shadow_; }
 
   // Streams the managed (shadow-mirrored) state into a kManagedBuffers
   // section of `image`: device contents are synced into the shadows, then
@@ -78,28 +74,6 @@ class ProxyClientApi final : public cuda::CudaApi {
   // shadows by their remote (proxy-side) pointer, which is the stable
   // identity across a drain/restore cycle.
   Status restore_managed(ckpt::ImageReader& image);
-
-  // Live checkpoint shipping (SHIP_CKPT / RECV_CKPT). ship_checkpoint asks
-  // the server for a framed checkpoint of its device-arena state (allocator
-  // snapshot + active allocation contents) and relays the stream onto
-  // `dst_fd` — one bounded frame buffered at a time, no spool, no file.
-  // recv_checkpoint relays a stream from `src_fd` to the server, which
-  // restores its device arena from it *while it arrives* (restart
-  // semantics: allocations made after the shipped checkpoint are rolled
-  // back), mutating nothing until the whole shipment has verified, and
-  // acknowledges. Both verbs block for the stream's duration, holding the
-  // RPC lock (no other RPC can interleave). A stream that dies in-band —
-  // bad trailer, or an abort marker the relay/sender emits — is a clean,
-  // named failure over a connection that stays usable; only a stream with
-  // no known end tears the channel down. Device pointer values survive
-  // verbatim — the shipped
-  // allocations are addressable on the receiving endpoint through
-  // explicit-kind copies and kernel arguments, exactly as CRAC's replayed
-  // pointers are. (The receiving client's own allocation bookkeeping only
-  // tracks what it allocated itself; cudaMemcpyDefault inference on shipped
-  // pointers is therefore not available.)
-  Status ship_checkpoint(int dst_fd);
-  Status recv_checkpoint(int src_fd);
 
   // --- CudaApi ---
   cuda::cudaError_t cudaMalloc(void** p, std::size_t n) override;
@@ -172,7 +146,7 @@ class ProxyClientApi final : public cuda::CudaApi {
   };
 
   // Hello round trip + CMA probe for a freshly opened channel.
-  void init_channel(bool use_cma);
+  void init_channel();
 
   // One RPC round trip. Thread-safe (serialized); `recv_into`/`recv_bytes`
   // receive an expected inline or staged response payload.
@@ -189,12 +163,6 @@ class ProxyClientApi final : public cuda::CudaApi {
   cuda::cudaError_t pull_from_device(void* dst, std::uint64_t remote,
                                      std::size_t n);
 
-  // Desync teardown: this channel can never speak the protocol again. An
-  // attached client closes only its own fd (the server and every other
-  // channel keep going — per-connection containment); the owning client
-  // shuts the whole server down, exactly as the single-channel design did.
-  void drop_channel();
-
   // CRUM shadow synchronization around calls.
   cuda::cudaError_t sync_shadows_to_device();
   cuda::cudaError_t sync_shadows_from_device();
@@ -206,11 +174,6 @@ class ProxyClientApi final : public cuda::CudaApi {
   bool attached_ = false;  // channel_fd_ is ours to close
   CmaChannel cma_;
   mutable std::mutex rpc_mu_;
-  // A relay failure mid-ship leaves unread stream bytes on the control
-  // socket: request/response framing can never recover, so the first such
-  // failure poisons the channel and every later call reports it instead of
-  // parsing stream debris as a response header. Guarded by rpc_mu_.
-  Status channel_error_;
 
   ShadowUvm shadow_;
   mutable std::mutex state_mu_;
@@ -218,7 +181,6 @@ class ProxyClientApi final : public cuda::CudaApi {
   std::set<void*> local_pinned_;  // cudaMallocHost handed out locally
   std::map<const void*, std::vector<std::size_t>> kernel_arg_sizes_;
   std::vector<CallConfig> call_config_stack_;
-  bool shadow_sync_enabled_;
 
   mutable std::mutex stats_mu_;
   ProxyStats stats_;

@@ -133,7 +133,7 @@ void EventLoop::launch_session(Connection& conn) {
   conn.in_session_ = true;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.fd_, nullptr);
   // The session does blocking I/O; hand it a blocking fd with any queued
-  // response bytes (e.g. the OK header ahead of a SHIP stream) already on
+  // response bytes (e.g. the OK header ahead of a GET stream) already on
   // the wire, in order.
   (void)set_nonblocking(conn.fd_, false);
   bool keep = true;

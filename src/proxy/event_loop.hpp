@@ -9,15 +9,16 @@
 // of one blocking read_all loop per forked server process: one process now
 // serves many clients, and a slow or dead client stalls only itself.
 //
-// Blocking work — the SHIP_CKPT/RECV_CKPT checkpoint streams, whose wire
+// Blocking work — the checkpoint registry's PUT/GET streams, whose wire
 // format is a self-delimiting CRACSHP1 stream, not request frames — runs as
 // a *session*: the handler claims the connection, the loop detaches its fd
 // from epoll and flips it back to blocking mode, and the session closure
 // runs on the shared crac::ThreadPool while the loop keeps serving everyone
 // else. Completion returns through an eventfd: the loop re-arms the fd (or
 // closes it, if the session declared the connection dead) without ever
-// blocking itself. Multiple sessions ride concurrently; a long shipment on
-// one channel cannot stall an RPC on another.
+// blocking itself. Multiple sessions ride concurrently; a long transfer on
+// one channel cannot stall a request on another. The proxy server claims no
+// sessions: every one of its RPCs is answered on the loop thread.
 //
 // Error containment is per-connection: a read error, a hostile header
 // (payload_bytes beyond the protocol cap), or a failed session closes that
@@ -118,7 +119,8 @@ class EventLoop {
   // it (a desynced stream, a dead peer).
   using SessionFn = std::function<bool(int fd)>;
 
-  // The handler and pool must outlive the loop.
+  // The handler and pool must outlive the loop. Only start_session() uses
+  // the pool, so a handler that never claims a session may pass nullptr.
   EventLoop(Handler* handler, ThreadPool* pool);
   ~EventLoop();
 

@@ -54,21 +54,6 @@ enum class Op : std::uint32_t {
   kRegisterFunction = 61,  // payload: arg-size table
   kUnregisterFatBinary = 62,
 
-  // Live checkpoint shipping (CRACSHP1 wire framing, see ckpt/remote.hpp).
-  // SHIP_CKPT: after the OK response the server streams a framed checkpoint
-  // of its device-arena state (allocator snapshot + active allocation
-  // contents) down the control socket; the client relays it to a peer. A
-  // server-side failure mid-stream ends the shipment with an in-band abort
-  // marker, keeping the connection framed.
-  // RECV_CKPT: the request header is followed by a framed checkpoint stream
-  // which the server restores from *while it arrives* (two-phase streaming
-  // spool), mutating nothing until the trailer verifies, and then
-  // acknowledges. A stream ending in-band with a bad trailer or an abort
-  // marker is rejected over an intact connection; only a stream with no
-  // known end (EOF mid-frame) is fatal.
-  kShipCkpt = 70,
-  kRecvCkpt = 71,
-
   // Checkpoint registry verbs (served by registry::RegistryHost, which
   // speaks this same header + CRACSHP1 stream framing; the proxy server
   // rejects them). PUT/GET carry the image name as the request payload and

@@ -6,17 +6,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <vector>
 
-#include "ckpt/image.hpp"
-#include "ckpt/remote.hpp"
 #include "common/log.hpp"
-#include "common/thread_pool.hpp"
 #include "proxy/channel.hpp"
 #include "proxy/event_loop.hpp"
 #include "simcuda/lower_half.hpp"
@@ -38,12 +33,6 @@ struct ServerState {
   std::vector<std::unique_ptr<ServerRegistration>> registrations;
   std::vector<std::unique_ptr<cuda::FatBinaryDesc>> descs;
   std::vector<std::unique_ptr<std::string>> strings;
-  // Serializes device access between loop-thread RPCs and pool-thread
-  // checkpoint sessions. RPC handlers hold it per call; a SHIP session
-  // holds it per staged slice (so a long shipment interleaves with RPCs
-  // instead of stalling them); a RECV session holds it across its whole
-  // mutation phase (no client may observe a half-restored arena).
-  std::mutex device_mu;
 };
 
 // Per-connection state hung off Connection::user: the CMA staging buffer
@@ -67,17 +56,6 @@ void respond(Connection& conn, std::int32_t err, std::uint64_t r0 = 0,
   resp.staged = staged ? 1 : 0;
   conn.send(&resp, sizeof(resp));
   if (!staged && payload_bytes > 0) conn.send(payload, payload_bytes);
-}
-
-// Session-side (blocking) response on a claimed fd; false = peer is gone
-// and the connection should close.
-bool respond_fd(int fd, std::int32_t err, std::uint64_t r0 = 0,
-                std::uint64_t r1 = 0) {
-  ResponseHeader resp{};
-  resp.err = err;
-  resp.r0 = r0;
-  resp.r1 = r1;
-  return write_all(fd, &resp, sizeof(resp)).ok();
 }
 
 void handle_launch(ServerState& state, Connection& conn,
@@ -130,199 +108,18 @@ void handle_launch(ServerState& state, Connection& conn,
     args[i] = const_cast<std::byte*>(cursor);
     cursor += registration->arg_sizes[i];
   }
-  std::lock_guard<std::mutex> lock(state.device_mu);
   const cuda::cudaError_t err = state.runtime->launch_kernel(
       fn, grid, block, args.data(), shmem, stream);
   respond(conn, err);
 }
 
-// Section names for the device-arena checkpoint the SHIP_CKPT/RECV_CKPT
-// verbs carry: the allocator snapshot (offsets) plus the contents of every
-// active allocation, in snapshot order.
-constexpr const char* kSectionDeviceArena = "proxy-device-arena";
-constexpr const char* kSectionDeviceContents = "proxy-device-contents";
-
-// Bounded staging for device<->image copies; the ship stream never holds
-// more than one slice of any allocation resident.
-constexpr std::size_t kShipStageBytes = std::size_t{1} << 20;
-
-// Streams a framed checkpoint of the server's device-arena state down `fd`.
-// Runs on a session thread while the loop keeps serving other channels: the
-// allocator snapshot is taken under the device mutex, then each staged
-// slice re-acquires it, so concurrent RPCs interleave at slice granularity.
-// The shipped image is crash-consistent per allocation slice — a client
-// that wants a quiescent image synchronizes its own mutators first, exactly
-// as it would around any asynchronous checkpoint. A concurrent free of a
-// snapshotted allocation surfaces as a failed slice copy, which aborts the
-// shipment in-band (named error at the receiver, connection stays framed);
-// `in_band_end` reports whether that worked — when false the connection is
-// desynced and the caller must close it.
-Status ship_device_state(ServerState& state, int fd, bool* in_band_end) {
-  *in_band_end = false;
-  auto& rt = *state.runtime;
-  auto& arena = rt.device().device_arena();
-  sim::ArenaAllocator::Snapshot snap;
-  {
-    std::lock_guard<std::mutex> lock(state.device_mu);
-    snap = arena.snapshot();
-  }
-
-  ckpt::SocketSink sink(fd, "proxy ship socket");
-  const Status shipped = [&]() -> Status {
-    ckpt::ImageWriter writer(&sink, ckpt::ImageWriter::Options{});
-    writer.add_section(ckpt::SectionType::kMetadata, kSectionDeviceArena,
-                       sim::encode_arena_snapshot(snap));
-    CRAC_RETURN_IF_ERROR(writer.status());
-
-    CRAC_RETURN_IF_ERROR(writer.begin_section(
-        ckpt::SectionType::kDeviceBuffers, kSectionDeviceContents));
-    auto* base = static_cast<std::byte*>(arena.arena_base());
-    std::vector<std::byte> stage(kShipStageBytes);
-    for (const auto& [off, size] : snap.active) {
-      std::uint64_t done = 0;
-      while (done < size) {
-        const auto n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(stage.size(), size - done));
-        {
-          std::lock_guard<std::mutex> lock(state.device_mu);
-          if (rt.memcpy_sync(stage.data(), base + off + done, n,
-                             cuda::cudaMemcpyDeviceToHost) !=
-              cuda::cudaSuccess) {
-            return Internal("device read failed while shipping checkpoint");
-          }
-        }
-        CRAC_RETURN_IF_ERROR(writer.append(stage.data(), n));
-        done += n;
-      }
-    }
-    CRAC_RETURN_IF_ERROR(writer.end_section());
-    CRAC_RETURN_IF_ERROR(writer.finish());
-    return sink.close();
-  }();
-  if (shipped.ok()) {
-    *in_band_end = true;
-    return shipped;
-  }
-  *in_band_end = sink.abort().ok();
-  return shipped;
-}
-
-// Restores the server's device-arena state from a spooled shipment — over a
-// StreamingSpoolSource this runs *while the stream is still arriving*: the
-// directory scan, snapshot decode, and the full CRC probe all chase the
-// receive frontier, so by the time the last byte lands the shipment is
-// already validated.
-// Validation stays strictly before mutation: a rejected shipment must leave
-// the server's existing device state untouched (the client is told "error,
-// connection intact" and must be able to keep using what it had). Only
-// after the snapshot decodes, the contents section exists with exactly the
-// right size, every chunk has CRC-verified (a skip-read over the local
-// spool — overlapped with the receive), and the directory has been forced
-// complete (which on a live stream means the transport trailer verified) do
-// the allocator maps get replaced and contents copied in — under the device
-// mutex for the whole mutation phase, so no other channel's RPC can observe
-// a half-restored arena. `*mutated` turns true the moment the arena is
-// touched: a failure after that point must NOT be answered as a clean
-// rejection (the old state is gone), the caller escalates instead.
-Status restore_device_state(ServerState& state,
-                            std::unique_ptr<ckpt::Source> spool,
-                            bool* mutated) {
-  auto reader = ckpt::ImageReader::open(std::move(spool));
-  if (!reader.ok()) return reader.status();
-  const ckpt::SectionInfo* snap_sec =
-      reader->find(ckpt::SectionType::kMetadata, kSectionDeviceArena);
-  if (snap_sec == nullptr) {
-    CRAC_RETURN_IF_ERROR(reader->directory_status());
-    return Corrupt("shipped checkpoint has no device-arena snapshot");
-  }
-  CRAC_ASSIGN_OR_RETURN(auto snap_bytes, reader->read_section(*snap_sec));
-  CRAC_ASSIGN_OR_RETURN(auto snap, sim::decode_arena_snapshot(
-                                       snap_bytes.data(), snap_bytes.size()));
-
-  const ckpt::SectionInfo* body =
-      reader->find(ckpt::SectionType::kDeviceBuffers, kSectionDeviceContents);
-  if (body == nullptr) {
-    CRAC_RETURN_IF_ERROR(reader->directory_status());
-    return Corrupt("shipped checkpoint has no device-arena contents");
-  }
-  std::uint64_t expect_bytes = 0;
-  for (const auto& [off, size] : snap.active) expect_bytes += size;
-  {
-    // CRC-verify the whole contents section before touching the arena (on
-    // a live stream these reads block per-range, overlapping the decode
-    // with the receive). On a still-streaming shipment find() may hand back
-    // the section on its header alone (size unknown until its terminator
-    // lands), so the probe doubles as the size resolver: drain to the end,
-    // then judge the resolved size — never the placeholder 0.
-    CRAC_ASSIGN_OR_RETURN(auto probe, reader->open_section(*body));
-    if (body->size_known) {
-      CRAC_RETURN_IF_ERROR(probe.skip(body->raw_size));
-    } else {
-      std::vector<std::byte> scratch(kShipStageBytes);
-      for (;;) {
-        CRAC_ASSIGN_OR_RETURN(
-            auto got, probe.read_some(scratch.data(), scratch.size()));
-        if (got == 0) break;
-      }
-    }
-  }
-  if (body->raw_size != expect_bytes) {
-    return Corrupt("shipped device-arena contents are " +
-                   std::to_string(body->raw_size) + " bytes, snapshot's " +
-                   "active allocations need " + std::to_string(expect_bytes));
-  }
-  // The last validate-before-mutate gate: force the directory complete. On
-  // a live stream this blocks until the transport trailer has verified —
-  // a shipment whose trailer turns out damaged or truncated is rejected
-  // here, before any arena byte moves.
-  CRAC_RETURN_IF_ERROR(reader->scan_to_end());
-
-  auto& rt = *state.runtime;
-  auto& arena = rt.device().device_arena();
-  // Mutation phase: the whole stream has arrived and verified, so every
-  // read below is local spool memory/disk — holding the device mutex across
-  // it cannot deadlock on the transport, only pause other channels' RPCs
-  // for the duration of the arena swap.
-  std::lock_guard<std::mutex> lock(state.device_mu);
-  // Last validation gate: a snapshot that does not fit this arena (smaller
-  // reservation on a heterogeneous receiver, hostile offsets) is still a
-  // clean rejection. Only past it does `mutated` flip — from here on the
-  // rare remaining failures (EIO on the already-verified spool's overflow
-  // file) leave mixed state and the caller escalates.
-  CRAC_RETURN_IF_ERROR(arena.validate_snapshot(snap));
-  *mutated = true;
-  CRAC_RETURN_IF_ERROR(arena.restore(snap));
-
-  CRAC_ASSIGN_OR_RETURN(auto stream, reader->open_section(*body));
-  auto* base = static_cast<std::byte*>(arena.arena_base());
-  std::vector<std::byte> stage(kShipStageBytes);
-  for (const auto& [off, size] : snap.active) {
-    std::uint64_t done = 0;
-    while (done < size) {
-      const auto n = static_cast<std::size_t>(
-          std::min<std::uint64_t>(stage.size(), size - done));
-      CRAC_RETURN_IF_ERROR(stream.read(stage.data(), n));
-      if (rt.memcpy_sync(base + off + done, stage.data(), n,
-                         cuda::cudaMemcpyHostToDevice) != cuda::cudaSuccess) {
-        return Internal("device write failed while restoring shipped "
-                        "checkpoint");
-      }
-      done += n;
-    }
-  }
-  // A restored server has integrity-checked the whole shipment, exactly
-  // like a restarted CracContext.
-  return reader->verify_unread_sections();
-}
-
-// The proxy server's protocol brain: dispatches every parsed request,
-// claims checkpoint sessions, and owns per-connection staging buffers.
+// The proxy server's protocol brain: dispatches every parsed request and
+// owns per-connection staging buffers. Everything runs on the loop thread,
+// which is the only thread that touches the device.
 class ProxyHandler final : public EventLoop::Handler {
  public:
   ProxyHandler(ServerState& state, const ProxyHostOptions& options)
       : state_(state), options_(options) {}
-
-  void bind_loop(EventLoop* loop) { loop_ = loop; }
 
   std::vector<std::byte> on_oversized(const RequestHeader& req) override {
     CRAC_WARN() << "rejecting request op=" << static_cast<unsigned>(req.op)
@@ -354,7 +151,6 @@ class ProxyHandler final : public EventLoop::Handler {
 
   ServerState& state_;
   const ProxyHostOptions& options_;
-  EventLoop* loop_ = nullptr;
 };
 
 EventLoop::Dispatch ProxyHandler::on_request(Connection& conn,
@@ -362,9 +158,6 @@ EventLoop::Dispatch ProxyHandler::on_request(Connection& conn,
                                              std::vector<std::byte>& payload) {
   auto& rt = *state_.runtime;
   using Dispatch = EventLoop::Dispatch;
-  // Every short RPC runs on the loop thread under the device mutex —
-  // cheap when no session is active, and correct when one is.
-  std::unique_lock<std::mutex> device_lock(state_.device_mu, std::defer_lock);
 
   switch (req.op) {
     case Op::kHello: {
@@ -395,48 +188,36 @@ EventLoop::Dispatch ProxyHandler::on_request(Connection& conn,
     }
     case Op::kMalloc: {
       void* p = nullptr;
-      device_lock.lock();
       const auto err = rt.malloc_device(&p, req.a);
-      device_lock.unlock();
       respond(conn, err, reinterpret_cast<std::uint64_t>(p));
       return Dispatch::kContinue;
     }
     case Op::kFree: {
-      device_lock.lock();
       const auto err = rt.free_device(reinterpret_cast<void*>(req.a));
-      device_lock.unlock();
       respond(conn, err);
       return Dispatch::kContinue;
     }
     case Op::kMallocHost: {
       void* p = nullptr;
-      device_lock.lock();
       const auto err = rt.malloc_host(&p, req.a);
-      device_lock.unlock();
       respond(conn, err, reinterpret_cast<std::uint64_t>(p));
       return Dispatch::kContinue;
     }
     case Op::kHostAlloc: {
       void* p = nullptr;
-      device_lock.lock();
       const auto err = rt.host_alloc(&p, req.a, static_cast<unsigned>(req.b));
-      device_lock.unlock();
       respond(conn, err, reinterpret_cast<std::uint64_t>(p));
       return Dispatch::kContinue;
     }
     case Op::kFreeHost: {
-      device_lock.lock();
       const auto err = rt.free_host(reinterpret_cast<void*>(req.a));
-      device_lock.unlock();
       respond(conn, err);
       return Dispatch::kContinue;
     }
     case Op::kMallocManaged: {
       void* p = nullptr;
-      device_lock.lock();
       const auto err =
           rt.malloc_managed(&p, req.a, static_cast<unsigned>(req.b));
-      device_lock.unlock();
       respond(conn, err, reinterpret_cast<std::uint64_t>(p));
       return Dispatch::kContinue;
     }
@@ -452,10 +233,8 @@ EventLoop::Dispatch ProxyHandler::on_request(Connection& conn,
       }
       // Async degenerates to sync server-side: the RPC already serialized
       // the client, which is precisely the proxy architecture's handicap.
-      device_lock.lock();
       const auto err = rt.memcpy_sync(reinterpret_cast<void*>(req.a), src,
                                       req.b, cuda::cudaMemcpyDefault);
-      device_lock.unlock();
       respond(conn, err);
       return Dispatch::kContinue;
     }
@@ -467,12 +246,10 @@ EventLoop::Dispatch ProxyHandler::on_request(Connection& conn,
           respond(conn, cuda::cudaErrorInvalidValue);
           return Dispatch::kContinue;
         }
-        device_lock.lock();
-        const auto err = rt.memcpy_sync(
+          const auto err = rt.memcpy_sync(
             cs.staging, reinterpret_cast<const void*>(req.a), req.b,
             cuda::cudaMemcpyDefault);
-        device_lock.unlock();
-        respond(conn, err, 0, 0, nullptr, 0, /*staged=*/true);
+          respond(conn, err, 0, 0, nullptr, 0, /*staged=*/true);
       } else {
         // Same trust boundary as payload_bytes: an inline response is
         // allocated from a header field, so cap it identically (the client
@@ -482,128 +259,96 @@ EventLoop::Dispatch ProxyHandler::on_request(Connection& conn,
           return Dispatch::kContinue;
         }
         std::vector<std::byte> out(req.b);
-        device_lock.lock();
-        const auto err =
+          const auto err =
             rt.memcpy_sync(out.data(), reinterpret_cast<const void*>(req.a),
                            req.b, cuda::cudaMemcpyDefault);
-        device_lock.unlock();
-        respond(conn, err, 0, 0, out.data(),
+          respond(conn, err, 0, 0, out.data(),
                 static_cast<std::uint32_t>(out.size()));
       }
       return Dispatch::kContinue;
     }
     case Op::kMemcpyOnDevice: {
-      device_lock.lock();
       const auto err = rt.memcpy_sync(reinterpret_cast<void*>(req.a),
                                       reinterpret_cast<const void*>(req.b),
                                       req.c, cuda::cudaMemcpyDeviceToDevice);
-      device_lock.unlock();
       respond(conn, err);
       return Dispatch::kContinue;
     }
     case Op::kMemset: {
-      device_lock.lock();
       const auto err = rt.memset_sync(reinterpret_cast<void*>(req.a),
                                       static_cast<int>(req.b), req.c);
-      device_lock.unlock();
       respond(conn, err);
       return Dispatch::kContinue;
     }
     case Op::kMemsetAsync: {
-      device_lock.lock();
       const auto err = rt.memset_async(reinterpret_cast<void*>(req.a),
                                        static_cast<int>(req.b), req.c, req.d);
-      device_lock.unlock();
       respond(conn, err);
       return Dispatch::kContinue;
     }
     case Op::kMemPrefetchAsync: {
-      device_lock.lock();
       const auto err = rt.mem_prefetch_async(reinterpret_cast<void*>(req.a),
                                              req.b, static_cast<int>(req.c),
                                              req.d);
-      device_lock.unlock();
       respond(conn, err);
       return Dispatch::kContinue;
     }
     case Op::kStreamCreate: {
       cuda::cudaStream_t s = 0;
-      device_lock.lock();
       const auto err = rt.stream_create(&s);
-      device_lock.unlock();
       respond(conn, err, s);
       return Dispatch::kContinue;
     }
     case Op::kStreamDestroy: {
-      device_lock.lock();
       const auto err = rt.stream_destroy(req.a);
-      device_lock.unlock();
       respond(conn, err);
       return Dispatch::kContinue;
     }
     case Op::kStreamSynchronize: {
-      device_lock.lock();
       const auto err = rt.stream_synchronize(req.a);
-      device_lock.unlock();
       respond(conn, err);
       return Dispatch::kContinue;
     }
     case Op::kStreamQuery: {
-      device_lock.lock();
       const auto err = rt.stream_query(req.a);
-      device_lock.unlock();
       respond(conn, err);
       return Dispatch::kContinue;
     }
     case Op::kStreamWaitEvent: {
-      device_lock.lock();
       const auto err =
           rt.stream_wait_event(req.a, req.b, static_cast<unsigned>(req.c));
-      device_lock.unlock();
       respond(conn, err);
       return Dispatch::kContinue;
     }
     case Op::kEventCreate: {
       cuda::cudaEvent_t e = 0;
-      device_lock.lock();
       const auto err = rt.event_create(&e);
-      device_lock.unlock();
       respond(conn, err, e);
       return Dispatch::kContinue;
     }
     case Op::kEventDestroy: {
-      device_lock.lock();
       const auto err = rt.event_destroy(req.a);
-      device_lock.unlock();
       respond(conn, err);
       return Dispatch::kContinue;
     }
     case Op::kEventRecord: {
-      device_lock.lock();
       const auto err = rt.event_record(req.a, req.b);
-      device_lock.unlock();
       respond(conn, err);
       return Dispatch::kContinue;
     }
     case Op::kEventSynchronize: {
-      device_lock.lock();
       const auto err = rt.event_synchronize(req.a);
-      device_lock.unlock();
       respond(conn, err);
       return Dispatch::kContinue;
     }
     case Op::kEventQuery: {
-      device_lock.lock();
       const auto err = rt.event_query(req.a);
-      device_lock.unlock();
       respond(conn, err);
       return Dispatch::kContinue;
     }
     case Op::kEventElapsedTime: {
       float ms = 0;
-      device_lock.lock();
       const auto err = rt.event_elapsed_time(&ms, req.a, req.b);
-      device_lock.unlock();
       std::uint64_t bits = 0;
       std::memcpy(&bits, &ms, sizeof(ms));
       respond(conn, err, bits);
@@ -614,17 +359,13 @@ EventLoop::Dispatch ProxyHandler::on_request(Connection& conn,
       return Dispatch::kContinue;
     }
     case Op::kDeviceSynchronize: {
-      device_lock.lock();
       const auto err = rt.device_synchronize();
-      device_lock.unlock();
       respond(conn, err);
       return Dispatch::kContinue;
     }
     case Op::kGetDeviceProperties: {
       cuda::cudaDeviceProp prop;
-      device_lock.lock();
       const auto err = rt.get_device_properties(&prop, 0);
-      device_lock.unlock();
       // Fixed-size wire form: ints + sizes + truncated name.
       struct WireProps {
         std::int32_t cc_major, cc_minor, num_sms, max_conc;
@@ -643,9 +384,7 @@ EventLoop::Dispatch ProxyHandler::on_request(Connection& conn,
     }
     case Op::kMemGetInfo: {
       std::size_t free_b = 0, total_b = 0;
-      device_lock.lock();
       const auto err = rt.mem_get_info(&free_b, &total_b);
-      device_lock.unlock();
       respond(conn, err, free_b, total_b);
       return Dispatch::kContinue;
     }
@@ -655,9 +394,7 @@ EventLoop::Dispatch ProxyHandler::on_request(Connection& conn,
           reinterpret_cast<const char*>(payload.data()), payload.size());
       desc->module_name = name->c_str();
       desc->binary_hash = req.a;
-      device_lock.lock();
       const auto handle = rt.register_fat_binary(desc.get());
-      device_lock.unlock();
       state_.descs.push_back(std::move(desc));
       state_.strings.push_back(std::move(name));
       respond(conn, cuda::cudaSuccess,
@@ -691,78 +428,17 @@ EventLoop::Dispatch ProxyHandler::on_request(Connection& conn,
       sr->reg.device_fn = reinterpret_cast<cuda::KernelFn>(device_fn);
       sr->reg.arg_sizes = sr->arg_sizes.data();
       sr->reg.arg_count = sr->arg_sizes.size();
-      device_lock.lock();
       rt.register_function(reinterpret_cast<cuda::FatBinaryHandle>(req.a),
                            sr->reg);
-      device_lock.unlock();
       state_.registrations.push_back(std::move(sr));
       respond(conn, cuda::cudaSuccess);
       return Dispatch::kContinue;
     }
     case Op::kUnregisterFatBinary: {
-      device_lock.lock();
       rt.unregister_fat_binary(
           reinterpret_cast<cuda::FatBinaryHandle>(req.a));
-      device_lock.unlock();
       respond(conn, cuda::cudaSuccess);
       return Dispatch::kContinue;
-    }
-    case Op::kShipCkpt: {
-      // Respond first (queued ahead of the stream — the loop flushes it
-      // before the session starts), then stream from a session thread so
-      // other channels' RPCs keep flowing. An internal failure mid-stream
-      // terminates the shipment with an in-band abort marker, which keeps
-      // the connection framed — only a failure to land even the marker
-      // (dead socket) closes this connection.
-      respond(conn, cuda::cudaSuccess);
-      loop_->start_session(conn, [this](int fd) {
-        bool in_band_end = false;
-        const Status shipped = ship_device_state(state_, fd, &in_band_end);
-        if (!shipped.ok()) {
-          CRAC_WARN() << "SHIP_CKPT failed: " << shipped.to_string();
-          return in_band_end;
-        }
-        return true;
-      });
-      return Dispatch::kSession;
-    }
-    case Op::kRecvCkpt: {
-      // The framed stream follows the request header (the loop read exactly
-      // the header, so the stream's first byte is still on the socket). The
-      // spool starts serving ranges as frames land, so the restore runs
-      // concurrently with the incoming stream — and concurrently with every
-      // other channel's RPCs — but mutates nothing until the whole shipment
-      // (trailer included) has verified.
-      loop_->start_session(conn, [this](int fd) {
-        ckpt::StreamingSpoolSource::Options sopts;
-        sopts.origin = "proxy recv stream";
-        auto spool = ckpt::StreamingSpoolSource::start(fd, sopts);
-        if (!spool.ok()) return false;  // not even a ship header: desynced
-        // The outcome outlives the source (which restore consumes): it is
-        // final once restore returns, because destroying the source joins
-        // the receiver — and that join doubles as a drain, so even an early
-        // rejection leaves the stream fully consumed off the socket.
-        auto outcome = (*spool)->outcome();
-        bool mutated = false;
-        const Status restored =
-            restore_device_state(state_, std::move(*spool), &mutated);
-        if (!restored.ok()) {
-          CRAC_WARN() << "RECV_CKPT restore failed: " << restored.to_string();
-          // Past the mutation point the old state is gone and the new one
-          // is partial — and the arena is shared by every channel, so this
-          // is the one failure that still takes the whole server down.
-          if (mutated) _exit(3);
-          // Unmutated, but did the stream end in-band (trailer — valid or
-          // not — or an abort marker)? If not, nobody knows where the next
-          // request starts: desynced, close this channel (only). If it
-          // did, this is a clean rejection over an intact connection —
-          // prior state untouched.
-          if (!outcome->synced) return false;
-        }
-        return respond_fd(fd, restored.ok() ? cuda::cudaSuccess
-                                            : cuda::cudaErrorUnknown);
-      });
-      return Dispatch::kSession;
     }
     default:
       respond(conn, cuda::cudaErrorUnknown);
@@ -877,10 +553,8 @@ void ProxyHost::serve(int control_fd, int listen_fd,
                       const ProxyHostOptions& options) {
   ServerState state;
   state.runtime = std::make_unique<cuda::LowerHalfRuntime>(options.device);
-  ThreadPool sessions(std::max<std::size_t>(1, options.session_threads));
   ProxyHandler handler(state, options);
-  EventLoop loop(&handler, &sessions);
-  handler.bind_loop(&loop);
+  EventLoop loop(&handler, /*pool=*/nullptr);
   if (!loop.add_connection(control_fd, /*control=*/true).ok()) _exit(2);
   if (listen_fd >= 0 && !loop.add_listener(listen_fd).ok()) _exit(2);
   const Status served = loop.run();

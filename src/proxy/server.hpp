@@ -12,12 +12,10 @@
 // connection) plus an abstract-namespace Unix listening socket, so many
 // client channels share one server process and one device. connect() mints
 // additional channels; each gets its own CMA staging buffer at Hello time.
-// Device RPCs from all channels serialize on a server-side device mutex,
-// while SHIP_CKPT/RECV_CKPT run as thread-pool sessions that interleave
-// with everyone else's RPCs instead of stalling them. A misbehaving client
-// (oversized header, dead socket, failed stream) costs its own connection,
-// never the server — the process exits only on shutdown, control-connection
-// EOF, or a half-mutated restore (the one genuinely unrecoverable case).
+// Device RPCs from all channels run one at a time on the loop thread, the
+// only thread that touches the device. A misbehaving client (oversized
+// header, dead socket) costs its own connection, never the server — the
+// process exits only on shutdown or control-connection EOF.
 #pragma once
 
 #include <sys/types.h>
@@ -33,9 +31,6 @@ namespace crac::proxy {
 struct ProxyHostOptions {
   sim::DeviceConfig device;              // config for the server's GPU
   std::size_t staging_bytes = std::size_t{160} << 20;
-  // Worker threads for concurrent checkpoint sessions (SHIP/RECV streams
-  // run here while the event loop keeps serving RPCs).
-  std::size_t session_threads = 4;
 };
 
 class ProxyHost {

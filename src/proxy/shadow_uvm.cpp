@@ -1,7 +1,5 @@
 #include "proxy/shadow_uvm.hpp"
 
-#include "ckpt/snapstore.hpp"
-
 namespace crac::proxy {
 
 void ShadowUvm::add(void* shadow, std::uint64_t remote, std::size_t size) {
@@ -43,29 +41,6 @@ std::map<void*, ShadowUvm::Entry> ShadowUvm::entries() const {
 std::size_t ShadowUvm::count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();
-}
-
-void ShadowUvm::set_note_write(NoteWrite fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  note_write_ = std::move(fn);
-}
-
-void ShadowUvm::note_write(const void* p, std::size_t n) const {
-  // Preserve before mark: callers fire this hook before mutating the
-  // shadow, so an armed snapshot still finds the pre-image in place.
-  if (auto* overlay = overlay_.load(std::memory_order_acquire)) {
-    overlay->copy_before_write(p, n);
-  }
-  NoteWrite fn;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    fn = note_write_;
-  }
-  if (fn) fn(p, n);
-}
-
-void ShadowUvm::set_snap_overlay(ckpt::SnapOverlay* overlay) {
-  overlay_.store(overlay, std::memory_order_release);
 }
 
 std::size_t ShadowUvm::total_bytes() const {

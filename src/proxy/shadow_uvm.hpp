@@ -10,17 +10,11 @@
 // eliminates. proxy_test.cpp demonstrates both behaviours.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 
 #include "common/status.hpp"
-
-namespace crac::ckpt {
-class SnapOverlay;
-}  // namespace crac::ckpt
 
 namespace crac::proxy {
 
@@ -32,8 +26,8 @@ class ShadowUvm {
     std::size_t size = 0;
   };
 
-  // Registers a mirror; takes ownership of nothing (shadow allocated by the
-  // caller with operator new[]).
+  // Registers a mirror; takes ownership of nothing (the caller allocates
+  // the shadow with posix_memalign and frees it).
   void add(void* shadow, std::uint64_t remote, std::size_t size);
   // Removes and returns the entry (caller frees the shadow memory).
   Result<Entry> remove(void* shadow);
@@ -49,26 +43,9 @@ class ShadowUvm {
   std::size_t count() const;
   std::size_t total_bytes() const;
 
-  // Dirty-tracking hook: invoked with (shadow pointer, bytes) on every path
-  // that rewrites shadow contents (device -> shadow sync, client memsets,
-  // checkpoint restore). Lets an incremental checkpoint producer narrow the
-  // proxy-shadow section the way the in-process trackers narrow device
-  // buffers. Must be thread-safe; invoked outside ShadowUvm's lock.
-  using NoteWrite = std::function<void(const void* p, std::size_t n)>;
-  void set_note_write(NoteWrite fn);
-  void note_write(const void* p, std::size_t n) const;
-
-  // COW snapshot overlay over the shadow mirrors: note_write — which every
-  // shadow-mutating path calls *before* the bytes change — preserves the
-  // pre-image of the range first, making shadow writes safe under an armed
-  // capture. The overlay must outlive this object; nullptr detaches.
-  void set_snap_overlay(ckpt::SnapOverlay* overlay);
-
  private:
   mutable std::mutex mu_;
   std::map<void*, Entry> entries_;
-  NoteWrite note_write_;
-  std::atomic<ckpt::SnapOverlay*> overlay_{nullptr};
 };
 
 }  // namespace crac::proxy

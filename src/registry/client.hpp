@@ -3,15 +3,15 @@
 // A RegistryClient wraps a connected socket (typically from
 // RegistryHost::connect()) and speaks PUT/GET/LIST/STAT in CRACSHP1 +
 // proxy-header framing. The streaming verbs take callbacks so callers plug
-// in whatever produces/consumes the checkpoint stream — a proxy's
-// ship_checkpoint() writing straight into a PUT, a restore endpoint's
-// recv_checkpoint() reading straight out of a GET — without the registry
-// client buffering the image.
+// in whatever produces/consumes the checkpoint stream — a CracContext's
+// checkpoint_to_sink(SocketSink) writing straight into a PUT, a restore
+// endpoint's restart_from_source(StreamingSpoolSource::start(fd)) reading
+// straight out of a GET — without the registry client buffering the image.
 //
-// Desync policy mirrors the proxy client: if a stream leaves the channel in
-// an unknowable position (writer/reader failed out-of-band), the client
-// poisons itself and closes the fd; every later call fails fast. In-band
-// rejections (server said kRejected/kNotFound) keep the channel usable.
+// Desync policy: if a stream leaves the channel in an unknowable position
+// (writer/reader failed out-of-band), the client poisons itself and closes
+// the fd; every later call fails fast. In-band rejections (server said
+// kRejected/kNotFound) keep the channel usable.
 #pragma once
 
 #include <cstddef>
@@ -39,15 +39,16 @@ class RegistryClient {
   bool usable() const noexcept { return fd_ >= 0; }
 
   // Stores an image under `name`. `writer` must emit one complete CRACSHP1
-  // ship stream on the fd (e.g. api.ship_checkpoint(fd), or a SocketSink it
-  // writes and close()s). If the writer fails it should have abort()ed
+  // ship stream on the fd (e.g. a SocketSink that checkpoint_to_sink writes
+  // and close()s). If the writer fails it should have abort()ed
   // in-band; a writer error without in-band recovery poisons the channel.
   Status put(const std::string& name,
              const std::function<Status(int fd)>& writer);
 
   // Fetches `name`; `reader` consumes the self-delimiting CRACSHP1 stream
-  // from the fd (e.g. api.recv_checkpoint(fd), or pump_ship_stream into a
-  // sink). NotFound is answered before any stream starts.
+  // from the fd (e.g. restart_from_source over StreamingSpoolSource::start,
+  // or pump_ship_stream into a sink). NotFound is answered before any
+  // stream starts.
   Status get(const std::string& name,
              const std::function<Status(int fd)>& reader);
 

@@ -16,6 +16,11 @@ LowerHalfRuntime::~LowerHalfRuntime() {
   // Mirrors driver shutdown: all pending work is drained before the device
   // state disappears.
   (void)device_->synchronize();
+  // Handle slots of fat binaries never unregistered (an application that
+  // exits without cudaUnregisterFatBinary, or a context destroyed mid-run).
+  for (const auto& [handle, fb] : fatbins_) {
+    delete reinterpret_cast<std::uintptr_t*>(handle);
+  }
 }
 
 cudaError_t LowerHalfRuntime::malloc_device(void** p, std::size_t n) {

@@ -196,10 +196,10 @@ Status ArenaAllocator::validate_snapshot(const Snapshot& snap) const {
   if (snap.committed_bytes > reservation_.capacity()) {
     return InvalidArgument("snapshot larger than arena reservation");
   }
-  // Every entry must land inside the committed span. Snapshots now arrive
-  // over the wire (RECV_CKPT, shipped images), so a CRC-valid stream with a
-  // hostile offset must fail here — not as a wild write when the restored
-  // allocation's contents are copied in.
+  // Every entry must land inside the committed span. Snapshots arrive
+  // inside images, possibly shipped over a socket, so a CRC-valid stream
+  // with a hostile offset must fail here — not as a wild write when the
+  // restored allocation's contents are copied in.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
   entries.reserve(snap.free_list.size() + snap.active.size());
   for (const auto* list : {&snap.free_list, &snap.active}) {

@@ -102,10 +102,8 @@ class ArenaAllocator {
   // this arena (committed span over capacity, entries outside the span) or
   // whose free/active entries are malformed (zero-size, duplicated, or
   // overlapping one another — a CRC-valid hostile stream must not install
-  // allocations that alias) without touching any state. restore() runs it first; callers that need
-  // a hard validate-then-mutate boundary (the proxy's RECV_CKPT, which must
-  // answer "rejected, state intact" truthfully) call it themselves before
-  // committing to the mutation.
+  // allocations that alias) without touching any state. restore() runs it
+  // first.
   Status validate_snapshot(const Snapshot& snap) const;
 
   // Rebuilds allocator state from a snapshot taken on an arena with the
@@ -134,9 +132,8 @@ class ArenaAllocator {
   ckpt::SnapOverlay* overlay_ = nullptr;
 };
 
-// Wire codec for Snapshot — the one encoding shared by every consumer that
-// checkpoints allocator state (the CRAC upper heap's image section, the
-// proxy's SHIP_CKPT/RECV_CKPT device-arena shipping):
+// Wire codec for Snapshot — the encoding of the CRAC upper heap's
+// allocator-state image section:
 //   [u64 committed_bytes][u64 free_count]([u64 off][u64 size])*
 //   [u64 active_count]([u64 off][u64 size])*
 std::vector<std::byte> encode_arena_snapshot(

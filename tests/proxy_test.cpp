@@ -4,20 +4,15 @@
 // documented lost-update failure under concurrent streams.
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
-#include <unistd.h>
-
+#include <chrono>
 #include <cstring>
 #include <numeric>
 #include <thread>
 #include <vector>
 
 #include "ckpt/image.hpp"
-#include "ckpt/remote.hpp"
 #include "ckpt/sink.hpp"
-#include "ckpt/snapstore.hpp"
 #include "proxy/client_api.hpp"
-#include "simgpu/arena_allocator.hpp"
 #include "simcuda/module.hpp"
 
 namespace crac::proxy {
@@ -252,295 +247,6 @@ TEST(ProxyTest, ManagedDrainRestoreRoundTrip) {
   }
 }
 
-TEST(ProxyTest, DeviceStateShipsBetweenProxyEndpoints) {
-  // SHIP_CKPT -> RECV_CKPT: endpoint A pushes a live checkpoint of its
-  // server's device-arena state through a pipe into endpoint B's server —
-  // two proxy processes, no file, pointer values preserved verbatim. The
-  // pipe is far smaller than the shipment, so ship and recv must run
-  // concurrently (a real migration, not a staged copy).
-  ProxyClientApi a(test_options());
-  ProxyClientApi b(test_options());
-
-  const std::size_t n0 = 256 << 10, n1 = 96 << 10, n2 = 32 << 10;
-  void* d0 = nullptr;
-  void* d1 = nullptr;
-  void* d2 = nullptr;
-  ASSERT_EQ(a.cudaMalloc(&d0, n0), cudaSuccess);
-  ASSERT_EQ(a.cudaMalloc(&d1, n1), cudaSuccess);
-  ASSERT_EQ(a.cudaMalloc(&d2, n2), cudaSuccess);
-  // Free the middle allocation: the shipped allocator snapshot must carry
-  // the hole, not just a dense prefix.
-  ASSERT_EQ(a.cudaFree(d1), cudaSuccess);
-
-  std::vector<char> p0(n0), p2(n2);
-  for (std::size_t i = 0; i < n0; ++i) p0[i] = static_cast<char>(i * 7 + 1);
-  for (std::size_t i = 0; i < n2; ++i) p2[i] = static_cast<char>(i * 13 + 5);
-  ASSERT_EQ(a.cudaMemcpy(d0, p0.data(), n0, cudaMemcpyHostToDevice),
-            cudaSuccess);
-  ASSERT_EQ(a.cudaMemcpy(d2, p2.data(), n2, cudaMemcpyHostToDevice),
-            cudaSuccess);
-
-  int pipefd[2];
-  ASSERT_EQ(::pipe(pipefd), 0);
-  Status ship_status = OkStatus();
-  std::thread shipper([&] {
-    ship_status = a.ship_checkpoint(pipefd[1]);
-    ::close(pipefd[1]);
-  });
-  const Status recv_status = b.recv_checkpoint(pipefd[0]);
-  shipper.join();
-  ::close(pipefd[0]);
-  ASSERT_TRUE(ship_status.ok()) << ship_status.to_string();
-  ASSERT_TRUE(recv_status.ok()) << recv_status.to_string();
-
-  // B's server now holds A's device state at the same addresses; explicit
-  // copy kinds address the migrated pointers directly.
-  std::vector<char> back0(n0), back2(n2);
-  ASSERT_EQ(b.cudaMemcpy(back0.data(), d0, n0, cudaMemcpyDeviceToHost),
-            cudaSuccess);
-  ASSERT_EQ(b.cudaMemcpy(back2.data(), d2, n2, cudaMemcpyDeviceToHost),
-            cudaSuccess);
-  EXPECT_EQ(back0, p0);
-  EXPECT_EQ(back2, p2);
-  // The freed hole migrated too: a fresh allocation of the hole's size on B
-  // reuses d1's address (deterministic first-fit over the shipped free
-  // list), proving allocator state — not just contents — made the trip.
-  void* reuse = nullptr;
-  ASSERT_EQ(b.cudaMalloc(&reuse, n1), cudaSuccess);
-  EXPECT_EQ(reuse, d1);
-}
-
-TEST(ProxyTest, RecvCkptRejectsForeignImageAndSurvives) {
-  // A complete, CRC-clean shipment that is not a device-arena checkpoint
-  // must be rejected with an error — and the connection must remain usable
-  // (the stream was fully consumed, so the protocol is still in sync).
-  ProxyClientApi b(test_options());
-
-  int pipefd[2];
-  ASSERT_EQ(::pipe(pipefd), 0);
-  {
-    ckpt::SocketSink sink(pipefd[1], "test ship");
-    ckpt::ImageWriter writer(&sink, ckpt::ImageWriter::Options{});
-    writer.add_section(ckpt::SectionType::kMetadata, "unrelated",
-                       std::vector<std::byte>(64, std::byte{0x5A}));
-    ASSERT_TRUE(writer.finish().ok());
-    ASSERT_TRUE(sink.close().ok());
-    ::close(pipefd[1]);
-  }
-  const Status recv_status = b.recv_checkpoint(pipefd[0]);
-  ::close(pipefd[0]);
-  EXPECT_FALSE(recv_status.ok());
-
-  void* dev = nullptr;
-  EXPECT_EQ(b.cudaMalloc(&dev, 4096), cudaSuccess);
-  EXPECT_EQ(b.cudaFree(dev), cudaSuccess);
-}
-
-TEST(ProxyTest, RecvCkptRejectBeforeMutationKeepsExistingState) {
-  // A shipment whose snapshot decodes but whose contents section is missing
-  // must be rejected BEFORE the receiving server's allocator is touched:
-  // the client is told "error, connection intact", so the state it had must
-  // still be there — allocations, contents, and all.
-  ProxyClientApi b(test_options());
-  const std::size_t n = 64 << 10;
-  void* dev = nullptr;
-  ASSERT_EQ(b.cudaMalloc(&dev, n), cudaSuccess);
-  std::vector<char> pattern(n);
-  for (std::size_t i = 0; i < n; ++i) pattern[i] = static_cast<char>(i * 3);
-  ASSERT_EQ(b.cudaMemcpy(dev, pattern.data(), n, cudaMemcpyHostToDevice),
-            cudaSuccess);
-
-  // Valid CRACSHP1 stream, valid snapshot section, no contents section.
-  sim::ArenaAllocator::Snapshot snap;
-  snap.committed_bytes = 1 << 20;
-  snap.active.emplace_back(0, 4096);
-  int pipefd[2];
-  ASSERT_EQ(::pipe(pipefd), 0);
-  {
-    ckpt::SocketSink sink(pipefd[1], "test ship");
-    ckpt::ImageWriter writer(&sink, ckpt::ImageWriter::Options{});
-    writer.add_section(ckpt::SectionType::kMetadata, "proxy-device-arena",
-                       sim::encode_arena_snapshot(snap));
-    ASSERT_TRUE(writer.finish().ok());
-    ASSERT_TRUE(sink.close().ok());
-    ::close(pipefd[1]);
-  }
-  const Status recv_status = b.recv_checkpoint(pipefd[0]);
-  ::close(pipefd[0]);
-  EXPECT_FALSE(recv_status.ok());
-
-  // The pre-existing allocation and its contents survived the rejection.
-  std::vector<char> back(n);
-  ASSERT_EQ(b.cudaMemcpy(back.data(), dev, n, cudaMemcpyDeviceToHost),
-            cudaSuccess);
-  EXPECT_EQ(back, pattern);
-  EXPECT_EQ(b.cudaFree(dev), cudaSuccess);
-}
-
-TEST(ProxyTest, RecvCkptOverlappingSnapshotRejectedBeforeMutation) {
-  // A CRC-valid shipment whose arena snapshot carries overlapping
-  // allocations — a later content restore would write one buffer over
-  // another. RECV_CKPT must reject it by name before the receiving
-  // server's allocator is touched.
-  ProxyClientApi b(test_options());
-  const std::size_t n = 64 << 10;
-  void* dev = nullptr;
-  ASSERT_EQ(b.cudaMalloc(&dev, n), cudaSuccess);
-  std::vector<char> pattern(n);
-  for (std::size_t i = 0; i < n; ++i) pattern[i] = static_cast<char>(i * 7);
-  ASSERT_EQ(b.cudaMemcpy(dev, pattern.data(), n, cudaMemcpyHostToDevice),
-            cudaSuccess);
-
-  sim::ArenaAllocator::Snapshot snap;
-  snap.committed_bytes = 1 << 20;
-  snap.active.emplace_back(0, 8192);
-  snap.active.emplace_back(4096, 8192);  // overlaps the first entry
-  int pipefd[2];
-  ASSERT_EQ(::pipe(pipefd), 0);
-  {
-    ckpt::SocketSink sink(pipefd[1], "test ship");
-    ckpt::ImageWriter writer(&sink, ckpt::ImageWriter::Options{});
-    writer.add_section(ckpt::SectionType::kMetadata, "proxy-device-arena",
-                       sim::encode_arena_snapshot(snap));
-    // Correctly-sized contents for the claimed allocations: everything up
-    // to the overlap gate itself verifies, so the rejection below is the
-    // snapshot validation, not an earlier size/CRC check.
-    writer.add_section(ckpt::SectionType::kDeviceBuffers,
-                       "proxy-device-contents",
-                       std::vector<std::byte>(16384, std::byte{0x7F}));
-    ASSERT_TRUE(writer.finish().ok());
-    ASSERT_TRUE(sink.close().ok());
-    ::close(pipefd[1]);
-  }
-  const Status recv_status = b.recv_checkpoint(pipefd[0]);
-  ::close(pipefd[0]);
-  // The client sees "error, connection intact" (validation details stay in
-  // the server log); what matters here is reject-before-mutate.
-  ASSERT_FALSE(recv_status.ok());
-
-  // The pre-existing allocation and its contents survived the rejection.
-  std::vector<char> back(n);
-  ASSERT_EQ(b.cudaMemcpy(back.data(), dev, n, cudaMemcpyDeviceToHost),
-            cudaSuccess);
-  EXPECT_EQ(back, pattern);
-  EXPECT_EQ(b.cudaFree(dev), cudaSuccess);
-}
-
-// Captures the exact wire bytes of a live shipment from `src`'s server —
-// raw material for corrupting in the fault-injection tests below.
-std::vector<std::byte> capture_shipment(ProxyClientApi& src) {
-  int pipefd[2];
-  EXPECT_EQ(::pipe(pipefd), 0);
-  std::vector<std::byte> wire;
-  std::thread drainer([&] {
-    std::byte buf[1 << 16];
-    for (;;) {
-      const ::ssize_t n = ::read(pipefd[0], buf, sizeof(buf));
-      if (n <= 0) break;
-      wire.insert(wire.end(), buf, buf + n);
-    }
-  });
-  const Status shipped = src.ship_checkpoint(pipefd[1]);
-  ::close(pipefd[1]);
-  drainer.join();
-  ::close(pipefd[0]);
-  EXPECT_TRUE(shipped.ok()) << shipped.to_string();
-  return wire;
-}
-
-// Feeds `wire` into `dst.recv_checkpoint` through a pipe (a feeder thread,
-// because a pipe holds far less than a shipment).
-Status feed_recv(ProxyClientApi& dst, const std::vector<std::byte>& wire) {
-  int pipefd[2];
-  EXPECT_EQ(::pipe(pipefd), 0);
-  std::thread feeder([&] {
-    (void)write_all(pipefd[1], wire.data(), wire.size());
-    ::close(pipefd[1]);
-  });
-  const Status recv_status = dst.recv_checkpoint(pipefd[0]);
-  feeder.join();
-  ::close(pipefd[0]);
-  return recv_status;
-}
-
-TEST(ProxyTest, RecvCkptTrailerCrcFlipAfterOverlappedRestoreKeepsState) {
-  // The receiving server starts restoring while the stream arrives — but a
-  // trailer CRC flip, detected only at the very end, must still leave its
-  // prior device state untouched (validate-before-mutate) AND the
-  // connection usable (the stream ended in-band, so nothing desynced).
-  ProxyClientApi a(test_options());
-  ProxyClientApi b(test_options());
-
-  const std::size_t src_n = 192 << 10;
-  void* src_dev = nullptr;
-  ASSERT_EQ(a.cudaMalloc(&src_dev, src_n), cudaSuccess);
-  std::vector<char> src_fill(src_n, 0x2A);
-  ASSERT_EQ(a.cudaMemcpy(src_dev, src_fill.data(), src_n,
-                         cudaMemcpyHostToDevice),
-            cudaSuccess);
-
-  const std::size_t n = 64 << 10;
-  void* dev = nullptr;
-  ASSERT_EQ(b.cudaMalloc(&dev, n), cudaSuccess);
-  std::vector<char> pattern(n);
-  for (std::size_t i = 0; i < n; ++i) pattern[i] = static_cast<char>(i * 11);
-  ASSERT_EQ(b.cudaMemcpy(dev, pattern.data(), n, cudaMemcpyHostToDevice),
-            cudaSuccess);
-
-  std::vector<std::byte> wire = capture_shipment(a);
-  ASSERT_GT(wire.size(), 16u);
-  wire[wire.size() - 1] ^= std::byte{0x08};  // whole-stream CRC, in trailer
-
-  const Status recv_status = feed_recv(b, wire);
-  EXPECT_FALSE(recv_status.ok());
-  EXPECT_EQ(recv_status.code(), StatusCode::kCorrupt);
-
-  // Prior state intact, connection still serving RPCs.
-  std::vector<char> back(n);
-  ASSERT_EQ(b.cudaMemcpy(back.data(), dev, n, cudaMemcpyDeviceToHost),
-            cudaSuccess);
-  EXPECT_EQ(back, pattern);
-  EXPECT_EQ(b.cudaFree(dev), cudaSuccess);
-}
-
-TEST(ProxyTest, RecvCkptTruncatedStreamAbortsInBandAndKeepsState) {
-  // The upstream source dies mid-shipment. The client relay terminates the
-  // server-bound stream with an in-band abort marker, so the server rejects
-  // cleanly: prior state intact, connection usable — even though its
-  // overlapped restore had already begun consuming the stream.
-  ProxyClientApi a(test_options());
-  ProxyClientApi b(test_options());
-
-  const std::size_t src_n = 256 << 10;
-  void* src_dev = nullptr;
-  ASSERT_EQ(a.cudaMalloc(&src_dev, src_n), cudaSuccess);
-  std::vector<char> src_fill(src_n, 0x3C);
-  ASSERT_EQ(a.cudaMemcpy(src_dev, src_fill.data(), src_n,
-                         cudaMemcpyHostToDevice),
-            cudaSuccess);
-
-  const std::size_t n = 48 << 10;
-  void* dev = nullptr;
-  ASSERT_EQ(b.cudaMalloc(&dev, n), cudaSuccess);
-  std::vector<char> pattern(n);
-  for (std::size_t i = 0; i < n; ++i) pattern[i] = static_cast<char>(i * 17);
-  ASSERT_EQ(b.cudaMemcpy(dev, pattern.data(), n, cudaMemcpyHostToDevice),
-            cudaSuccess);
-
-  std::vector<std::byte> wire = capture_shipment(a);
-  ASSERT_GT(wire.size(), 1024u);
-  wire.resize(wire.size() * 3 / 5);  // mid-stream EOF, no trailer
-
-  const Status recv_status = feed_recv(b, wire);
-  EXPECT_FALSE(recv_status.ok());
-
-  std::vector<char> back(n);
-  ASSERT_EQ(b.cudaMemcpy(back.data(), dev, n, cudaMemcpyDeviceToHost),
-            cudaSuccess);
-  EXPECT_EQ(back, pattern);
-  EXPECT_EQ(b.cudaFree(dev), cudaSuccess);
-}
-
 TEST(ProxyTest, ShadowUvmLosesConcurrentStreamUpdates) {
   // The failure CRAC fixes (paper contribution 2): with two concurrent
   // streams touching the same managed region, the whole-buffer shadow push
@@ -612,51 +318,6 @@ TEST(ShadowUvmTest, TranslateOnlyBasePointers) {
   auto removed = shadow.remove(buf);
   ASSERT_TRUE(removed.ok());
   EXPECT_FALSE(shadow.is_shadow(buf));
-}
-
-TEST(ShadowUvmTest, NoteWritePreservesPreImageIntoAnArmedOverlay) {
-  // The proxy-side COW interceptor: with an overlay armed over a shadow
-  // mirror, note_write — which every shadow-mutating path calls before the
-  // bytes change — must preserve the pre-image, so a capture reading
-  // through the overlay still sees the frozen snapshot after the mutation.
-  // The dirty-tracking hook must keep firing alongside.
-  constexpr std::size_t kBytes = 16 << 10;
-  std::vector<std::byte> mirror(kBytes, std::byte{0x42});
-  const std::vector<std::byte> frozen = mirror;
-
-  ShadowUvm shadow;
-  shadow.add(mirror.data(), 0xBEEF0000, kBytes);
-  std::size_t noted_bytes = 0;
-  shadow.set_note_write(
-      [&](const void*, std::size_t n) { noted_bytes += n; });
-
-  ckpt::SnapOverlay::Config cfg;
-  cfg.chunk_bytes = 4096;
-  cfg.mem_cap_bytes = kBytes;
-  cfg.file_cap_bytes = 0;
-  ckpt::SnapOverlay overlay(cfg);
-  ASSERT_TRUE(overlay
-                  .arm({{reinterpret_cast<std::uintptr_t>(mirror.data()),
-                         kBytes}})
-                  .ok());
-  shadow.set_snap_overlay(&overlay);
-
-  // Mutate through the interceptor, as client_api's shadow paths do.
-  shadow.note_write(mirror.data() + 4096, 8192);
-  std::memset(mirror.data() + 4096, 0x99, 8192);
-  EXPECT_EQ(noted_bytes, 8192u);  // the dirty hook still fired
-
-  std::vector<std::byte> out(kBytes);
-  ASSERT_TRUE(overlay.read_range(mirror.data(), kBytes, out.data()).ok());
-  EXPECT_EQ(out, frozen);
-  EXPECT_EQ(overlay.stats().chunks_preserved, 2u);
-
-  shadow.set_snap_overlay(nullptr);
-  overlay.release();
-  // Detached: note_write reverts to hook-only, no preserve, no crash.
-  shadow.note_write(mirror.data(), 64);
-  EXPECT_EQ(noted_bytes, 8192u + 64u);
-  (void)shadow.remove(mirror.data());
 }
 
 }  // namespace

@@ -3,10 +3,10 @@
 //
 // FleetLoopTest.* exercises proxy::EventLoop in-process against a toy
 // handler (no fork) — these run under TSan in CI. FleetProxyTest.* forks
-// real proxy servers: eight attached clients hammer device RPCs while two
-// checkpoint shipments stream concurrently from the same server, hostile
-// clients get contained per-connection, and a registry fans one stored
-// image out to three endpoints.
+// real proxy servers: eight attached clients hammer device RPCs on one
+// server while the owner's device data stays intact, and hostile clients
+// get contained per-connection. FleetRegistryTest.* fans one CracContext
+// checkpoint stored in a registry out to three restarted endpoints.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -20,8 +20,8 @@
 #include <vector>
 
 #include "ckpt/remote.hpp"
-#include "ckpt/sink.hpp"
 #include "common/thread_pool.hpp"
+#include "crac/context.hpp"
 #include "proxy/channel.hpp"
 #include "proxy/client_api.hpp"
 #include "proxy/event_loop.hpp"
@@ -40,7 +40,7 @@ using cuda::dim3;
 // ---- In-process event-loop suite (TSan-clean: no fork) ----
 
 // Toy protocol over the proxy framing: kHello echoes (r0 = a + b, payload
-// mirrored back), kRecvCkpt claims a session that reads `a` raw bytes off
+// mirrored back), kPutCkpt claims a session that reads `a` raw bytes off
 // the socket and answers with their sum, kShutdown stops the loop.
 class EchoHandler final : public EventLoop::Handler {
  public:
@@ -54,7 +54,7 @@ class EchoHandler final : public EventLoop::Handler {
         conn.send(&resp, sizeof(resp));
         return EventLoop::Dispatch::kShutdown;
       }
-      case Op::kRecvCkpt: {
+      case Op::kPutCkpt: {
         loop_->start_session(conn, [n = req.a](int fd) {
           std::vector<std::byte> body(n);
           if (!read_all(fd, body.data(), body.size()).ok()) return false;
@@ -188,7 +188,7 @@ TEST(FleetLoopTest, SessionDoesNotStallOtherConnections) {
   // session blocks on the pool, not the loop.
   constexpr std::uint64_t kBody = 64;
   RequestHeader req{};
-  req.op = Op::kRecvCkpt;
+  req.op = Op::kPutCkpt;
   req.a = kBody;
   ASSERT_TRUE(write_all(a[0], &req, sizeof(req)).ok());
 
@@ -232,7 +232,7 @@ TEST(FleetLoopTest, ConcurrentSessionsOverlap) {
   constexpr std::uint64_t kBody = 32 << 10;
   for (int s = 0; s < kSessions; ++s) {
     RequestHeader req{};
-    req.op = Op::kRecvCkpt;
+    req.op = Op::kPutCkpt;
     req.a = kBody;
     ASSERT_TRUE(write_all(ours[s], &req, sizeof(req)).ok());
   }
@@ -330,7 +330,6 @@ ProxyClientApi::Options fleet_options() {
   dev.pinned_chunk = 4 << 20;
   dev.managed_chunk = 8 << 20;
   opts.host.staging_bytes = 32 << 20;
-  opts.host.session_threads = 4;
   return opts;
 }
 
@@ -354,9 +353,9 @@ cuda::KernelModule& fleet_module() {
   return mod;
 }
 
-// The ISSUE's acceptance scenario: one server process, >= 8 concurrent
-// clients hammering RPCs, two checkpoint shipments overlapping.
-TEST(FleetProxyTest, EightClientsWithTwoOverlappingShipments) {
+// One server process, eight attached clients hammering RPCs on its one
+// device; the owner's seed pattern survives them all.
+TEST(FleetProxyTest, EightClientsHammerRpcsAndTheSeedPatternSurvives) {
   ProxyClientApi owner(fleet_options());
   const std::size_t n = 4 << 20;
   void* dev = nullptr;
@@ -367,40 +366,12 @@ TEST(FleetProxyTest, EightClientsWithTwoOverlappingShipments) {
             cudaSuccess);
 
   std::atomic<int> failures{0};
-
-  // Two overlapping shipments: attached clients A and B each stream the
-  // device through their own channel, consumed concurrently.
-  auto ship_one = [&](std::vector<std::byte>* out) {
-    ProxyClientApi shipper(owner.host(), fleet_options());
-    int pipefd[2];
-    ASSERT_EQ(::pipe(pipefd), 0);
-    Status ship_status = OkStatus();
-    std::thread tx([&] {
-      ship_status = shipper.ship_checkpoint(pipefd[1]);
-      ::close(pipefd[1]);
-    });
-    ckpt::MemorySink sink;
-    bool in_band = false;
-    const Status pumped =
-        ckpt::pump_ship_stream(pipefd[0], sink, "fleet test", &in_band);
-    tx.join();
-    ::close(pipefd[0]);
-    ASSERT_TRUE(ship_status.ok()) << ship_status.to_string();
-    ASSERT_TRUE(pumped.ok()) << pumped.to_string();
-    *out = std::move(sink).take();
-  };
-
-  std::vector<std::byte> image_a, image_b;
-  std::thread ship_a([&] { ship_one(&image_a); });
-  std::thread ship_b([&] { ship_one(&image_b); });
-
-  // Eight more clients hammer malloc/memcpy/memset/launch while both
-  // shipments stream.
+  // Eight clients hammer malloc/memcpy/memset/launch concurrently.
   constexpr int kClients = 8;
   std::vector<std::thread> fleet;
   for (int c = 0; c < kClients; ++c) {
     fleet.emplace_back([&owner, &failures, c] {
-      ProxyClientApi api(owner.host(), fleet_options());
+      ProxyClientApi api(owner.host());
       fleet_module().register_with(api);
       for (int i = 0; i < 8; ++i) {
         const std::size_t bytes = (64 << 10) + c * 4096;
@@ -427,15 +398,8 @@ TEST(FleetProxyTest, EightClientsWithTwoOverlappingShipments) {
     });
   }
 
-  ship_a.join();
-  ship_b.join();
   for (auto& t : fleet) t.join();
   EXPECT_EQ(failures.load(), 0);
-  // Both shipments captured a complete image. The fleet mutates device
-  // state between the two snapshots, so sizes may differ; both must be
-  // nonempty, well-formed enough to have streamed to the trailer.
-  EXPECT_GT(image_a.size(), n);
-  EXPECT_GT(image_b.size(), n);
 
   // The seed pattern survived the storm.
   std::vector<char> back(n);
@@ -482,16 +446,33 @@ TEST(FleetProxyTest, HostileClientContainment) {
   ASSERT_EQ(owner.cudaMemcpy(dev, probe.data(), probe.size(),
                              cudaMemcpyHostToDevice),
             cudaSuccess);
-  ProxyClientApi late(owner.host(), fleet_options());
+  ProxyClientApi late(owner.host());
   void* dev2 = nullptr;
   ASSERT_EQ(late.cudaMalloc(&dev2, 4096), cudaSuccess);
   ASSERT_EQ(late.cudaFree(dev2), cudaSuccess);
 }
 
-// One proxy checkpoint PUT into a registry, fanned out to three fresh
-// endpoints — every endpoint's restored device bytes are identical to the
-// source.
-TEST(FleetProxyTest, RegistryFanOutRestore) {
+// ---- Registry fan-out onto CRAC contexts ----
+
+CracOptions fleet_context_options() {
+  CracOptions opts;
+  opts.split.device.device_capacity = 256 << 20;
+  opts.split.device.pinned_capacity = 64 << 20;
+  opts.split.device.managed_capacity = 256 << 20;
+  opts.split.device.device_chunk = 8 << 20;
+  opts.split.device.pinned_chunk = 4 << 20;
+  opts.split.device.managed_chunk = 8 << 20;
+  opts.split.upper_heap_capacity = 256 << 20;
+  opts.split.upper_heap_chunk = 4 << 20;
+  return opts;
+}
+
+// One CracContext checkpoint PUT into a registry, fanned out to three
+// endpoints: each GETs the image straight into a restart (restore while
+// receiving) and reads the device buffer back byte-identically. The
+// endpoints run one after another because fixed-VA contexts cannot coexist
+// in one process; concurrent GETs are RegistryHostTest.ConcurrentGetFanOut.
+TEST(FleetRegistryTest, CracContextFanOutRestore) {
   auto registry_host = registry::RegistryHost::spawn();
   ASSERT_TRUE(registry_host.ok()) << registry_host.status().to_string();
 
@@ -500,43 +481,47 @@ TEST(FleetProxyTest, RegistryFanOutRestore) {
   for (std::size_t i = 0; i < n; ++i) pattern[i] = static_cast<char>(i * 31);
   void* dev = nullptr;
   {
-    ProxyClientApi source(fleet_options());
-    ASSERT_EQ(source.cudaMalloc(&dev, n), cudaSuccess);
-    ASSERT_EQ(source.cudaMemcpy(dev, pattern.data(), n,
-                                cudaMemcpyHostToDevice),
+    CracContext source(fleet_context_options());
+    ASSERT_EQ(source.api().cudaMalloc(&dev, n), cudaSuccess);
+    ASSERT_EQ(source.api().cudaMemcpy(dev, pattern.data(), n,
+                                      cudaMemcpyHostToDevice),
               cudaSuccess);
 
     auto put_fd = registry_host->connect();
     ASSERT_TRUE(put_fd.ok());
     registry::RegistryClient put_client(*put_fd);
-    const Status put = put_client.put(
-        "fleet/ckpt", [&source](int fd) { return source.ship_checkpoint(fd); });
+    const Status put = put_client.put("fleet/ckpt", [&source](int fd) {
+      ckpt::SocketSink sink(fd, "fleet put");
+      auto shipped = source.checkpoint_to_sink(sink);
+      if (shipped.ok()) return OkStatus();
+      (void)sink.abort();
+      return shipped.status();
+    });
     ASSERT_TRUE(put.ok()) << put.to_string();
-  }  // the source proxy is gone; only the registry holds the image now
+  }  // the source context is gone; only the registry holds the image now
 
   constexpr int kEndpoints = 3;
-  std::vector<std::thread> endpoints;
-  std::atomic<int> failures{0};
   for (int e = 0; e < kEndpoints; ++e) {
-    endpoints.emplace_back([&registry_host, &pattern, dev, n, &failures] {
-      ProxyClientApi endpoint(fleet_options());
-      auto get_fd = registry_host->connect();
-      ASSERT_TRUE(get_fd.ok());
-      registry::RegistryClient get_client(*get_fd);
-      const Status got = get_client.get("fleet/ckpt", [&endpoint](int fd) {
-        return endpoint.recv_checkpoint(fd);
-      });
-      ASSERT_TRUE(got.ok()) << got.to_string();
-      std::vector<char> back(n);
-      if (endpoint.cudaMemcpy(back.data(), dev, n, cudaMemcpyDeviceToHost) !=
-              cudaSuccess ||
-          back != pattern) {
-        ++failures;
-      }
+    auto get_fd = registry_host->connect();
+    ASSERT_TRUE(get_fd.ok());
+    registry::RegistryClient get_client(*get_fd);
+    std::unique_ptr<CracContext> endpoint;
+    const Status got = get_client.get("fleet/ckpt", [&endpoint](int fd) {
+      auto spool = ckpt::StreamingSpoolSource::start(fd);
+      if (!spool.ok()) return spool.status();
+      auto restarted = CracContext::restart_from_source(
+          std::move(*spool), fleet_context_options());
+      if (!restarted.ok()) return restarted.status();
+      endpoint = std::move(*restarted);
+      return OkStatus();
     });
+    ASSERT_TRUE(got.ok()) << "endpoint " << e << ": " << got.to_string();
+    std::vector<char> back(n);
+    ASSERT_EQ(endpoint->api().cudaMemcpy(back.data(), dev, n,
+                                         cudaMemcpyDeviceToHost),
+              cudaSuccess);
+    EXPECT_EQ(back, pattern) << "endpoint " << e;
   }
-  for (auto& t : endpoints) t.join();
-  EXPECT_EQ(failures.load(), 0);
 }
 
 }  // namespace

@@ -1,18 +1,13 @@
 // Preemption-storm campaign: table-driven spot-kill injection at chosen
 // points of a checkpoint's life — mid-capture, mid-ship, mid-replay — at
-// three layers of the stack. The property under test is always the same:
-// a kill is a clean, named failure; survivors keep usable connections and
-// intact prior state; a half-delivered image never restores.
+// two layers of the stack. The property under test is always the same:
+// a kill is a clean, named failure; survivors keep intact prior state; a
+// half-delivered image never restores.
 //
 //   * StormOverlayShipTest — the wire framing in-process (SocketSink /
 //     StreamingSpoolSource over pipes): sender dies at a table of stream
 //     offsets, the transport dies mid-capture via FaultySink. TSan-safe —
 //     the CI TSan job runs exactly the StormOverlay* fixture.
-//   * StormProxyShipTest — forked proxy endpoints: the shipment wire is
-//     cut at a table of fractions and fed to RECV_CKPT; the receiving
-//     endpoint must reject in-band, keep its prior device state, and keep
-//     serving RPCs (including a subsequent successful recv of the intact
-//     wire).
 //   * StormCracContextTest — a full fixed-VA context: the checkpoint sink
 //     fails at a table of offsets mid-capture (with the COW overlay
 //     armed — the CaptureGuard must disarm it), and the restore source
@@ -36,7 +31,6 @@
 #include "ckpt/source.hpp"
 #include "common/fd_io.hpp"
 #include "crac/context.hpp"
-#include "proxy/client_api.hpp"
 #include "tests/ckpt_testing.hpp"
 
 namespace crac {
@@ -172,115 +166,7 @@ TEST_F(StormOverlayShipTest, FlippedBitAnywhereIsNamedCorruption) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 2: forked proxy endpoints
-// ---------------------------------------------------------------------------
-
-proxy::ProxyClientApi::Options storm_proxy_options() {
-  proxy::ProxyClientApi::Options opts;
-  auto& dev = opts.host.device;
-  dev.device_capacity = 64 << 20;
-  dev.pinned_capacity = 16 << 20;
-  dev.managed_capacity = 64 << 20;
-  dev.device_chunk = 4 << 20;
-  dev.pinned_chunk = 4 << 20;
-  dev.managed_chunk = 4 << 20;
-  opts.host.staging_bytes = 8 << 20;
-  return opts;
-}
-
-std::vector<std::byte> capture_shipment(proxy::ProxyClientApi& src) {
-  int pipefd[2];
-  EXPECT_EQ(::pipe(pipefd), 0);
-  std::vector<std::byte> wire;
-  std::thread drainer([&] {
-    std::byte buf[1 << 16];
-    for (;;) {
-      const ::ssize_t n = ::read(pipefd[0], buf, sizeof(buf));
-      if (n <= 0) break;
-      wire.insert(wire.end(), buf, buf + n);
-    }
-  });
-  const Status shipped = src.ship_checkpoint(pipefd[1]);
-  ::close(pipefd[1]);
-  drainer.join();
-  ::close(pipefd[0]);
-  EXPECT_TRUE(shipped.ok()) << shipped.to_string();
-  return wire;
-}
-
-Status feed_recv(proxy::ProxyClientApi& dst,
-                 const std::vector<std::byte>& wire) {
-  int pipefd[2];
-  EXPECT_EQ(::pipe(pipefd), 0);
-  std::thread feeder([&] {
-    (void)write_all_fd(pipefd[1], wire.data(), wire.size(), "storm feed pipe");
-    ::close(pipefd[1]);
-  });
-  const Status recv_status = dst.recv_checkpoint(pipefd[0]);
-  feeder.join();
-  ::close(pipefd[0]);
-  return recv_status;
-}
-
-TEST(StormProxyShipTest, ShipperDiesAtEveryTableOffsetAndTheSurvivorRecovers) {
-  // Endpoint A is spot-killed mid-ship, repeatedly, at every table offset.
-  // Endpoint B (the survivor) must reject each half-shipment in-band (the
-  // relay converts the truncation into an abort marker), keep its own
-  // prior state byte-intact, keep its connection serving RPCs — and then
-  // accept the intact shipment on the very same connection.
-  proxy::ProxyClientApi a(storm_proxy_options());
-  proxy::ProxyClientApi b(storm_proxy_options());
-
-  const std::size_t src_n = 128 << 10;
-  void* src_dev = nullptr;
-  ASSERT_EQ(a.cudaMalloc(&src_dev, src_n), cudaSuccess);
-  std::vector<char> src_pattern(src_n);
-  for (std::size_t i = 0; i < src_n; ++i) {
-    src_pattern[i] = static_cast<char>(i * 5 + 1);
-  }
-  ASSERT_EQ(a.cudaMemcpy(src_dev, src_pattern.data(), src_n,
-                         cudaMemcpyHostToDevice),
-            cudaSuccess);
-
-  const std::size_t n = 32 << 10;
-  void* dev = nullptr;
-  ASSERT_EQ(b.cudaMalloc(&dev, n), cudaSuccess);
-  std::vector<char> prior(n);
-  for (std::size_t i = 0; i < n; ++i) prior[i] = static_cast<char>(i * 13);
-  ASSERT_EQ(b.cudaMemcpy(dev, prior.data(), n, cudaMemcpyHostToDevice),
-            cudaSuccess);
-
-  const std::vector<std::byte> wire = capture_shipment(a);
-  ASSERT_GT(wire.size(), src_n);
-
-  for (const double frac : kKillFractions) {
-    const auto cut = static_cast<std::size_t>(wire.size() * frac);
-    const std::vector<std::byte> truncated(wire.begin(), wire.begin() + cut);
-    const Status recv_status = feed_recv(b, truncated);
-    EXPECT_FALSE(recv_status.ok()) << "kill at " << frac << " was accepted";
-
-    // Survivor invariants after every storm hit: prior state intact, and
-    // the connection still serves RPCs.
-    std::vector<char> back(n);
-    ASSERT_EQ(b.cudaMemcpy(back.data(), dev, n, cudaMemcpyDeviceToHost),
-              cudaSuccess)
-        << "connection unusable after kill at " << frac;
-    EXPECT_EQ(back, prior) << "prior state damaged by kill at " << frac;
-  }
-
-  // The same connection accepts the intact shipment afterwards. (Restart
-  // semantics: B's own allocations roll back to A's snapshot.)
-  const Status recv_status = feed_recv(b, wire);
-  ASSERT_TRUE(recv_status.ok()) << recv_status.to_string();
-  std::vector<char> migrated(src_n);
-  ASSERT_EQ(b.cudaMemcpy(migrated.data(), src_dev, src_n,
-                         cudaMemcpyDeviceToHost),
-            cudaSuccess);
-  EXPECT_EQ(migrated, src_pattern);
-}
-
-// ---------------------------------------------------------------------------
-// Layer 3: full CracContext captures and replays (fixed VA — not in TSan)
+// Layer 2: full CracContext captures and replays (fixed VA — not in TSan)
 // ---------------------------------------------------------------------------
 
 CracOptions storm_context_options() {

@@ -191,8 +191,9 @@ TEST(ArenaAllocatorTest, NearOverflowSizesFailByNameNotWrap) {
 }
 
 TEST(ArenaAllocatorTest, HostileSnapshotsRejectedWithoutMutation) {
-  // A CRC-valid but hostile snapshot (as a proxy RECV_CKPT could carry)
-  // must be rejected by validate_snapshot before restore mutates anything.
+  // A CRC-valid but hostile snapshot (as a shipped image's heap-allocator
+  // section could carry) must be rejected by validate_snapshot before
+  // restore mutates anything.
   using Snap = ArenaAllocator::Snapshot;
   struct Case {
     const char* name;
