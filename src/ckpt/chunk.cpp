@@ -29,38 +29,38 @@ Status resolve_frame_codec(ChunkFrame& frame, ChunkFraming framing,
 
 }  // namespace
 
-EncodedChunk encode_chunk(std::vector<std::byte> raw, Codec codec) {
-  EncodedChunk out;
-  out.frame.raw_size = raw.size();
-  out.frame.crc = crc32(raw.data(), raw.size());
+ChunkFrame encode_chunk(const std::vector<std::byte>& raw, Codec codec,
+                        std::vector<std::byte>& packed) {
+  const std::size_t n = raw.size();
+  ChunkFrame frame;
+  frame.raw_size = n;
+  frame.crc = crc32(raw.data(), n);
   if (codec != Codec::kStore) {
-    std::vector<std::byte> packed = compress(raw, codec);
-    if (packed.size() < raw.size()) {
-      out.frame.stored_size = packed.size();
-      out.frame.codec = static_cast<std::uint32_t>(codec);
-      out.stored = std::move(packed);
-      return out;
+    packed = compress(raw, codec);
+    if (packed.size() < n) {
+      frame.stored_size = packed.size();
+      frame.codec = static_cast<std::uint32_t>(codec);
+      return frame;
     }
   }
-  out.frame.stored_size = raw.size();
-  out.frame.codec = static_cast<std::uint32_t>(Codec::kStore);
-  out.stored = std::move(raw);
-  return out;
+  frame.stored_size = n;
+  frame.codec = static_cast<std::uint32_t>(Codec::kStore);
+  return frame;
 }
 
-Status write_chunk(Sink& sink, const EncodedChunk& chunk,
+Status write_chunk(Sink& sink, const ChunkFrame& frame, const std::byte* stored,
                    ChunkFraming framing) {
   std::byte header[kChunkFrameHeaderBytesV3];
-  std::memcpy(header, &chunk.frame.raw_size, 8);
-  std::memcpy(header + 8, &chunk.frame.stored_size, 8);
+  std::memcpy(header, &frame.raw_size, 8);
+  std::memcpy(header + 8, &frame.stored_size, 8);
   std::size_t at = 16;
   if (framing == ChunkFraming::kV3) {
-    std::memcpy(header + at, &chunk.frame.codec, 4);
+    std::memcpy(header + at, &frame.codec, 4);
     at += 4;
   }
-  std::memcpy(header + at, &chunk.frame.crc, 4);
+  std::memcpy(header + at, &frame.crc, 4);
   CRAC_RETURN_IF_ERROR(sink.write(header, at + 4));
-  return sink.write(chunk.stored.data(), chunk.stored.size());
+  return sink.write(stored, static_cast<std::size_t>(frame.stored_size));
 }
 
 Status write_chunk_terminator(Sink& sink, ChunkFraming framing) {
@@ -94,34 +94,16 @@ Status read_chunk_frame(Source& source, ChunkFrame& frame,
   return resolve_frame_codec(frame, framing, implied_codec);
 }
 
-Status decode_chunk_append(const ChunkFrame& frame, const std::byte* stored,
-                           std::vector<std::byte>& out) {
-  if (frame.stored_size == frame.raw_size) {
-    // Stored verbatim; CRC is still checked below via a direct pass.
-    const std::uint32_t actual = crc32(stored, frame.raw_size);
-    if (actual != frame.crc) return Corrupt("chunk CRC mismatch");
-    out.insert(out.end(), stored, stored + frame.raw_size);
-    return OkStatus();
-  }
-  auto raw = decompress(stored, frame.stored_size,
-                        static_cast<Codec>(frame.codec), frame.raw_size);
-  if (!raw.ok()) return raw.status();
-  const std::uint32_t actual = crc32(raw->data(), raw->size());
-  if (actual != frame.crc) return Corrupt("chunk CRC mismatch");
-  out.insert(out.end(), raw->begin(), raw->end());
-  return OkStatus();
-}
-
 ChunkPipeline::ChunkPipeline(Sink* sink, Codec codec, std::size_t chunk_size,
                              ThreadPool* pool, ChunkFraming framing)
     : sink_(sink),
       codec_(codec),
       chunk_size_(chunk_size > 0 ? chunk_size : kDefaultChunkSize),
-      pool_(pool),
+      // A CRC-only chunk runs at memory speed, so a worker would overlap
+      // little of it and cost a copy of every chunk.
+      pool_(codec == Codec::kStore ? nullptr : pool),
       framing_(framing),
-      max_in_flight_(pool != nullptr ? 2 * pool->size() + 1 : 1) {
-  pending_.reserve(chunk_size_);
-}
+      max_in_flight_(pool_ != nullptr ? 2 * pool_->size() + 1 : 1) {}
 
 ChunkPipeline::~ChunkPipeline() {
   // Abandoned pipeline (error unwind): block until workers are done with
@@ -131,64 +113,78 @@ ChunkPipeline::~ChunkPipeline() {
   }
 }
 
-Status ChunkPipeline::append(const void* data, std::size_t size) {
-  if (!error_.ok()) return error_;
-  if (finished_) return FailedPrecondition("append after finish");
-  const auto* p = static_cast<const std::byte*>(data);
-  raw_bytes_ += size;
-  while (size > 0) {
-    const std::size_t take = std::min(size, chunk_size_ - pending_.size());
-    pending_.insert(pending_.end(), p, p + take);
-    p += take;
-    size -= take;
-    if (pending_.size() == chunk_size_) {
-      std::vector<std::byte> full;
-      full.reserve(chunk_size_);
-      full.swap(pending_);
-      error_ = dispatch(std::move(full));
-      if (!error_.ok()) return error_;
+Status ChunkPipeline::append_with(std::uint64_t size, const Fill& fill) {
+  std::uint64_t done = 0;
+  while (done < size) {
+    const auto take = static_cast<std::size_t>(
+        std::min<std::uint64_t>(size - done, chunk_size_ - filled_));
+    // The buffer grows in place (its capacity is reserved once) only as
+    // far as payload reaches, so a short section never touches a chunk.
+    if (chunk_.size() < filled_ + take) {
+      chunk_.reserve(chunk_size_);
+      chunk_.resize(filled_ + take);
     }
+    CRAC_RETURN_IF_ERROR(fill(chunk_.data() + filled_, take, done));
+    filled_ += take;
+    done += take;
+    raw_bytes_ += take;
+    if (filled_ == chunk_size_) CRAC_RETURN_IF_ERROR(flush_chunk());
   }
   return OkStatus();
 }
 
-Status ChunkPipeline::finish() {
-  if (!error_.ok()) return error_;
-  if (finished_) return OkStatus();
-  finished_ = true;
-  if (!pending_.empty()) {
-    error_ = dispatch(std::move(pending_));
-    pending_.clear();
-    if (!error_.ok()) return error_;
-  }
-  while (!in_flight_.empty()) {
-    error_ = retire_oldest();
-    if (!error_.ok()) return error_;
-  }
-  error_ = write_chunk_terminator(*sink_, framing_);
-  return error_;
+Status ChunkPipeline::append(const void* data, std::size_t size) {
+  const auto* src = static_cast<const std::byte*>(data);
+  return append_with(size, [src](std::byte* dst, std::size_t len,
+                                 std::uint64_t offset) {
+    std::memcpy(dst, src + offset, len);
+    return OkStatus();
+  });
 }
 
-Status ChunkPipeline::dispatch(std::vector<std::byte> raw) {
-  if (pool_ == nullptr) {
-    return write_chunk(*sink_, encode_chunk(std::move(raw), codec_), framing_);
+Status ChunkPipeline::end_section() {
+  if (filled_ > 0) CRAC_RETURN_IF_ERROR(flush_chunk());
+  while (!in_flight_.empty()) CRAC_RETURN_IF_ERROR(retire_oldest());
+  return write_chunk_terminator(*sink_, framing_);
+}
+
+Status ChunkPipeline::flush_chunk() {
+  const std::size_t n = filled_;
+  filled_ = 0;
+  if (pool_ != nullptr) {
+    while (in_flight_.size() >= max_in_flight_) {
+      CRAC_RETURN_IF_ERROR(retire_oldest());
+    }
+    // The worker gets its own copy of the chunk, so the buffer refills at
+    // once; the copy lands in memory the allocator recycles from chunks
+    // already encoded. Completed frames retire strictly in submission
+    // order, so the image layout is deterministic regardless of scheduling.
+    auto task = [raw = std::vector<std::byte>(chunk_.begin(),
+                                              chunk_.begin() + n),
+                 codec = codec_]() mutable {
+      EncodedChunk out;
+      out.frame = encode_chunk(raw, codec, out.stored);
+      if (out.frame.stored_size == out.frame.raw_size) {
+        out.stored = std::move(raw);
+      }
+      return out;
+    };
+    in_flight_.push_back(pool_->submit_task(std::move(task)));
+    return OkStatus();
   }
-  while (in_flight_.size() >= max_in_flight_) {
-    CRAC_RETURN_IF_ERROR(retire_oldest());
-  }
-  // The task owns its chunk; completed frames retire strictly in submission
-  // order, so the image layout is deterministic regardless of scheduling.
-  auto task = [raw = std::move(raw), codec = codec_]() mutable {
-    return encode_chunk(std::move(raw), codec);
-  };
-  in_flight_.push_back(pool_->submit_task(std::move(task)));
-  return OkStatus();
+  // Inline: the chunk is the whole buffer (a short tail shrinks it; its
+  // capacity stays), encoded and written in place.
+  chunk_.resize(n);
+  const ChunkFrame frame = encode_chunk(chunk_, codec_, packed_);
+  const bool verbatim = frame.stored_size == frame.raw_size;
+  return write_chunk(*sink_, frame, verbatim ? chunk_.data() : packed_.data(),
+                     framing_);
 }
 
 Status ChunkPipeline::retire_oldest() {
   EncodedChunk chunk = in_flight_.front().get();
   in_flight_.pop_front();
-  return write_chunk(*sink_, chunk, framing_);
+  return write_chunk(*sink_, chunk.frame, chunk.stored.data(), framing_);
 }
 
 DecodedChunk decode_chunk(const ChunkFrame& frame,
@@ -222,9 +218,11 @@ ChunkUnpipeline::ChunkUnpipeline(Source* source, Codec codec,
     : source_(source),
       codec_(codec),
       chunk_size_(chunk_size > 0 ? chunk_size : kDefaultChunkSize),
-      pool_(pool),
+      // Stored chunks need only a CRC pass, which the consumer does inline
+      // on its one recycled buffer; the pool decompresses.
+      pool_(codec == Codec::kStore ? nullptr : pool),
       framing_(framing),
-      max_in_flight_(pool != nullptr ? 2 * pool->size() + 1 : 1) {}
+      max_in_flight_(pool_ != nullptr ? 2 * pool_->size() + 1 : 1) {}
 
 ChunkUnpipeline::~ChunkUnpipeline() {
   // Abandoned unpipeline (error unwind or partial section read): block until

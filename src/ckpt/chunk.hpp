@@ -15,18 +15,21 @@
 // v2-only reader rejects by name instead of misdecoding. A frame with
 // raw_size == 0 and stored_size == 0 terminates the section's chunk list.
 //
-// Independence of chunks is the point: ChunkPipeline fans chunk encoding
-// out over a crac::ThreadPool and streams completed frames, in order, to a
-// Sink — peak memory is bounded by the in-flight window rather than the
-// section size, and compression throughput scales with cores instead of
-// being pinned to one (the bottleneck the paper's Figure 3 demonstrates and
-// the reason CRAC ships with DMTCP's gzip pipe off). ChunkUnpipeline is its
+// Independence of chunks is the point: for compressing codecs
+// ChunkPipeline fans chunk encoding out over a crac::ThreadPool and streams
+// completed frames, in order, to a Sink — peak memory is bounded by the
+// in-flight window rather than the section size, and compression throughput
+// scales with cores instead of being pinned to one (the bottleneck the
+// paper's Figure 3 demonstrates and the reason CRAC ships with DMTCP's gzip
+// pipe off). With gzip off (kStore) a chunk's encoding is one CRC pass,
+// which runs in place on the producer's thread. ChunkUnpipeline is its
 // read-side twin: frames stream off a Source and decode (decompress + CRC)
 // fans out ahead of the consumer under the same bounded window.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <vector>
 
@@ -69,20 +72,18 @@ struct ChunkFrame {
   std::uint32_t crc = 0;          // over the raw (decompressed) bytes
 };
 
-// One encoded chunk: frame header plus stored payload, ready to append.
-struct EncodedChunk {
-  ChunkFrame frame;
-  std::vector<std::byte> stored;
-};
+// CRC32s one chunk (all of `raw`) and, per `codec`, compresses it,
+// falling back to storing it verbatim when compression does not shrink it
+// (kStore never compresses: a CRC is its only encoding). Returns the frame;
+// its codec field records what the stored bytes actually are. When the chunk
+// compressed, `packed` holds the stored bytes; otherwise `raw` is the
+// payload. Pure function — safe to run concurrently.
+ChunkFrame encode_chunk(const std::vector<std::byte>& raw, Codec codec,
+                        std::vector<std::byte>& packed);
 
-// Compresses (per `codec`, with a store fallback when compression does not
-// shrink) and CRC32s one chunk; the frame's codec field records what the
-// stored bytes actually are (kStore on fallback). Pure function — safe to
-// run concurrently.
-EncodedChunk encode_chunk(std::vector<std::byte> raw, Codec codec);
-
-// Appends one framed chunk / the section terminator frame to `sink`.
-Status write_chunk(Sink& sink, const EncodedChunk& chunk,
+// Appends one framed chunk — its header, then the frame's stored_size bytes
+// at `stored` — / the section terminator frame to `sink`.
+Status write_chunk(Sink& sink, const ChunkFrame& frame, const std::byte* stored,
                    ChunkFraming framing = ChunkFraming::kV2);
 Status write_chunk_terminator(Sink& sink,
                               ChunkFraming framing = ChunkFraming::kV2);
@@ -98,12 +99,6 @@ Status read_chunk_frame(ByteReader& reader, ChunkFrame& frame,
 Status read_chunk_frame(Source& source, ChunkFrame& frame,
                         ChunkFraming framing = ChunkFraming::kV2,
                         Codec implied_codec = Codec::kStore);
-
-// Decodes one chunk (decompressing per the frame's codec when stored_size
-// differs from raw_size), verifies its CRC, and appends the raw bytes to
-// `out`.
-Status decode_chunk_append(const ChunkFrame& frame, const std::byte* stored,
-                           std::vector<std::byte>& out);
 
 // One decoded chunk, or the first error its decode hit. Pure-function
 // result type so decode can run on any worker thread. `spare` is whichever
@@ -122,16 +117,29 @@ DecodedChunk decode_chunk(const ChunkFrame& frame,
                           std::vector<std::byte> stored,
                           std::vector<std::byte> scratch = {});
 
-// Streams one section's payload through chunk encoding into a sink.
+// Streams section payloads through chunk encoding into a sink.
 //
-// append() accumulates bytes into the current chunk; every full chunk is
-// dispatched to the pool (or encoded inline when pool == nullptr) and
-// completed frames are written to the sink in submission order. The number
-// of chunks in flight is bounded, so a multi-GiB section never occupies
-// more than window × chunk_size bytes beyond the sink itself. finish()
-// flushes the partial tail chunk and writes the terminator frame.
+// Producers append bytes into one chunk buffer, either copied in (append)
+// or written in place by a fill callback the buffer is lent to
+// (append_with). Each full chunk is encoded, framed and written in order.
+// A store-codec chunk's only encoding is its CRC, so it (and every chunk
+// when there is no pool) is CRC'd — and compressed, for a compressing
+// codec — straight from that buffer on the calling thread, written from it,
+// and the buffer refilled: each byte is copied once, into the buffer, and
+// nothing is allocated per chunk. Compressing codecs with a pool hand each
+// full chunk's copy to the pool instead, keeping at most window chunks in
+// flight, so a multi-GiB section never occupies more than window ×
+// chunk_size bytes beyond the sink itself. The pipeline serves every
+// section of an image: end_section() ends one and
+// the next append starts the next in the same buffer. After any error the
+// pipeline must not be used again (ImageWriter latches the error).
 class ChunkPipeline {
  public:
+  // Lent the chunk buffer: writes into `dst` the `len` bytes that sit
+  // `offset` bytes into the current append_with() call.
+  using Fill = std::function<Status(std::byte* dst, std::size_t len,
+                                    std::uint64_t offset)>;
+
   ChunkPipeline(Sink* sink, Codec codec, std::size_t chunk_size,
                 ThreadPool* pool, ChunkFraming framing = ChunkFraming::kV2);
   ~ChunkPipeline();
@@ -139,26 +147,40 @@ class ChunkPipeline {
   ChunkPipeline(const ChunkPipeline&) = delete;
   ChunkPipeline& operator=(const ChunkPipeline&) = delete;
 
+  // Appends `size` bytes, produced by `fill` directly into the chunk buffer:
+  // one call per chunk the bytes straddle. A failing fill aborts the append
+  // with its error, and the partly filled chunk is never framed.
+  Status append_with(std::uint64_t size, const Fill& fill);
+  // The memcpy case of append_with().
   Status append(const void* data, std::size_t size);
-  Status finish();
+  // Ends the open section: flushes the partial tail chunk, retires every
+  // in-flight chunk in order and writes the terminator frame.
+  Status end_section();
 
+  // Raw bytes appended across every section so far.
   std::uint64_t raw_bytes() const noexcept { return raw_bytes_; }
 
  private:
-  Status dispatch(std::vector<std::byte> raw);
+  // One chunk encoded on the pool: its frame and stored bytes.
+  struct EncodedChunk {
+    ChunkFrame frame;
+    std::vector<std::byte> stored;
+  };
+
+  Status flush_chunk();    // encodes and writes (or dispatches) the buffer
   Status retire_oldest();  // blocks on the oldest in-flight chunk
 
   Sink* sink_;
   Codec codec_;
   std::size_t chunk_size_;
-  ThreadPool* pool_;
+  ThreadPool* pool_;  // nullptr: every chunk encodes inline
   ChunkFraming framing_;
   std::size_t max_in_flight_;
   std::deque<std::future<EncodedChunk>> in_flight_;
-  std::vector<std::byte> pending_;
+  std::vector<std::byte> chunk_;   // the buffer being filled
+  std::size_t filled_ = 0;         // bytes of chunk_ holding payload
+  std::vector<std::byte> packed_;  // inline compression output
   std::uint64_t raw_bytes_ = 0;
-  bool finished_ = false;
-  Status error_;  // sticky: first failure aborts the section
 };
 
 // Streams one section's chunk frames off a Source and decompresses them
@@ -166,8 +188,10 @@ class ChunkPipeline {
 //
 // next() hands back decoded chunks strictly in frame order. Internally the
 // consumer thread reads frames sequentially off the source (cheap: header +
-// stored bytes) and dispatches decode (decompress + CRC verify) to the pool
-// (inline when pool == nullptr), keeping at most `window` chunks in flight.
+// stored bytes) and dispatches decode (decompress + CRC verify) to the pool,
+// keeping at most `window` chunks in flight. A store-codec section has
+// nothing to decompress, so it decodes inline like every section without a
+// pool: window 1, one recycled buffer.
 // Peak buffered bytes are therefore bounded by window × 2 × chunk_size
 // (stored + raw per in-flight chunk) no matter how large the section is —
 // the mirror of the write pipeline's guarantee, and the property

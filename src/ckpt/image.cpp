@@ -87,7 +87,7 @@ Status ImageWriter::begin_section(SectionType type, std::string name) {
   if (finished_) {
     return (error_ = FailedPrecondition("begin_section after finish"));
   }
-  if (pipeline_ != nullptr) {
+  if (in_section_) {
     return (error_ = FailedPrecondition("nested begin_section (section '" +
                                         name + "')"));
   }
@@ -97,29 +97,40 @@ Status ImageWriter::begin_section(SectionType type, std::string name) {
   w.put_u32(static_cast<std::uint32_t>(type));
   w.put_string(name);
   CRAC_RETURN_IF_ERROR((error_ = sink_->write(w.data(), w.size())));
-  pipeline_ = std::make_unique<ChunkPipeline>(
-      sink_, options_.codec, options_.chunk_size, options_.pool,
-      image_version() >= kVersion3 ? ChunkFraming::kV3 : ChunkFraming::kV2);
+  if (pipeline_ == nullptr) {
+    pipeline_ = std::make_unique<ChunkPipeline>(
+        sink_, options_.codec, options_.chunk_size, options_.pool,
+        image_version() >= kVersion3 ? ChunkFraming::kV3 : ChunkFraming::kV2);
+  }
+  in_section_ = true;
   return OkStatus();
 }
 
 Status ImageWriter::append(const void* data, std::size_t size) {
   if (!error_.ok()) return error_;
-  if (pipeline_ == nullptr) {
+  if (!in_section_) {
     return (error_ = FailedPrecondition("append outside a section"));
   }
   error_ = pipeline_->append(data, size);
   return error_;
 }
 
+Status ImageWriter::append_with(std::uint64_t size, const Fill& fill) {
+  if (!error_.ok()) return error_;
+  if (!in_section_) {
+    return (error_ = FailedPrecondition("append outside a section"));
+  }
+  error_ = pipeline_->append_with(size, fill);
+  return error_;
+}
+
 Status ImageWriter::end_section() {
   if (!error_.ok()) return error_;
-  if (pipeline_ == nullptr) {
+  if (!in_section_) {
     return (error_ = FailedPrecondition("end_section without begin_section"));
   }
-  error_ = pipeline_->finish();
-  raw_bytes_ += pipeline_->raw_bytes();
-  pipeline_.reset();
+  in_section_ = false;
+  error_ = pipeline_->end_section();
   if (error_.ok()) ++section_count_;
   return error_;
 }
@@ -127,7 +138,7 @@ Status ImageWriter::end_section() {
 Status ImageWriter::finish() {
   if (!error_.ok()) return error_;
   if (finished_) return OkStatus();
-  if (pipeline_ != nullptr) {
+  if (in_section_) {
     return (error_ = FailedPrecondition("finish with a section still open"));
   }
   // An image with zero sections is still an image: emit the header.
@@ -236,32 +247,49 @@ void SectionStream::note_progress() {
   }
 }
 
-Status SectionStream::read(void* out, std::size_t n) {
+Status SectionStream::pull(std::uint64_t n, const Consume& consume,
+                           const char* verb) {
   if (!error_.ok()) return error_;
-  if (n > remaining()) {
-    return (error_ = Corrupt("checkpoint section '" + name_ +
-                             "' read past end of payload"));
-  }
-  auto* p = static_cast<std::byte*>(out);
-  while (n > 0) {
+  const auto past_end = [&] {
+    return (error_ = Corrupt("checkpoint section '" + name_ + "' " + verb +
+                             " past end of payload"));
+  };
+  if (n > remaining()) return past_end();
+  std::uint64_t done = 0;
+  while (done < n) {
     if (chunk_pos_ == chunk_.size()) {
       CRAC_RETURN_IF_ERROR(refill());
-      if (chunk_.empty()) {
-        // Only reachable in unknown-size mode: the terminator resolved
-        // mid-read, so the caller asked for more than the section holds.
-        return (error_ = Corrupt("checkpoint section '" + name_ +
-                                 "' read past end of payload"));
-      }
+      // Only reachable in unknown-size mode: the terminator resolved
+      // mid-pull, so the caller asked for more than the section holds.
+      if (chunk_.empty()) return past_end();
     }
-    const std::size_t take = std::min(n, chunk_.size() - chunk_pos_);
-    std::memcpy(p, chunk_.data() + chunk_pos_, take);
-    p += take;
-    n -= take;
+    const auto take = static_cast<std::size_t>(
+        std::min<std::uint64_t>(n - done, chunk_.size() - chunk_pos_));
+    if (consume) {
+      CRAC_RETURN_IF_ERROR(
+          (error_ = consume(chunk_.data() + chunk_pos_, take, done)));
+    }
     chunk_pos_ += take;
     delivered_ += take;
+    done += take;
   }
   note_progress();
   return OkStatus();
+}
+
+Status SectionStream::read_with(std::uint64_t n, const Consume& consume) {
+  return pull(n, consume, "read");
+}
+
+Status SectionStream::read(void* out, std::size_t n) {
+  auto* dst = static_cast<std::byte*>(out);
+  return pull(n,
+              [dst](const std::byte* src, std::size_t len,
+                    std::uint64_t offset) {
+                std::memcpy(dst + offset, src, len);
+                return OkStatus();
+              },
+              "read");
 }
 
 Result<std::size_t> SectionStream::read_some(void* out, std::size_t n) {
@@ -282,29 +310,9 @@ Result<std::size_t> SectionStream::read_some(void* out, std::size_t n) {
 }
 
 Status SectionStream::skip(std::uint64_t n) {
-  if (!error_.ok()) return error_;
-  if (n > remaining()) {
-    return (error_ = Corrupt("checkpoint section '" + name_ +
-                             "' skip past end of payload"));
-  }
   // Chunks still decode (and CRC-verify) on the way past; a skip is a read
   // without the copy, not an integrity exemption.
-  while (n > 0) {
-    if (chunk_pos_ == chunk_.size()) {
-      CRAC_RETURN_IF_ERROR(refill());
-      if (chunk_.empty()) {
-        return (error_ = Corrupt("checkpoint section '" + name_ +
-                                 "' skip past end of payload"));
-      }
-    }
-    const auto take = static_cast<std::size_t>(std::min<std::uint64_t>(
-        n, chunk_.size() - chunk_pos_));
-    chunk_pos_ += take;
-    delivered_ += take;
-    n -= take;
-  }
-  note_progress();
-  return OkStatus();
+  return pull(n, nullptr, "skip");
 }
 
 Status SectionStream::get_u8(std::uint8_t& out) {

@@ -53,6 +53,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -139,7 +140,8 @@ class ImageWriter {
   struct Options {
     Codec codec = Codec::kStore;
     std::size_t chunk_size = kDefaultChunkSize;
-    // Chunk-encoding pool; nullptr compresses on the calling thread.
+    // Chunk-encoding pool for compressing codecs; nullptr compresses on
+    // the calling thread. kStore chunks always encode there.
     ThreadPool* pool = nullptr;
     // Non-empty parent_id makes this a v4 delta image patching the full
     // image whose "image-id" metadata section equals parent_id; parent_path
@@ -166,6 +168,14 @@ class ImageWriter {
   // does a parent_id or parent_path over the cap, when the header goes out).
   Status begin_section(SectionType type, std::string name);
   Status append(const void* data, std::size_t size);
+  // Appends `size` bytes produced in place: the current chunk's free space
+  // is lent to `fill`, once per chunk the bytes straddle, so a producer
+  // reading from elsewhere (a device drain) lands its bytes straight in the
+  // buffer the frame is written from. append() is its memcpy case. A
+  // failing fill latches its error like any other: no frame is written for
+  // the partly filled chunk.
+  using Fill = ChunkPipeline::Fill;
+  Status append_with(std::uint64_t size, const Fill& fill);
   Status end_section();
 
   // Completes the image: fails if a section is still open, flushes the
@@ -188,7 +198,9 @@ class ImageWriter {
 
   // Sum of raw payload bytes appended so far (pre-compression image size —
   // the quantity Figure 3/5(c) report when gzip is off).
-  std::size_t raw_bytes() const noexcept { return raw_bytes_; }
+  std::size_t raw_bytes() const noexcept {
+    return pipeline_ != nullptr ? pipeline_->raw_bytes() : 0;
+  }
 
   // First error swallowed by the void add_section() wrapper, if any.
   const Status& status() const noexcept { return error_; }
@@ -201,12 +213,14 @@ class ImageWriter {
   Options options_;
   std::unique_ptr<MemorySink> own_sink_;  // buffered mode
   Sink* sink_;
-  std::unique_ptr<ChunkPipeline> pipeline_;  // live between begin/end
+  // One pipeline, and so one chunk buffer, for every section of the image;
+  // created with the first section.
+  std::unique_ptr<ChunkPipeline> pipeline_;
+  bool in_section_ = false;
   bool header_written_ = false;
   bool finished_ = false;
   bool consumed_ = false;  // buffered image handed out (one-shot)
   std::size_t section_count_ = 0;
-  std::uint64_t raw_bytes_ = 0;
   Status error_;  // sticky
 };
 
@@ -227,6 +241,16 @@ class SectionStream {
 
   // Exact read of `n` raw payload bytes; Corrupt past end of section.
   Status read(void* out, std::size_t n);
+
+  // The read-side twin of ImageWriter::append_with: lends the next `n`
+  // payload bytes to `consume` straight out of the decoded chunks, one call
+  // per chunk they straddle (`offset` counts from the first of the `n`), so
+  // a consumer writing elsewhere (a device refill) copies each byte once.
+  // read() is its memcpy case. A failing consume aborts the pull with its
+  // error.
+  using Consume = std::function<Status(const std::byte* src, std::size_t len,
+                                       std::uint64_t offset)>;
+  Status read_with(std::uint64_t n, const Consume& consume);
 
   // Reads up to `n` bytes (may deliver a short count at chunk boundaries);
   // delivers 0 only at end of section.
@@ -277,6 +301,9 @@ class SectionStream {
 
   Status refill();  // pull the next decoded chunk into chunk_
   void note_progress();  // reports full delivery back to the reader
+  // read_with() under a verb for the error text ("read", "skip"); a null
+  // consume discards the bytes (they are still CRC-verified).
+  Status pull(std::uint64_t n, const Consume& consume, const char* verb);
 
   ImageReader* reader_;
   std::size_t section_index_;
@@ -325,7 +352,8 @@ class SectionStream {
 class ImageReader {
  public:
   struct Options {
-    // Decode-ahead pool for open_section(); nullptr decodes inline.
+    // Decode-ahead pool for open_section() over compressed images; nullptr
+    // decodes inline, as store-codec images always do.
     ThreadPool* pool = nullptr;
   };
 

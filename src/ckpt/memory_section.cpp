@@ -29,7 +29,8 @@ Status append_memory_records(ImageWriter& image,
     ByteWriter w;
     put_record_header(w, r);
     CRAC_RETURN_IF_ERROR(image.append(w.data(), w.size()));
-    CRAC_RETURN_IF_ERROR(image.append(r.bytes.data(), r.bytes.size()));
+    CRAC_RETURN_IF_ERROR(image.append(reinterpret_cast<const void*>(r.addr),
+                                      static_cast<std::size_t>(r.size)));
   }
   return OkStatus();
 }

@@ -25,8 +25,10 @@ std::vector<std::byte> encode_memory_records(
     const std::vector<MemoryRecord>& records);
 
 // Streams records into the currently-open section of `image`, one record at
-// a time — region contents feed the chunk pipeline directly instead of
-// being copied into a second whole-snapshot buffer first.
+// a time, each record's contents read straight from where they are mapped,
+// [addr, addr + size): the only copy is into the writer's chunk buffer.
+// The caller guarantees those ranges are readable and unchanging (the world
+// is frozen); `bytes` is not used.
 Status append_memory_records(ImageWriter& image,
                              const std::vector<MemoryRecord>& records);
 

@@ -69,13 +69,15 @@ using ProgressHook = std::function<void()>;
 //     before its payload is read — the streaming spool's "everything before
 //     this frame is now releasable" publication point.
 //
-// `ended_in_band` (never null) reports whether the stream reached a
+// `ended_in_band`, when not null, reports whether the stream reached a
 // self-delimiting end on the wire — a complete trailer (valid or not) or an
 // abort marker — i.e. whether a connection carrying it is still in sync.
 Status walk_ship_frames(int fd, const std::string& origin,
                         std::size_t slice_bytes, const StreamHook& on_payload,
                         const ProgressHook& on_frame_start,
                         bool* ended_in_band) {
+  bool in_band = false;
+  if (ended_in_band == nullptr) ended_in_band = &in_band;
   *ended_in_band = false;
   std::vector<std::byte> scratch;
   std::uint64_t total = 0;
@@ -463,7 +465,6 @@ Result<std::unique_ptr<StreamingSpoolSource>> StreamingSpoolSource::start(
   Outcome* outcome = source->outcome_.get();
   const std::string origin = source->origin_;
   source->receiver_ = std::thread([fd, impl, outcome, origin, scratch] {
-    bool ended_in_band = false;
     const Status s = walk_ship_frames(
         fd, origin, scratch,
         [impl](const std::byte* data, std::size_t size) {
@@ -477,7 +478,7 @@ Result<std::unique_ptr<StreamingSpoolSource>> StreamingSpoolSource::start(
           impl->published = impl->buf.appended();
           impl->cv.notify_all();
         },
-        &ended_in_band);
+        /*ended_in_band=*/nullptr);
     std::lock_guard<std::mutex> lock(impl->mu);
     impl->buf.release_scratch();
     if (s.ok()) {
@@ -491,7 +492,6 @@ Result<std::unique_ptr<StreamingSpoolSource>> StreamingSpoolSource::start(
     // anyone reading them has either seen complete (wait_complete) or
     // joined the thread (destruction) — both establish the ordering.
     outcome->status = s;
-    outcome->synced = ended_in_band;
     outcome->total_bytes = impl->buf.appended();
     outcome->peak_resident_bytes = impl->buf.peak_bytes();
     outcome->spooled_to_disk_bytes = impl->buf.file_bytes();

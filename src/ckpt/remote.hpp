@@ -156,19 +156,12 @@ class StreamingSpoolSource final : public Source {
   };
 
   // Terminal state of the receive, shared out so it stays readable after
-  // the source (and the ImageReader owning it) is gone — a receiver decides
-  // "clean rejection vs. desynced connection" from this after a failed
-  // restore. Fields are final once the source is destroyed (or
-  // wait_complete() returned).
+  // the source (and the ImageReader owning it) is gone. Fields are final
+  // once the source is destroyed (or wait_complete() returned).
   struct Outcome {
     // OkStatus once the trailer verified; the stream's named error
     // otherwise. Meaningless until complete.
     Status status;
-    // True when the stream ended in-band (verified trailer or abort
-    // marker): the fd's transport position is exactly past the stream, so
-    // a connection carrying it is still usable. False on EOF / framing
-    // damage, where nobody knows where the stream ends.
-    bool synced = false;
     bool complete = false;
     // Final receive accounting (the source itself is usually gone by the
     // time a caller wants these — the restore consumed it).

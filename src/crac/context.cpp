@@ -162,7 +162,7 @@ Result<CheckpointReport> CracContext::checkpoint_to_sink(ckpt::Sink& sink) {
     WallTimer t;
     writer.add_section(ckpt::SectionType::kMetadata, kSectionHeapState,
                        sim::encode_arena_snapshot(process_->heap().snapshot()));
-    auto records = process_->snapshot_upper_memory();
+    const auto records = process_->upper_regions();
     report.upper_regions = records.size();
     CRAC_RETURN_IF_ERROR(writer.status());
     CRAC_RETURN_IF_ERROR(writer.begin_section(

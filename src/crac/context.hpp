@@ -35,9 +35,10 @@ namespace crac {
 struct CracOptions {
   SplitProcessOptions split;
   ckpt::Codec codec = ckpt::Codec::kStore;  // paper runs with gzip disabled
-  // Streaming checkpoint pipeline: sections are chunked at this granularity
-  // and chunks are compressed/CRC'd in parallel on a pool of ckpt_threads
-  // workers (0 = hardware concurrency, 1 = no pool / inline encoding).
+  // Streaming checkpoint pipeline: sections are chunked at this granularity;
+  // with a compressing codec, chunks are compressed/CRC'd in parallel on a
+  // pool of ckpt_threads workers (0 = hardware concurrency, 1 = no pool /
+  // inline encoding). Store-codec chunks are CRC'd inline either way.
   std::size_t ckpt_chunk_bytes = ckpt::kDefaultChunkSize;
   std::size_t ckpt_threads = 0;
   // Copy-on-write capture: the stop-the-world window shrinks to drain

@@ -18,10 +18,6 @@ constexpr const char* kSectionUvm = "uvm-residency";
 constexpr const char* kSectionStreams = "streams";
 constexpr const char* kSectionFatbins = "fatbins";
 
-// Device/managed drains copy through a bounded staging buffer of this size;
-// each slice is appended straight into the open image section.
-constexpr std::uint64_t kDrainSliceBytes = std::uint64_t{1} << 20;
-
 cuda::cudaMemcpyKind refill_kind(AllocKind kind) {
   switch (kind) {
     case AllocKind::kDevice: return cuda::cudaMemcpyHostToDevice;
@@ -485,10 +481,9 @@ Status CracPlugin::drain_allocations(ckpt::ImageWriter& image,
   ByteWriter count;
   count.put_u64(fc.allocs.size());
   CRAC_RETURN_IF_ERROR(image.append(count.data(), count.size()));
-  // Drain each allocation in bounded slices that feed the chunk pipeline
-  // directly — peak staging memory is one slice, not the whole drain, no
-  // matter how large the largest allocation is.
-  std::vector<std::byte> staging;
+  // Each allocation's frozen contents land straight in the writer's chunk
+  // buffer: the overlay read (COW) or the D2H copy (stop-the-world) is the
+  // only copy the bytes take on their way to the sink.
   for (const auto& [addr, a] : fc.allocs) {
     ByteWriter rec;
     rec.put_u64(addr);
@@ -496,15 +491,12 @@ Status CracPlugin::drain_allocations(ckpt::ImageWriter& image,
     rec.put_u8(static_cast<std::uint8_t>(a.kind));
     rec.put_u32(a.flags);
     CRAC_RETURN_IF_ERROR(image.append(rec.data(), rec.size()));
-    for (std::uint64_t off = 0; off < a.size; off += kDrainSliceBytes) {
-      const std::size_t n =
-          static_cast<std::size_t>(std::min<std::uint64_t>(
-              kDrainSliceBytes, a.size - off));
-      staging.resize(n);
-      CRAC_RETURN_IF_ERROR(
-          read_frozen_contents(addr + off, n, a.kind, staging.data()));
-      CRAC_RETURN_IF_ERROR(image.append(staging.data(), staging.size()));
-    }
+    const AllocKind kind = a.kind;
+    CRAC_RETURN_IF_ERROR(image.append_with(
+        a.size, [this, addr = addr, kind](std::byte* dst, std::size_t len,
+                                          std::uint64_t off) {
+          return read_frozen_contents(addr + off, len, kind, dst);
+        }));
   }
   return image.end_section();
 }
@@ -536,8 +528,8 @@ Status CracPlugin::drain_allocations_delta(ckpt::ImageWriter& image,
   };
 
   ckpt::DirtyTracker& tracker = process_->lower().device().device_dirty();
-  // Delta entries use the tracker's granule, not the (much larger) drain
-  // slice: a sparse write pattern pays one tracker chunk per island, which
+  // Delta entries use the tracker's granule, not the (much larger) image
+  // chunk: a sparse write pattern pays one tracker chunk per island, which
   // is what makes a 2%-dirty delta a ~2%-sized image.
   const std::uint64_t granule = tracker.chunk_bytes();
   std::set<std::uint64_t> dirty;
@@ -933,10 +925,8 @@ Status CracPlugin::refill_allocations(ckpt::ImageReader& image,
   CRAC_ASSIGN_OR_RETURN(auto r, image.open_section(*sec));
   std::uint64_t count = 0;
   CRAC_RETURN_IF_ERROR(r.get_u64(count));
-  // Refill in the same bounded slices the drain used: decoded chunks are
-  // prefetched ahead on the pool, but staging never exceeds one slice no
-  // matter how large the largest allocation is.
-  std::vector<std::byte> staging;
+  // Each decoded span goes straight from the chunk it was decoded into to
+  // the device: no staging copy, whatever the allocation's size.
   for (std::uint64_t i = 0; i < count; ++i) {
     std::uint64_t addr = 0, size = 0;
     std::uint8_t kind_raw = 0;
@@ -948,22 +938,21 @@ Status CracPlugin::refill_allocations(ckpt::ImageReader& image,
     if (size > r.remaining()) {
       return Corrupt("allocation contents overrun the section payload");
     }
-    const auto kind = static_cast<AllocKind>(kind_raw);
-    for (std::uint64_t off = 0; off < size; off += kDrainSliceBytes) {
-      const std::size_t n = static_cast<std::size_t>(
-          std::min<std::uint64_t>(kDrainSliceBytes, size - off));
-      staging.resize(n);
-      CRAC_RETURN_IF_ERROR(r.read(staging.data(), n));
-      // Refill through the CUDA API itself (H2D copy), as the real plugin
-      // must.
-      const cuda::cudaError_t err = inner()->cudaMemcpy(
-          reinterpret_cast<void*>(addr + off), staging.data(), n,
-          refill_kind(kind));
-      if (err != cuda::cudaSuccess) {
-        return Internal("refill memcpy failed: " +
-                        std::string(cuda::cudaGetErrorString(err)));
-      }
-    }
+    const cuda::cudaMemcpyKind kind =
+        refill_kind(static_cast<AllocKind>(kind_raw));
+    CRAC_RETURN_IF_ERROR(r.read_with(
+        size, [this, addr, kind](const std::byte* src, std::size_t len,
+                                 std::uint64_t off) -> Status {
+          // Refill through the CUDA API itself (H2D copy), as the real
+          // plugin must.
+          const cuda::cudaError_t err = inner()->cudaMemcpy(
+              reinterpret_cast<void*>(addr + off), src, len, kind);
+          if (err != cuda::cudaSuccess) {
+            return Internal("refill memcpy failed: " +
+                            std::string(cuda::cudaGetErrorString(err)));
+          }
+          return OkStatus();
+        }));
     stats->bytes_refilled += size;
   }
   return OkStatus();

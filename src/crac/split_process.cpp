@@ -2,8 +2,6 @@
 
 #include <sys/mman.h>
 
-#include <cstring>
-
 #include "common/log.hpp"
 
 namespace crac {
@@ -87,7 +85,7 @@ Status SplitProcess::load_fresh_lower_half() {
   return OkStatus();
 }
 
-std::vector<ckpt::MemoryRecord> SplitProcess::snapshot_upper_memory() {
+std::vector<ckpt::MemoryRecord> SplitProcess::upper_regions() {
   // Consolidate first (§3.2.2 countermeasure) so the image carries few,
   // contiguous upper records.
   space_.consolidate();
@@ -98,11 +96,6 @@ std::vector<ckpt::MemoryRecord> SplitProcess::snapshot_upper_memory() {
     rec.size = r.size;
     rec.prot = static_cast<std::uint32_t>(r.prot);
     rec.name = r.name;
-    rec.bytes.resize(r.size);
-    // All simulated upper regions are mapped readable (the loader maps RW
-    // and records logical prot separately), so a direct copy is safe.
-    std::memcpy(rec.bytes.data(), reinterpret_cast<const void*>(r.start),
-                r.size);
     out.push_back(std::move(rec));
   }
   return out;
@@ -126,15 +119,6 @@ Status SplitProcess::validate_upper_target(std::uint64_t addr,
     return FailedPrecondition("upper region " + name + " at " +
                               std::to_string(addr) +
                               " is not mapped in the restarted process");
-  }
-  return OkStatus();
-}
-
-Status SplitProcess::restore_upper_memory(
-    const std::vector<ckpt::MemoryRecord>& records) {
-  for (const ckpt::MemoryRecord& rec : records) {
-    CRAC_RETURN_IF_ERROR(validate_upper_target(rec.addr, rec.size, rec.name));
-    std::memcpy(reinterpret_cast<void*>(rec.addr), rec.bytes.data(), rec.size);
   }
   return OkStatus();
 }

@@ -71,13 +71,12 @@ class SplitProcess {
   void discard_lower_half();
   Status load_fresh_lower_half();
 
-  // Snapshot every upper-half region (post-consolidation) with contents.
-  std::vector<ckpt::MemoryRecord> snapshot_upper_memory();
-
-  // Restores region contents captured by snapshot_upper_memory(). Regions
-  // inside the upper heap must already be committed (restore the heap
-  // allocator snapshot first); program-image regions must be loaded.
-  Status restore_upper_memory(const std::vector<ckpt::MemoryRecord>& records);
+  // Consolidates the upper half (§3.2.2) and describes every upper region:
+  // address, size, protection and name, with `bytes` left empty. Every
+  // simulated upper region is mapped readable (the loader maps RW and
+  // records the logical prot separately), so the checkpoint appends each
+  // region's contents straight from its mapping.
+  std::vector<ckpt::MemoryRecord> upper_regions();
 
   // Verifies that [addr, addr + size) is a writable restore target (heap or
   // program image) — the gate the streaming restore path uses before

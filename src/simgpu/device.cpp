@@ -153,16 +153,18 @@ void Device::note_write(const void* p, std::size_t n) noexcept {
 }
 
 Status Device::arm_snapshot() {
-  std::vector<ckpt::SnapOverlay::Region> regions;
-  regions.push_back({reinterpret_cast<std::uintptr_t>(
-                         device_arena_->arena_base()),
-                     config_.device_capacity});
-  regions.push_back({reinterpret_cast<std::uintptr_t>(
-                         pinned_arena_->arena_base()),
-                     config_.pinned_capacity});
-  regions.push_back(
+  // Each arena's committed span at the freeze: every frozen byte lies in
+  // it, so arming costs O(committed chunks), not O(reservation). Memory an
+  // arena commits after the freeze holds no frozen bytes, and a write there
+  // owes the capture nothing.
+  const std::vector<ckpt::SnapOverlay::Region> regions = {
+      {reinterpret_cast<std::uintptr_t>(device_arena_->arena_base()),
+       device_arena_->committed_bytes()},
+      {reinterpret_cast<std::uintptr_t>(pinned_arena_->arena_base()),
+       pinned_arena_->committed_bytes()},
       {reinterpret_cast<std::uintptr_t>(uvm_->arena_base()),
-       config_.managed_capacity});
+       uvm_->committed_bytes()},
+  };
   // Re-protect every managed page *before* arming, so the first
   // post-freeze write faults into the preserve path. Arming publishes
   // armed(); a writer that has seen it could otherwise store into a page

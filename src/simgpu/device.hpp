@@ -88,8 +88,8 @@ class Device {
 
   // --- copy-on-write snapshot capture ---
   // Re-arms UVM protection so every first write faults (and preserves),
-  // then arms the overlay over all three arenas' full reservations. The
-  // order matters: arming publishes armed(), and a writer that has seen it
+  // then arms the overlay over each of the three arenas' committed spans.
+  // The order matters: arming publishes armed(), and a writer that has seen it
   // must not find a managed page still writable. Call with the world
   // stopped (streams drained); on return the application may resume while
   // the capture reads the frozen state via snap_overlay().

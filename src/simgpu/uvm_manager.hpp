@@ -99,6 +99,7 @@ class UvmManager {
   std::size_t active_bytes() const { return arena_.active_bytes(); }
   bool is_fixed_base() const noexcept { return arena_.is_fixed_base(); }
   void* arena_base() const noexcept { return arena_.arena_base(); }
+  std::size_t committed_bytes() const { return arena_.committed_bytes(); }
 
   // Re-arm protection on every tracked page so the next access from either
   // side faults (starts a new fault-counting epoch).

@@ -1,8 +1,10 @@
 // Tests for the CRACIMG2 streaming chunk pipeline: chunk round trips across
-// sizes/codecs/pools, per-chunk corruption detection (naming the failing
-// section), write-side fault injection through the shared FaultySink
-// double, v1 backward compatibility, decompressor bounds hardening, and
-// the thread-pool future entry points the pipeline is built on.
+// sizes/codecs/pools, writer byte identity across append paths (the golden
+// v2 fixture reproduced, copy-in vs fill-in-place), failing fills,
+// per-chunk corruption detection (naming the failing section), write-side
+// fault injection through the shared FaultySink double, v1 backward
+// compatibility, decompressor bounds hardening, and the thread-pool future
+// entry points the pipeline is built on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -146,6 +148,124 @@ TEST(ChunkPipelineTest, MisuseIsRejected) {
     ASSERT_TRUE(w.begin_section(SectionType::kMetadata, "m").ok());
     EXPECT_FALSE(w.begin_section(SectionType::kMetadata, "n").ok());  // nested
   }
+}
+
+// ---- writer byte identity: every append path writes the same image ----
+
+std::vector<std::byte> write_golden_v2(ThreadPool* pool) {
+  MemorySink sink;
+  ImageWriter::Options opts;
+  opts.codec = Codec::kLz;
+  opts.chunk_size = 1024;
+  opts.pool = pool;
+  ImageWriter w(&sink, opts);
+  w.add_section(SectionType::kMetadata, "meta", testlib::golden_payload(100));
+  w.add_section(SectionType::kDeviceBuffers, "payload",
+                testlib::golden_payload(10000));
+  EXPECT_TRUE(w.finish().ok()) << w.status().to_string();
+  return std::move(sink).take();
+}
+
+TEST(WriterByteIdentityTest, ReproducesGoldenV2InlineAndOnAPool) {
+  const auto golden = testlib::read_file(std::string(CRAC_TEST_DATA_DIR) +
+                                         "/golden_v2.crac");
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(write_golden_v2(nullptr), golden);
+  ThreadPool pool(2);
+  EXPECT_EQ(write_golden_v2(&pool), golden);
+}
+
+TEST(WriterByteIdentityTest, StoreImageIsTheSameThroughEveryAppendPath) {
+  // Copied in by append() or filled in place by append_with() in uneven
+  // pieces that straddle chunk boundaries, inline or with a pool: one
+  // store-codec image. A header section first, so the writer's one chunk
+  // buffer carries across a section boundary.
+  constexpr std::size_t kChunkBytes = 1000;
+  const auto head = random_bytes(13, 91);
+  const auto body = random_bytes(7 * kChunkBytes + 321, 92);
+  std::size_t fills = 0;
+  std::size_t appends = 0;
+  auto write = [&](bool fill, ThreadPool* pool) {
+    MemorySink sink;
+    ImageWriter::Options opts;  // kStore
+    opts.chunk_size = kChunkBytes;
+    opts.pool = pool;
+    ImageWriter w(&sink, opts);
+    w.add_section(SectionType::kMetadata, "head", head);
+    EXPECT_TRUE(w.begin_section(SectionType::kDeviceBuffers, "body").ok());
+    if (!fill) {
+      EXPECT_TRUE(w.append(body.data(), body.size()).ok());
+    } else {
+      std::size_t off = 0;
+      std::size_t piece = 1;
+      while (off < body.size()) {
+        const std::size_t n = std::min(piece, body.size() - off);
+        const std::byte* src = body.data() + off;
+        ++appends;
+        EXPECT_TRUE(w.append_with(n, [&fills, src](std::byte* dst,
+                                                   std::size_t len,
+                                                   std::uint64_t at) {
+                       ++fills;
+                       std::memcpy(dst, src + at, len);
+                       return OkStatus();
+                     }).ok());
+        off += n;
+        piece = piece * 3 + 1;
+      }
+    }
+    EXPECT_TRUE(w.end_section().ok());
+    EXPECT_TRUE(w.finish().ok()) << w.status().to_string();
+    EXPECT_EQ(w.raw_bytes(), head.size() + body.size());
+    return std::move(sink).take();
+  };
+
+  ThreadPool pool(2);
+  const auto reference = write(/*fill=*/false, nullptr);
+  EXPECT_EQ(write(/*fill=*/true, nullptr), reference);
+  EXPECT_EQ(write(/*fill=*/false, &pool), reference);
+  EXPECT_EQ(write(/*fill=*/true, &pool), reference);
+  // Some pieces really did straddle a chunk boundary (one fill per chunk
+  // they touch).
+  EXPECT_GT(fills, appends);
+
+  auto reader = ImageReader::from_bytes(reference);
+  ASSERT_TRUE(reader.ok()) << reader.status().to_string();
+  EXPECT_EQ(*reader->read_section(*reader->find(SectionType::kDeviceBuffers,
+                                                "body")),
+            body);
+}
+
+TEST(WriterFailingFillTest, ErrorIsStickyAndThePartialChunkIsNeverFramed) {
+  MemorySink sink;
+  ImageWriter::Options opts;  // kStore: v2 frames, 20-byte headers
+  opts.chunk_size = 1024;
+  ImageWriter w(&sink, opts);
+  ASSERT_TRUE(w.begin_section(SectionType::kDeviceBuffers, "drain").ok());
+  const auto head = random_bytes(100, 93);
+  ASSERT_TRUE(w.append(head.data(), head.size()).ok());
+  const std::size_t before = sink.bytes().size();
+
+  // The fill serves the rest of chunk 0, then fails part way into chunk 1,
+  // after writing some of it.
+  const Status failed = w.append_with(
+      3000, [](std::byte* dst, std::size_t len, std::uint64_t off) -> Status {
+        if (off == 0) {
+          std::memset(dst, 0x11, len);
+          return OkStatus();
+        }
+        std::memset(dst, 0x22, len / 2);
+        return IoError("device read failed");
+      });
+  ASSERT_EQ(failed.code(), StatusCode::kIoError);
+  // Exactly one frame went out: chunk 0, full. Chunk 1 was never framed.
+  EXPECT_EQ(sink.bytes().size(), before + kChunkFrameHeaderBytes + 1024);
+
+  // Sticky: nothing more reaches the sink, not even a terminator.
+  EXPECT_EQ(w.append(head.data(), head.size()).code(), StatusCode::kIoError);
+  EXPECT_EQ(w.end_section().code(), StatusCode::kIoError);
+  EXPECT_EQ(w.finish().code(), StatusCode::kIoError);
+  EXPECT_EQ(w.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(sink.bytes().size(), before + kChunkFrameHeaderBytes + 1024);
 }
 
 // ---- corruption: per-chunk CRC failure names the failing section ----

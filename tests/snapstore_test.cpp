@@ -16,8 +16,13 @@
 //     section, to a stop-the-world capture of the same frozen state.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -510,6 +515,178 @@ TEST(SnapshotCracContextTest, CowImageMatchesStopTheWorld) {
 
   std::remove(cow_path.c_str());
   std::remove(stw_path.c_str());
+}
+
+// Holds the capture's first write after the overlay arms until `hold`
+// returns, so an application thread can act while the drain is known to
+// have read nothing yet.
+class HeldSink final : public ckpt::Sink {
+ public:
+  HeldSink(sim::Device* dev, std::function<void()> hold)
+      : dev_(dev), hold_(std::move(hold)) {}
+  std::vector<std::byte> take() && { return std::move(inner_).take(); }
+
+ private:
+  Status do_write(const void* data, std::size_t size) override {
+    if (hold_ && dev_->snap_overlay().armed()) {
+      hold_();
+      hold_ = nullptr;
+    }
+    return inner_.write(data, size);
+  }
+
+  sim::Device* dev_;
+  std::function<void()> hold_;
+  ckpt::MemorySink inner_;
+};
+
+std::vector<NamedPayload> sections_of(std::vector<std::byte> image) {
+  std::vector<NamedPayload> out;
+  auto reader = ckpt::ImageReader::from_bytes(std::move(image));
+  EXPECT_TRUE(reader.ok()) << reader.status().to_string();
+  if (!reader.ok()) return out;
+  for (const auto& sec : reader->sections()) {
+    auto bytes = reader->read_section(sec);
+    EXPECT_TRUE(bytes.ok()) << sec.name << ": " << bytes.status().to_string();
+    out.push_back({sec.type, sec.name,
+                   bytes.ok() ? std::move(*bytes) : std::vector<std::byte>{}});
+  }
+  return out;
+}
+
+TEST(SnapshotCracContextTest, MemoryCommittedAfterTheFreezeOwesTheCaptureNothing) {
+  // The overlay arms over each arena's committed span at the freeze. While
+  // the COW drain runs, the application allocates past that span (a new
+  // arena chunk commits), writes the new allocation and overwrites a frozen
+  // one. The image must still equal the stop-the-world image of the frozen
+  // state, and only the overwrite may cost preserved pre-images.
+  constexpr std::size_t kFreshBytes = 16 << 20;
+  std::vector<std::byte> cow_image;
+  std::uint64_t preserved_chunks = 0;
+  {
+    CracContext ctx(context_options(/*cow=*/true));
+    const BuiltState frozen = build_state(ctx);
+    sim::Device& dev = ctx.process().lower().device();
+    const auto base =
+        reinterpret_cast<std::uintptr_t>(dev.device_arena().arena_base());
+    const std::size_t armed_span = dev.device_arena().committed_bytes();
+
+    void* fresh = nullptr;
+    HeldSink sink(&dev, [&] {
+      std::thread app([&] {
+        EXPECT_EQ(ctx.api().cudaMalloc(&fresh, kFreshBytes), cudaSuccess);
+        EXPECT_EQ(ctx.api().cudaMemset(fresh, 0x3C, kFreshBytes), cudaSuccess);
+        EXPECT_EQ(ctx.api().cudaMemset(frozen.dev, 0xDE, 1 << 20),
+                  cudaSuccess);
+      });
+      app.join();
+    });
+    auto report = ctx.checkpoint_to_sink(sink);
+    ASSERT_TRUE(report.ok()) << report.status().to_string();
+    EXPECT_TRUE(report->cow_capture);
+    // The new allocation reaches past the span the overlay armed over.
+    EXPECT_GT(dev.device_arena().committed_bytes(), armed_span);
+    EXPECT_GT(reinterpret_cast<std::uintptr_t>(fresh) + kFreshBytes,
+              base + armed_span);
+    preserved_chunks = report->snapstore_preserved_chunks;
+    cow_image = std::move(sink).take();
+  }
+  EXPECT_GT(preserved_chunks, 0u);  // the frozen overwrite was preserved
+  EXPECT_LT(preserved_chunks * ckpt::kDefaultDirtyChunkBytes, kFreshBytes)
+      << "writes to memory committed after the freeze were preserved";
+
+  std::vector<std::byte> stw_image;
+  {
+    CracContext ctx(context_options(/*cow=*/false));
+    (void)build_state(ctx);
+    ckpt::MemorySink sink;
+    auto report = ctx.checkpoint_to_sink(sink);
+    ASSERT_TRUE(report.ok()) << report.status().to_string();
+    stw_image = std::move(sink).take();
+  }
+
+  const auto cow_secs = sections_of(std::move(cow_image));
+  const auto stw_secs = sections_of(std::move(stw_image));
+  ASSERT_EQ(cow_secs.size(), stw_secs.size());
+  for (std::size_t i = 0; i < cow_secs.size(); ++i) {
+    EXPECT_EQ(cow_secs[i].name, stw_secs[i].name) << "section " << i;
+    if (cow_secs[i].name == ckpt::kSectionImageId) continue;
+    EXPECT_EQ(cow_secs[i].bytes, stw_secs[i].bytes)
+        << "section " << i << " (" << cow_secs[i].name
+        << ") differs between COW and stop-the-world capture";
+  }
+}
+
+// The descriptor of the armed overlay's overflow file (created unlinked as
+// crac-snapstore-XXXXXX), or -1.
+int snapstore_overflow_fd() {
+  for (int fd = 0; fd < 1024; ++fd) {
+    char target[512];
+    const std::string link = "/proc/self/fd/" + std::to_string(fd);
+    const ssize_t n = ::readlink(link.c_str(), target, sizeof(target) - 1);
+    if (n <= 0) continue;
+    target[n] = '\0';
+    if (std::strstr(target, "crac-snapstore-") != nullptr) return fd;
+  }
+  return -1;
+}
+
+TEST(SnapshotCracContextTest, FailingDrainFillLeavesNoImageAndNoTemp) {
+  // A COW drain whose fill fails mid-chunk: a frozen allocation's
+  // pre-images went to the snapstore's overflow file, which is damaged
+  // before the drain reads them back. The checkpoint must fail with that
+  // error and leave neither the image nor its .tmp at the path.
+  //
+  // The .tmp is a FIFO the test drains, so the capture can be held
+  // deterministically: once the overlay arms, the drain cannot get past
+  // the pipe's capacity (plus one chunk) until the test reads on, and
+  // `early` (8 MiB, lowest address, drained first) keeps it away from
+  // `late` until then.
+  const std::string path = testlib::temp_path("snap_failfill");
+  const std::string tmp = path + ".tmp";
+  CracOptions opts = context_options(/*cow=*/true);
+  opts.split.device.snapstore_mem_cap_bytes = 0;  // pre-images go to file
+  CracContext ctx(opts);
+  sim::Device& dev = ctx.process().lower().device();
+  void* early = nullptr;
+  void* late = nullptr;
+  ASSERT_EQ(ctx.api().cudaMalloc(&early, 8 << 20), cudaSuccess);
+  ASSERT_EQ(ctx.api().cudaMalloc(&late, 1 << 20), cudaSuccess);
+  ASSERT_LT(early, late);
+  ASSERT_EQ(ctx.api().cudaMemset(early, 0x01, 8 << 20), cudaSuccess);
+  ASSERT_EQ(ctx.api().cudaMemset(late, 0x02, 1 << 20), cudaSuccess);
+  ASSERT_EQ(ctx.api().cudaDeviceSynchronize(), cudaSuccess);
+
+  std::remove(tmp.c_str());
+  ASSERT_EQ(::mkfifo(tmp.c_str(), 0600), 0);
+  std::thread drainer([&] {
+    const int fd = ::open(tmp.c_str(), O_RDONLY);
+    ASSERT_GE(fd, 0);
+    std::vector<char> buf(64 << 10);
+    bool damaged = false;
+    for (;;) {
+      if (!damaged && dev.snap_overlay().armed()) {
+        damaged = true;
+        EXPECT_EQ(ctx.api().cudaMemset(late, 0x7F, 1 << 20), cudaSuccess);
+        const int overflow = snapstore_overflow_fd();
+        EXPECT_GE(overflow, 0);
+        if (overflow >= 0) {
+          EXPECT_EQ(::ftruncate(overflow, 0), 0);
+        }
+      }
+      if (::read(fd, buf.data(), buf.size()) <= 0) break;
+    }
+    ::close(fd);
+  });
+  auto report = ctx.checkpoint(path);
+  drainer.join();
+
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.status().message().find("snapstore overflow"),
+            std::string::npos)
+      << report.status().to_string();
+  EXPECT_NE(::access(path.c_str(), F_OK), 0);
+  EXPECT_NE(::access(tmp.c_str(), F_OK), 0);
 }
 
 TEST(SnapshotCracContextTest, CowPauseExcludesTheDrain) {
