@@ -664,8 +664,9 @@ void run_fleet_sweep(Table& table) {
 // training step's parameter updates take) and take a checkpoint_delta after
 // each. The number to watch is delta_bytes / full_bytes tracking the dirty
 // fraction; the time win follows the byte win because the drain only copies
-// dirty chunks off the device. Each repetition ends with a chain restore of
-// the newest delta, so the sweep also drives base -> delta -> delta
+// dirty chunks off the device. Each repetition ends with a timed chain
+// restore of every delta in turn (chain_restore_s: merge base -> ... ->
+// delta, then restore it), so the sweep also drives base -> delta -> delta
 // resolution end to end.
 constexpr double kDirtyFractions[] = {0.02, 0.10, 0.50};
 
@@ -716,9 +717,18 @@ Status delta_rep(const std::vector<Table::Row*>& rows, std::size_t n,
                                    static_cast<double>(full.image_bytes));
       }
     }
-    // Chain restore: the newest delta resolves base + every intermediate.
-    return bench::status_of(
-        CracContext::restart_from_image(images.back(), bench::crac_options()));
+    // Chain restores: each delta resolves base + every intermediate. Each
+    // restarted context goes before the next starts (fixed VAs again).
+    for (std::size_t f = 0; f < rows.size(); ++f) {
+      WallTimer t;
+      CRAC_ASSIGN_OR_RETURN(auto restarted,
+                            CracContext::restart_from_image(
+                                images[f + 1], bench::crac_options()));
+      const double restore_s = t.elapsed_s();
+      restarted.reset();
+      rows[f]->add("chain_restore_s", restore_s);
+    }
+    return OkStatus();
   }();
   for (const auto& p : images) std::remove(p.c_str());
   return run;
@@ -729,7 +739,7 @@ void run_delta_sweep(Table& table) {
   const std::size_t n = mb << 20;
   std::printf("\nincremental (delta) checkpoints (%zuMB device buffer; "
               "delta size and time vs the full image, then a chain "
-              "restore):\n", mb);
+              "restore of each delta):\n", mb);
   const auto host = synthetic_image_payload(n, 777);
   std::vector<Table::Row*> rows;
   for (const double fraction : kDirtyFractions) {
@@ -923,7 +933,7 @@ int main() {
   run_delta_sweep(report.table(
       "delta_checkpoint", {"dirty_fraction"},
       {lower("full_bytes", kInt), lower("delta_bytes", kInt), lower("full_s"),
-       lower("delta_s"), lower("delta_ratio")}));
+       lower("delta_s"), lower("delta_ratio"), lower("chain_restore_s")}));
   std::printf("\nshape check (delta): delta image size should track the "
               "dirty fraction (2%% dirty => well under 10%% of the full "
               "image; the floor is the always-full sections — log, upper "

@@ -219,7 +219,6 @@ class ChunkUnpipeline {
   // High-water mark of bytes buffered inside the unpipeline (stored + raw
   // of every in-flight chunk) — what the bounded-window tests check.
   std::uint64_t buffered_peak_bytes() const noexcept { return peak_bytes_; }
-  std::size_t window() const noexcept { return max_in_flight_; }
   // Fresh byte-buffer allocations (buffer-pool misses). Bounded by the
   // in-flight window — not the chunk count — once the pool is warm; the
   // steady-state no-per-chunk-allocation property restore_test asserts.

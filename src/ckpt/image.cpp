@@ -810,6 +810,39 @@ Status ImageReader::read(const SectionInfo& section, std::uint64_t offset,
   return OkStatus();
 }
 
+Status ImageReader::read_stored(const SectionInfo& section, std::size_t index,
+                                ChunkFrame& frame, std::uint64_t offset,
+                                void* out, std::size_t len) {
+  if (version_ == kVersion1) {
+    return FailedPrecondition("checkpoint section '" + section.name +
+                              "' is a v1 section: it has no chunk frames");
+  }
+  if (!section.size_known) CRAC_RETURN_IF_ERROR(resolve_deferred());
+  ++stream_epoch_;  // moves the cursor: live streams yield
+  if (section.chunks.empty() && section.raw_size > 0) {
+    // Finalized by its own stream: rebuild the chunk index, as read() does.
+    SectionInfo& mut = sections_[index_of(section)];
+    CRAC_RETURN_IF_ERROR(source_->seek(mut.payload_offset));
+    CRAC_RETURN_IF_ERROR(walk_section_chunks(mut));
+  }
+  if (index >= section.chunks.size()) {
+    return InvalidArgument("chunk #" + std::to_string(index) +
+                           " outside checkpoint section '" + section.name +
+                           "' (" + std::to_string(section.chunks.size()) +
+                           " chunks)");
+  }
+  CRAC_RETURN_IF_ERROR(source_->seek(section.chunks[index].file_offset));
+  CRAC_RETURN_IF_ERROR(read_chunk_frame(*source_, frame, framing_, codec_));
+  if (len == 0) return OkStatus();
+  if (offset > frame.stored_size || len > frame.stored_size - offset) {
+    return InvalidArgument("stored range outside chunk #" +
+                           std::to_string(index) + " of checkpoint section '" +
+                           section.name + "'");
+  }
+  CRAC_RETURN_IF_ERROR(source_->skip(offset));
+  return source_->read(out, len);
+}
+
 Result<std::vector<std::byte>> ImageReader::read_section(
     const SectionInfo& section) {
   CRAC_ASSIGN_OR_RETURN(auto stream, open_section(section));

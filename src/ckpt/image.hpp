@@ -416,6 +416,16 @@ class ImageReader {
   Status read(const SectionInfo& section, std::uint64_t offset, void* out,
               std::size_t len);
 
+  // Copies chunk `index` of `section` as it is stored, neither decoded nor
+  // CRC-checked: its frame header into `frame`, then the `len` stored bytes
+  // that start `offset` bytes into its payload into `out` (len 0 reads the
+  // header alone). ckpt::ChainMerge copies frames and reads patch bytes
+  // through it; restore never does. FailedPrecondition on a v1 image, which
+  // has no frames.
+  Status read_stored(const SectionInfo& section, std::size_t index,
+                     ChunkFrame& frame, std::uint64_t offset = 0,
+                     void* out = nullptr, std::size_t len = 0);
+
   // Materializes one section's payload; peak memory is that section plus
   // the decode window.
   Result<std::vector<std::byte>> read_section(const SectionInfo& section);

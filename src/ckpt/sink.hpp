@@ -2,11 +2,11 @@
 //
 // A Sink is an ordered, append-only byte destination. The CRACIMG2 writer
 // streams section headers and compressed chunks into one as they are
-// produced, so the full image never has to be materialized in memory. Three
-// implementations ship: a file and a growable buffer here, and
-// ckpt::SocketSink (remote.hpp), which frames the stream over a socket. The
-// interface is deliberately minimal so a new destination slots in without
-// touching the writer.
+// produced, so the full image never has to be materialized in memory. Four
+// implementations ship: a file, a growable buffer and a discarding sink
+// here, and ckpt::SocketSink (remote.hpp), which frames the stream over a
+// socket. The interface is deliberately minimal so a new destination slots
+// in without touching the writer.
 #pragma once
 
 #include <cstdint>
@@ -67,6 +67,9 @@ class MemorySink final : public Sink {
 
   const std::vector<std::byte>& bytes() const noexcept { return buf_; }
   std::vector<std::byte> take() && { return std::move(buf_); }
+  // Sizes the buffer once for `n` bytes, so a producer that knows its
+  // total up front never pays the growth copies.
+  void reserve(std::size_t n) { buf_.reserve(n); }
 
  private:
   Status do_write(const void* data, std::size_t size) override {
@@ -76,6 +79,15 @@ class MemorySink final : public Sink {
   }
 
   std::vector<std::byte> buf_;
+};
+
+// Accepts and discards bytes; bytes_written() still counts them. Drains a
+// stream nobody wants, or sizes one by a dry run.
+class DiscardSink final : public Sink {
+ private:
+  Status do_write(const void* /*data*/, std::size_t /*size*/) override {
+    return OkStatus();
+  }
 };
 
 // Buffered file sink. close() (or destruction) flushes; a failed write is

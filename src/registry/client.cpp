@@ -6,6 +6,7 @@
 #include <cstring>
 #include <utility>
 
+#include "ckpt/chunk.hpp"
 #include "ckpt/remote.hpp"
 #include "ckpt/sink.hpp"
 #include "common/bytes.hpp"
@@ -103,21 +104,23 @@ Status RegistryClient::put(const std::string& name,
   return resp;
 }
 
-Status RegistryClient::get(const std::string& name,
-                           const std::function<Status(int fd)>& reader) {
+Status RegistryClient::get(
+    const std::string& name,
+    const std::function<Status(int fd, std::uint64_t bytes)>& reader) {
   if (Status sent =
           send_request(static_cast<std::uint32_t>(proxy::Op::kGetCkpt), name);
       !sent.ok()) {
     return poison(std::move(sent));
   }
-  Status resp = read_response();
+  std::uint64_t bytes = 0;
+  Status resp = read_response(&bytes);
   if (!resp.ok()) {
     // In-band rejection (not found / bad name): no stream was started, the
     // channel is still aligned. A transport failure is not.
     if (resp.code() == StatusCode::kIoError) return poison(std::move(resp));
     return resp;
   }
-  if (Status consumed = reader(fd_); !consumed.ok()) {
+  if (Status consumed = reader(fd_, bytes); !consumed.ok()) {
     // The reader owns stream delimiting; if it failed we cannot know where
     // the stream ended.
     return poison(std::move(consumed));
@@ -143,9 +146,21 @@ Status RegistryClient::put_bytes(const std::string& name,
 Result<std::vector<std::byte>> RegistryClient::get_bytes(
     const std::string& name) {
   ckpt::MemorySink sink;
-  CRAC_RETURN_IF_ERROR(get(name, [&sink](int fd) {
+  CRAC_RETURN_IF_ERROR(get(name, [&sink](int fd, std::uint64_t announced) {
+    // One allocation of the announced size; the cap keeps a hostile
+    // announcement from reserving what the stream never delivers.
+    sink.reserve(static_cast<std::size_t>(
+        std::min<std::uint64_t>(announced, ckpt::kMaxChunkSize)));
     bool in_band = false;
-    return ckpt::pump_ship_stream(fd, sink, "registry get_bytes", &in_band);
+    CRAC_RETURN_IF_ERROR(
+        ckpt::pump_ship_stream(fd, sink, "registry get_bytes", &in_band));
+    if (sink.bytes_written() != announced) {
+      return Corrupt("registry get_bytes: the stream carried " +
+                     std::to_string(sink.bytes_written()) +
+                     " bytes but the server announced " +
+                     std::to_string(announced));
+    }
+    return OkStatus();
   }));
   return std::move(sink).take();
 }

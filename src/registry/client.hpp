@@ -47,12 +47,15 @@ class RegistryClient {
 
   // Fetches `name`; `reader` consumes the self-delimiting CRACSHP1 stream
   // from the fd (e.g. restart_from_source over StreamingSpoolSource::start,
-  // or pump_ship_stream into a sink). NotFound is answered before any
-  // stream starts.
+  // or pump_ship_stream into a sink), told the image size the server
+  // announced. NotFound is answered before any stream starts.
   Status get(const std::string& name,
-             const std::function<Status(int fd)>& reader);
+             const std::function<Status(int fd, std::uint64_t bytes)>& reader);
 
   // Byte-level conveniences for tests/tools: a raw image blob in/out.
+  // get_bytes() receives into one buffer of the announced size (reserving
+  // at most kMaxChunkSize up front, whatever the server claims) and fails
+  // with Corrupt when the stream's length differs from the announcement.
   Status put_bytes(const std::string& name,
                    const std::vector<std::byte>& image);
   Result<std::vector<std::byte>> get_bytes(const std::string& name);

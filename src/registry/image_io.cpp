@@ -69,12 +69,18 @@ Status RegistrySink::admit_chunk() {
   // bytes decode to raw_size bytes with this CRC", and a registry that
   // interned an unverified frame would serve the corruption to every future
   // receiver. The decode costs one pass per chunk at PUT time and makes
-  // GET-side trust free.
-  ckpt::DecodedChunk decoded = ckpt::decode_chunk(
-      frame_, std::vector<std::byte>(buf_.begin(), buf_.end()));
+  // GET-side trust free. The frame decodes where it landed: a verbatim
+  // chunk is its own raw form, a compressed one decodes into raw_, and
+  // both buffers come back for the next chunk.
+  const bool verbatim = frame_.stored_size == frame_.raw_size;
+  ckpt::DecodedChunk decoded =
+      ckpt::decode_chunk(frame_, std::move(buf_), std::move(raw_));
+  buf_ = std::move(verbatim ? decoded.raw : decoded.spare);
+  raw_ = std::move(verbatim ? decoded.spare : decoded.raw);
   CRAC_RETURN_IF_ERROR(decoded.status);
-  if (decoded.raw.size() != frame_.raw_size) {
-    return Corrupt("chunk decoded to " + std::to_string(decoded.raw.size()) +
+  const std::vector<std::byte>& raw = verbatim ? buf_ : raw_;
+  if (raw.size() != frame_.raw_size) {
+    return Corrupt("chunk decoded to " + std::to_string(raw.size()) +
                    " bytes, frame declared " +
                    std::to_string(frame_.raw_size));
   }
@@ -84,8 +90,8 @@ Status RegistrySink::admit_chunk() {
   if (cur_section_type_ ==
           static_cast<std::uint32_t>(ckpt::SectionType::kMetadata) &&
       cur_section_name_ == ckpt::kSectionImageId) {
-    image_->image_id_.append(reinterpret_cast<const char*>(decoded.raw.data()),
-                             decoded.raw.size());
+    image_->image_id_.append(reinterpret_cast<const char*>(raw.data()),
+                             raw.size());
   }
   StoredImage::Segment seg;
   seg.size = ckpt::frame_header_bytes(framing_) + frame_.stored_size;

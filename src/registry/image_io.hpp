@@ -160,6 +160,7 @@ class RegistrySink final : public ckpt::Sink {
   State state_ = State::kFileHeader;
   int stage_ = 0;                  // sub-unit progress (string parsing)
   std::vector<std::byte> buf_;     // bytes of the current unit
+  std::vector<std::byte> raw_;     // a compressed chunk's decoded bytes
   std::size_t need_ = 0;           // bytes required to finish the unit
   std::uint64_t consumed_ = 0;     // logical bytes accepted pre-error
   ckpt::ChunkFraming framing_ = ckpt::ChunkFraming::kV2;

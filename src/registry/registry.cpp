@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "ckpt/delta.hpp"
-
 namespace crac::registry {
 
 CheckpointRegistry::CheckpointRegistry() : CheckpointRegistry(Options{}) {}
@@ -246,10 +244,11 @@ Result<std::unique_ptr<RegistrySource>> CheckpointRegistry::open(
   return std::make_unique<RegistrySource>(std::move(image));
 }
 
-Result<std::vector<std::byte>> CheckpointRegistry::materialize(
+Result<ckpt::ChainMerge> CheckpointRegistry::open_merged(
     const std::string& name) {
   // Pin the whole chain (leaf..base) with reader sources under the lock,
-  // then fold outside it — concurrent evictions see the pins and refuse.
+  // then check and plan outside it — concurrent evictions see the pins and
+  // refuse.
   std::vector<std::unique_ptr<RegistrySource>> chain;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -282,20 +281,17 @@ Result<std::vector<std::byte>> CheckpointRegistry::materialize(
       cur = std::move(parent);
     }
   }
-  auto read_all =
-      [](RegistrySource& src) -> Result<std::vector<std::byte>> {
-    std::vector<std::byte> out(src.size());
-    CRAC_RETURN_IF_ERROR(src.seek(0));
-    if (!out.empty()) CRAC_RETURN_IF_ERROR(src.read(out.data(), out.size()));
-    return out;
-  };
-  CRAC_ASSIGN_OR_RETURN(auto acc, read_all(*chain.back()));
-  for (std::size_t i = chain.size() - 1; i-- > 0;) {
-    CRAC_ASSIGN_OR_RETURN(auto delta_bytes, read_all(*chain[i]));
-    CRAC_ASSIGN_OR_RETURN(acc, ckpt::apply_delta_image(std::move(delta_bytes),
-                                                       std::move(acc)));
+  // Every link's payloads are checked before any byte is planned or sent,
+  // as a full GET checks its image's.
+  for (auto& source : chain) CRAC_RETURN_IF_ERROR(source->verify());
+  std::vector<ckpt::ChainMerge::Link> links;
+  links.reserve(chain.size());
+  for (auto& source : chain) {
+    CRAC_ASSIGN_OR_RETURN(auto reader,
+                          ckpt::ImageReader::open(std::move(source)));
+    links.push_back(ckpt::ChainMerge::Link{std::move(reader), ""});
   }
-  return acc;
+  return ckpt::ChainMerge::plan(std::move(links));
 }
 
 Status CheckpointRegistry::drop_locked(const std::string& name,

@@ -24,8 +24,9 @@
 //
 // Delta chains: a v4 delta PUT records its parent_id edge; the registry
 // resolves the edge against the directory (by each image's embedded
-// image-id) and materialize() folds the chain into one restorable full
-// image server-side. A child's resolved edge pins its parent's chunks.
+// image-id) and open_merged() plans the chain's merge into one restorable
+// full image, which a GET streams frame by frame. A child's resolved edge
+// pins its parent's chunks.
 //
 // Eviction: with capacity_bytes set, commit() evicts least-recently-GET
 // images until stored payload bytes fit the budget. Images with live GET
@@ -45,6 +46,7 @@
 #include <vector>
 
 #include "common/status.hpp"
+#include "ckpt/delta.hpp"
 #include "registry/image_io.hpp"
 #include "registry/persist.hpp"
 #include "registry/store.hpp"
@@ -125,16 +127,20 @@ class CheckpointRegistry {
   Status commit(RegistrySink& sink);
 
   // A fresh source over the named image's bytes exactly as PUT (a delta
-  // image serves its delta bytes — see materialize() for the folded
-  // chain); shares the image with every other open source and counts as a
-  // use for LRU. NotFound when the name is absent.
+  // image serves its delta bytes — see open_merged() for the merged chain);
+  // shares the image with every other open source and counts as a use for
+  // LRU. NotFound when the name is absent.
   Result<std::unique_ptr<RegistrySource>> open(const std::string& name);
 
-  // The full restorable image for `name`: a non-delta image's bytes
-  // verbatim, or the delta chain folded base-up via
-  // ckpt::apply_delta_image. FailedPrecondition, naming the missing
-  // parent, when a link's parent was never PUT.
-  Result<std::vector<std::byte>> materialize(const std::string& name);
+  // The full restorable image `name` stands for, planned but not yet read:
+  // its chain (leaf..base; a non-delta image alone) pinned with one source
+  // per link, every link's LRU stamp bumped, every link's payloads checked
+  // by RegistrySource::verify(), and the merge planned by
+  // ckpt::ChainMerge::plan(). size() is then the exact GET size and
+  // write() streams the merged image. FailedPrecondition, naming the
+  // missing parent, when a link's parent was never PUT; Corrupt, naming the
+  // chunk, when a stored payload fails its CRC.
+  Result<ckpt::ChainMerge> open_merged(const std::string& name);
 
   // Drops the named image to reclaim its bytes. Refused (FailedPrecondition)
   // while the image has live GET sessions or resolved delta children.
@@ -153,7 +159,7 @@ class CheckpointRegistry {
  private:
   struct Rec {
     std::shared_ptr<StoredImage> image;
-    std::uint64_t last_use = 0;  // LRU stamp: bumped by open/materialize
+    std::uint64_t last_use = 0;  // LRU stamp: bumped by open/open_merged
   };
 
   bool has_live_children_locked(const StoredImage* image) const;

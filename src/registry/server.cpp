@@ -45,15 +45,6 @@ bool respond_fd(int fd, RegistryErr err, std::uint64_t r0 = 0) {
   return proxy::write_all(fd, &resp, sizeof(resp)).ok();
 }
 
-// Accepts and discards a stream — used to drain a PUT whose request was
-// malformed, so the rejection can still be answered in-band.
-class DrainSink final : public ckpt::Sink {
- private:
-  Status do_write(const void* /*data*/, std::size_t /*size*/) override {
-    return OkStatus();
-  }
-};
-
 Result<std::string> name_of(const std::vector<std::byte>& payload) {
   if (payload.empty() || payload.size() > 4096) {
     return InvalidArgument("registry image name must be 1..4096 bytes");
@@ -128,7 +119,7 @@ class RegistryHandler final : public EventLoop::Handler {
           // The framed stream still follows the bad request; claim the
           // connection just to drain it in-band, then reject.
           loop_->start_session(conn, [](int fd) {
-            DrainSink drain;
+            ckpt::DiscardSink drain;
             bool in_band = false;
             (void)ckpt::pump_ship_stream(fd, drain, "registry put drain",
                                          &in_band);
@@ -178,26 +169,31 @@ class RegistryHandler final : public EventLoop::Handler {
           return Dispatch::kContinue;
         }
         if ((*source)->image().is_delta()) {
-          // Delta images serve the *materialized* chain — receivers restore
-          // full images; the chain is the registry's private storage shape.
-          // The fold can fail (parent never PUT), so the whole exchange —
-          // response header included — runs in the session, keeping the
-          // refusal in-band over an intact connection.
-          (*source).reset();  // materialize() re-pins what it needs
+          // Delta images serve the *merged* chain — receivers restore full
+          // images; the chain is the registry's private storage shape. The
+          // session checks every link's payloads and plans the merge (any
+          // failure, such as a parent never PUT, is refused in-band before
+          // the response header), announces the exact merged size, then
+          // streams the merge frame by frame.
+          (*source).reset();  // open_merged() re-pins what it needs
           loop_->start_session(conn, [this, n = *name](int fd) {
-            auto bytes = registry_.materialize(n);
-            if (!bytes.ok()) {
-              CRAC_WARN() << "GET_CKPT '" << n << "' chain fold failed: "
-                          << bytes.status().to_string();
-              return respond_fd(fd, get_error(bytes.status()));
+            auto merge = registry_.open_merged(n);
+            Result<std::uint64_t> size =
+                merge.ok() ? merge->size() : merge.status();
+            if (!size.ok()) {
+              CRAC_WARN() << "GET_CKPT '" << n << "' chain merge refused: "
+                          << size.status().to_string();
+              return respond_fd(fd, get_error(size.status()));
             }
-            if (!respond_fd(fd, RegistryErr::kOk, bytes->size())) {
-              return false;
-            }
+            if (!respond_fd(fd, RegistryErr::kOk, *size)) return false;
             ckpt::SocketSink sink(fd, "registry get stream");
-            Status streamed = bytes->empty()
-                                  ? OkStatus()
-                                  : sink.write(bytes->data(), bytes->size());
+            Status streamed = merge->write(sink);
+            if (streamed.ok() && sink.bytes_written() != *size) {
+              streamed = Internal("merged " +
+                                  std::to_string(sink.bytes_written()) +
+                                  " bytes, announced " +
+                                  std::to_string(*size));
+            }
             if (streamed.ok()) return sink.close().ok();
             CRAC_WARN() << "GET_CKPT stream failed: " << streamed.to_string();
             return sink.abort().ok();

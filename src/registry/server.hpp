@@ -16,9 +16,14 @@
 //               (no stream). Otherwise a session checks the image's chunk
 //               payloads against their CRCs (answering kCorrupt, with no
 //               stream, if one fails), then sends the OK response (r0 =
-//               image bytes) and the reconstructed CRACSHP1 stream. Any
-//               number of GET sessions serve one stored image concurrently
-//               — the fan-out restore path (one image -> M endpoints).
+//               image bytes) and the reconstructed CRACSHP1 stream. A
+//               delta image is served as the full image its chain stands
+//               for: the session checks every link's payloads and plans the
+//               merge (refusing in-band on any failure), answers with r0 =
+//               the exact merged size, then streams the merge frame by
+//               frame without holding the image. Any number of GET
+//               sessions serve one stored image concurrently — the fan-out
+//               restore path (one image -> M endpoints).
 //   LIST/STAT — inline directory / store accounting.
 //
 // Concurrency mirrors the proxy server: verbs dispatch on the loop thread,

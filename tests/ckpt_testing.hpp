@@ -10,10 +10,12 @@
 
 #include <malloc.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -22,10 +24,12 @@
 #include <csignal>
 
 #include "ckpt/compressor.hpp"
+#include "ckpt/delta.hpp"
 #include "ckpt/image.hpp"
 #include "ckpt/remote.hpp"
 #include "ckpt/sink.hpp"
 #include "ckpt/source.hpp"
+#include "common/bytes.hpp"
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -411,5 +415,274 @@ class ScopedKillPoint {
     }
   }
 };
+
+// ---- delta chains ----
+
+// One kDeltaChunks entry: `bytes` patch the target from index * granule.
+struct DeltaEntry {
+  std::uint64_t index = 0;
+  std::vector<std::byte> bytes;
+};
+
+// A kDeltaChunks section payload (layout in ckpt/delta.hpp).
+inline std::vector<std::byte> delta_body(SectionType target,
+                                         std::uint64_t granule,
+                                         std::uint64_t full_raw_size,
+                                         const std::vector<DeltaEntry>& es) {
+  ByteWriter w;
+  w.put_u32(static_cast<std::uint32_t>(target));
+  w.put_u64(granule);
+  w.put_u64(full_raw_size);
+  w.put_u64(es.size());
+  for (const DeltaEntry& e : es) {
+    w.put_u64(e.index);
+    w.put_u64(e.bytes.size());
+    w.put_bytes(e.bytes.data(), e.bytes.size());
+  }
+  return std::move(w).take();
+}
+
+struct ChainSection {
+  SectionType type{};
+  std::string name;
+  std::vector<std::byte> payload;
+};
+
+// One chain link: a full image when `parent_id` is empty, else a v4 delta.
+// Its "image-id" metadata section goes first.
+inline std::vector<std::byte> chain_image(
+    const std::string& image_id, const std::string& parent_id,
+    const std::string& parent_path, Codec codec, std::size_t chunk_size,
+    const std::vector<ChainSection>& sections) {
+  MemorySink sink;
+  ImageWriter::Options opts;
+  opts.codec = codec;
+  opts.chunk_size = chunk_size;
+  opts.parent_id = parent_id;
+  opts.parent_path = parent_path;
+  ImageWriter w(&sink, opts);
+  const auto* id = reinterpret_cast<const std::byte*>(image_id.data());
+  w.add_section(SectionType::kMetadata, kSectionImageId,
+                std::vector<std::byte>(id, id + image_id.size()));
+  for (const ChainSection& s : sections) {
+    w.add_section(s.type, s.name, s.payload);
+  }
+  EXPECT_TRUE(w.finish().ok()) << w.status().to_string();
+  return std::move(sink).take();
+}
+
+// Test-only reference for ckpt::ChainMerge: the whole-image fold merges
+// used to run. It decodes every section of `delta_image`, patches each
+// kDeltaChunks section onto its target decoded out of `parent_full` (the
+// parent already folded), and re-encodes it all through an ImageWriter with
+// the delta's codec and chunk size. Only valid chains come here.
+inline Result<std::vector<std::byte>> reference_apply_delta(
+    std::vector<std::byte> delta_image, std::vector<std::byte> parent_full) {
+  CRAC_ASSIGN_OR_RETURN(auto reader,
+                        ImageReader::from_bytes(std::move(delta_image)));
+  CRAC_ASSIGN_OR_RETURN(auto parent,
+                        ImageReader::from_bytes(std::move(parent_full)));
+  auto parent_id = read_image_id(parent);
+  if (!parent_id.ok() || *parent_id != reader.parent_id()) {
+    return Corrupt("reference fold: parent image id mismatch");
+  }
+  MemorySink sink;
+  ImageWriter::Options wopts;
+  wopts.codec = reader.codec();
+  wopts.chunk_size = reader.chunk_size();
+  ImageWriter writer(&sink, wopts);
+  for (const SectionInfo& sec : reader.sections()) {
+    CRAC_ASSIGN_OR_RETURN(auto payload, reader.read_section(sec));
+    SectionType type = sec.type;
+    if (type == SectionType::kDeltaChunks) {
+      ByteReader in(payload);
+      std::uint32_t target = 0;
+      std::uint64_t granule = 0, full = 0, count = 0;
+      CRAC_RETURN_IF_ERROR(in.get_u32(target));
+      CRAC_RETURN_IF_ERROR(in.get_u64(granule));
+      CRAC_RETURN_IF_ERROR(in.get_u64(full));
+      CRAC_RETURN_IF_ERROR(in.get_u64(count));
+      type = static_cast<SectionType>(target);
+      const SectionInfo* base = parent.find(type, sec.name);
+      if (base == nullptr || base->raw_size != full) {
+        return Corrupt("reference fold: no target for '" + sec.name + "'");
+      }
+      CRAC_ASSIGN_OR_RETURN(auto patched, parent.read_section(*base));
+      for (std::uint64_t e = 0; e < count; ++e) {
+        std::uint64_t index = 0, len = 0;
+        CRAC_RETURN_IF_ERROR(in.get_u64(index));
+        CRAC_RETURN_IF_ERROR(in.get_u64(len));
+        if (index * granule + len > patched.size()) {
+          return Corrupt("reference fold: entry past its target");
+        }
+        CRAC_RETURN_IF_ERROR(in.get_bytes(
+            patched.data() + index * granule, static_cast<std::size_t>(len)));
+      }
+      payload = std::move(patched);
+    }
+    CRAC_RETURN_IF_ERROR(writer.begin_section(type, sec.name));
+    CRAC_RETURN_IF_ERROR(writer.append(payload.data(), payload.size()));
+    CRAC_RETURN_IF_ERROR(writer.end_section());
+  }
+  CRAC_RETURN_IF_ERROR(writer.finish());
+  return std::move(sink).take();
+}
+
+// Folds a chain given newest first (chain.back() is the full base).
+inline Result<std::vector<std::byte>> reference_fold(
+    std::vector<std::vector<std::byte>> chain) {
+  std::vector<std::byte> acc = std::move(chain.back());
+  for (std::size_t i = chain.size() - 1; i-- > 0;) {
+    CRAC_ASSIGN_OR_RETURN(
+        acc, reference_apply_delta(std::move(chain[i]), std::move(acc)));
+  }
+  return acc;
+}
+
+// How one generated chain is encoded; everything else comes from `seed`.
+struct ChainCase {
+  std::uint64_t seed = 1;
+  std::vector<Codec> codecs;             // per link, base first
+  std::vector<std::size_t> chunk_sizes;  // per link, base first
+  std::uint64_t granule = 4096;
+  std::size_t arena_bytes = 96 << 10;
+};
+
+// Builds the chain `c` describes, newest first: a full base and one delta
+// per further codec. Every delta patches "arena" (no, sparse, dense or
+// covering entries, some shorter than a granule) and "empty" (no entries),
+// writes "managed" in full or patches it sparsely, keeps the parent-only
+// "note" or drops it, and adds a section of its own; section order varies.
+// A delta's parent path is `paths[i + 1]` when `paths` names the links.
+inline std::vector<std::vector<std::byte>> build_chain(
+    const ChainCase& c, const std::vector<std::string>& paths = {}) {
+  Rng rng(c.seed);
+  const auto mixed = [&rng](std::size_t n) {
+    std::vector<std::byte> out =
+        compressible_bytes(n, rng.next_u64());
+    const std::vector<std::byte> noise = random_bytes(n / 2, rng.next_u64());
+    std::memcpy(out.data() + n / 4, noise.data(), noise.size());
+    return out;
+  };
+  const std::size_t links = c.codecs.size();
+  std::map<std::string, std::uint64_t> sizes;  // the merged parent's
+  const auto id_of = [&c](std::size_t link) {
+    return "chain-" + std::to_string(c.seed) + "-" + std::to_string(link);
+  };
+  std::vector<std::vector<std::byte>> chain(links);
+  std::vector<ChainSection> secs = {
+      {SectionType::kMetadata, "note", random_bytes(300, rng.next_u64())},
+      {SectionType::kDeviceBuffers, "arena", mixed(c.arena_bytes)},
+      {SectionType::kManagedBuffers, "managed", mixed(c.arena_bytes / 3)},
+      {SectionType::kDeviceBuffers, "empty", {}},
+  };
+  for (const ChainSection& s : secs) sizes[s.name] = s.payload.size();
+  chain[links - 1] =
+      chain_image(id_of(0), "", "", c.codecs[0], c.chunk_sizes[0], secs);
+  for (std::size_t l = 1; l < links; ++l) {
+    const std::uint64_t g = c.granule;
+    const auto patches = [&](std::uint64_t full, int mode) {
+      std::vector<DeltaEntry> es;
+      const double keep = mode == 0 ? 0.0 : mode == 1 ? 0.1 : mode == 2 ? 0.7
+                                                                        : 1.0;
+      for (std::uint64_t i = 0; i * g < full; ++i) {
+        if (mode != 3 && rng.next_double() >= keep) continue;
+        std::uint64_t len = std::min<std::uint64_t>(g, full - i * g);
+        if (mode != 3 && rng.next_below(4) == 0) len = 1 + rng.next_below(len);
+        es.push_back({i, random_bytes(static_cast<std::size_t>(len),
+                                      rng.next_u64())});
+      }
+      return es;
+    };
+    secs.clear();
+    secs.push_back({SectionType::kDeltaChunks, "arena",
+                    delta_body(SectionType::kDeviceBuffers, g,
+                               sizes["arena"],
+                               patches(sizes["arena"],
+                                       static_cast<int>(rng.next_below(4))))});
+    if (rng.next_below(2) == 0) {
+      sizes["managed"] = c.arena_bytes / 4 + rng.next_below(c.arena_bytes / 4);
+      secs.push_back({SectionType::kManagedBuffers, "managed",
+                      mixed(static_cast<std::size_t>(sizes["managed"]))});
+    } else {
+      secs.push_back({SectionType::kDeltaChunks, "managed",
+                      delta_body(SectionType::kManagedBuffers, g,
+                                 sizes["managed"],
+                                 patches(sizes["managed"], 1))});
+    }
+    secs.push_back({SectionType::kDeltaChunks, "empty",
+                    delta_body(SectionType::kDeviceBuffers, g, 0, {})});
+    if (sizes.count("note") != 0 && rng.next_below(2) == 0) {
+      secs.push_back({SectionType::kMetadata, "note",
+                      random_bytes(200, rng.next_u64())});
+      sizes["note"] = 200;
+    } else {
+      sizes.erase("note");
+    }
+    secs.push_back({SectionType::kStreams, "own-" + std::to_string(l),
+                    random_bytes(100 + rng.next_below(5000), rng.next_u64())});
+    std::rotate(secs.begin(), secs.begin() + rng.next_below(secs.size()),
+                secs.end());
+    chain[links - 1 - l] = chain_image(
+        id_of(l), id_of(l - 1), paths.empty() ? "" : paths[links - l],
+        c.codecs[l], c.chunk_sizes[l], secs);
+    for (auto it = sizes.begin(); it != sizes.end();) {
+      const bool kept = std::any_of(
+          secs.begin(), secs.end(),
+          [&](const ChainSection& s) { return s.name == it->first; });
+      it = kept ? std::next(it) : sizes.erase(it);
+    }
+  }
+  return chain;
+}
+
+// A random chain case: depth 1-4, every codec, chunk sizes that are and are
+// not multiples of the granule; half the cases encode every link like the
+// leaf (the frame-copy path), half mix codecs and chunk sizes per link.
+inline ChainCase random_chain_case(std::uint64_t seed) {
+  Rng rng(seed * 7919);
+  static const Codec kCodecs[] = {Codec::kStore, Codec::kLz,
+                                  Codec::kZeroRunLz};
+  static const std::size_t kChunks[] = {4096, 16 << 10, 40000, 64 << 10};
+  static const std::uint64_t kGranules[] = {4096, 10000, 64 << 10};
+  ChainCase c;
+  c.seed = seed;
+  c.granule = kGranules[rng.next_below(3)];
+  c.arena_bytes = 64 * 1024 + rng.next_below(200 * 1024);
+  const std::size_t links = 2 + rng.next_below(4);
+  const bool uniform = rng.next_below(2) == 0;
+  const Codec codec = kCodecs[rng.next_below(3)];
+  const std::size_t chunk = kChunks[rng.next_below(4)];
+  for (std::size_t l = 0; l < links; ++l) {
+    c.codecs.push_back(uniform ? codec : kCodecs[rng.next_below(3)]);
+    c.chunk_sizes.push_back(uniform ? chunk : kChunks[rng.next_below(4)]);
+  }
+  return c;
+}
+
+// The three chains whose merged CRC-32 and size are pinned in delta_test:
+// a store-codec chain of depth 2, an LZ chain of depth 3 whose links chunk
+// differently, and a zero-run chain of depth 2.
+inline ChainCase pinned_chain(int which) {
+  ChainCase c;
+  c.seed = 9001 + static_cast<std::uint64_t>(which);
+  switch (which) {
+    case 0:
+      c.codecs = {Codec::kStore, Codec::kStore, Codec::kStore};
+      c.chunk_sizes = {16 << 10, 16 << 10, 16 << 10};
+      break;
+    case 1:
+      c.codecs = {Codec::kLz, Codec::kStore, Codec::kLz, Codec::kLz};
+      c.chunk_sizes = {40000, 16 << 10, 40000, 40000};
+      c.granule = 10000;
+      break;
+    default:
+      c.codecs = {Codec::kZeroRunLz, Codec::kZeroRunLz, Codec::kZeroRunLz};
+      c.chunk_sizes = {8 << 10, 8 << 10, 8 << 10};
+      c.granule = 3000;
+      break;
+  }
+  return c;
+}
 
 }  // namespace crac::ckpt::testlib

@@ -16,6 +16,8 @@
 #include "ckpt/image.hpp"
 #include "ckpt/sink.hpp"
 #include "ckpt/source.hpp"
+#include "common/crc32.hpp"
+#include "common/rng.hpp"
 #include "crac/context.hpp"
 #include "tests/ckpt_testing.hpp"
 
@@ -480,6 +482,244 @@ TEST_F(DeltaChainTest, AllocationChangeFallsBackToFullSectionsAndRestores) {
 
   std::remove(base.c_str());
   std::remove(delta.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Streaming chain merge: byte identity with the whole-image fold
+// ---------------------------------------------------------------------------
+
+// Writes `chain` (newest first) to files whose parent paths link them, and
+// returns the paths, newest first.
+std::vector<std::string> chain_paths(const std::string& tag, std::size_t n) {
+  std::vector<std::string> paths;
+  for (std::size_t i = 0; i < n; ++i) {
+    paths.push_back(temp_image_path((tag + "_" + std::to_string(i)).c_str()));
+  }
+  return paths;
+}
+
+void write_chain(const std::vector<std::string>& paths,
+                 const std::vector<std::vector<std::byte>>& chain) {
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    testlib::write_file_raw(paths[i], chain[i]);
+  }
+}
+
+void remove_chain(const std::vector<std::string>& paths) {
+  for (const auto& p : paths) std::remove(p.c_str());
+}
+
+// The merged image of in-memory links through ChainMerge directly; its
+// length must be the size() a registry GET announces.
+Result<std::vector<std::byte>> merge_bytes(
+    const std::vector<std::vector<std::byte>>& chain) {
+  std::vector<ckpt::ChainMerge::Link> links;
+  for (const auto& bytes : chain) {
+    CRAC_ASSIGN_OR_RETURN(auto reader, ckpt::ImageReader::from_bytes(
+                                           std::vector<std::byte>(bytes)));
+    links.push_back(ckpt::ChainMerge::Link{std::move(reader), ""});
+  }
+  CRAC_ASSIGN_OR_RETURN(auto merge, ckpt::ChainMerge::plan(std::move(links)));
+  CRAC_ASSIGN_OR_RETURN(const std::uint64_t size, merge.size());
+  ckpt::MemorySink sink;
+  CRAC_RETURN_IF_ERROR(merge.write(sink));
+  if (sink.bytes_written() != size) {
+    return Internal("merge wrote " + std::to_string(sink.bytes_written()) +
+                    " bytes but planned " + std::to_string(size));
+  }
+  return std::move(sink).take();
+}
+
+TEST(ChainMergeTest, RandomChainsMatchTheReferenceFold) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const testlib::ChainCase c = testlib::random_chain_case(seed);
+    const auto paths = chain_paths("rand", c.codecs.size());
+    const auto chain = testlib::build_chain(c, paths);
+    auto want = testlib::reference_fold(chain);
+    ASSERT_TRUE(want.ok()) << want.status().to_string();
+
+    write_chain(paths, chain);
+    auto local = ckpt::materialize_image_chain(paths[0]);
+    ASSERT_TRUE(local.ok()) << local.status().to_string();
+    EXPECT_TRUE(*local == *want) << local->size() << " vs " << want->size();
+    auto direct = merge_bytes(chain);
+    ASSERT_TRUE(direct.ok()) << direct.status().to_string();
+    EXPECT_TRUE(*direct == *want);
+    remove_chain(paths);
+  }
+}
+
+TEST(ChainMergeTest, PinnedChainsKeepTheirBytes) {
+  // CRC-32 and size of each pinned chain's merged image, as the
+  // whole-image fold produced them before the streaming merge replaced it.
+  // The reference fold above is test code and could drift with the engine;
+  // these cannot.
+  struct Pin {
+    std::uint32_t crc;
+    std::uint64_t bytes;
+  };
+  const Pin kPins[] = {
+      {0xc577c44du, 140957},
+      {0x20c266ceu, 125636},
+      {0x1b721202u, 117582},
+  };
+  for (int which = 0; which < 3; ++which) {
+    SCOPED_TRACE("pinned chain " + std::to_string(which));
+    const auto chain = testlib::build_chain(testlib::pinned_chain(which));
+    auto merged = merge_bytes(chain);
+    ASSERT_TRUE(merged.ok()) << merged.status().to_string();
+    EXPECT_EQ(merged->size(), kPins[which].bytes);
+    EXPECT_EQ(crc32(merged->data(), merged->size()), kPins[which].crc)
+        << std::hex << crc32(merged->data(), merged->size());
+    auto want = testlib::reference_fold(chain);
+    ASSERT_TRUE(want.ok()) << want.status().to_string();
+    EXPECT_TRUE(*merged == *want);
+  }
+}
+
+TEST(ChainMergeTest, FullImageMergesToItself) {
+  const auto chain = testlib::build_chain(testlib::pinned_chain(1));
+  auto merged = merge_bytes({chain.back()});
+  ASSERT_TRUE(merged.ok()) << merged.status().to_string();
+  EXPECT_TRUE(*merged == chain.back());
+}
+
+// One hostile delta over a fixed base, and what the merge must say.
+struct HostileCase {
+  const char* what;
+  std::vector<testlib::ChainSection> sections;
+  std::string parent_id = "hostile-base";
+  const char* fragment;
+};
+
+// The hostile cases' base: one "arena" section of 5 granules and a tail.
+constexpr std::uint64_t kG = 4096;
+constexpr std::uint64_t kFull = 5 * kG + 100;
+
+TEST(ChainMergeTest, HostileDeltasFailByName) {
+  using ckpt::SectionType;
+  const auto arena = testlib::random_bytes(kFull, 77);
+  const auto patch = [](std::uint64_t index, std::size_t len) {
+    return testlib::DeltaEntry{index, testlib::random_bytes(len, index + 1)};
+  };
+  const auto body = [&](std::vector<testlib::DeltaEntry> es,
+                        std::uint64_t granule = kG,
+                        std::uint64_t full = kFull,
+                        SectionType target = SectionType::kDeviceBuffers) {
+    return testlib::delta_body(target, granule, full, es);
+  };
+  auto inflated = body({patch(0, kG)});
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  std::memcpy(inflated.data() + 20, &huge, sizeof(huge));
+  auto truncated = body({patch(0, kG), patch(1, kG)});
+  truncated.resize(truncated.size() - 10);
+  auto short_count = body({patch(0, kG), patch(1, kG)});
+  const std::uint64_t three = 3;
+  std::memcpy(short_count.data() + 20, &three, sizeof(three));
+
+  const auto delta = [](std::vector<std::byte> b,
+                        const std::string& name = "arena") {
+    return std::vector<testlib::ChainSection>{
+        {SectionType::kDeltaChunks, name, std::move(b)}};
+  };
+  std::vector<HostileCase> cases = {
+      {"absent target", delta(body({patch(0, kG)}), "missing"), "hostile-base",
+       "absent from its parent image"},
+      {"size mismatch", delta(body({patch(0, kG)}, kG, kFull + 1)),
+       "hostile-base", "-byte target but the parent section holds"},
+      {"out of order", delta(body({patch(2, kG), patch(1, kG)})),
+       "hostile-base", "entries out of order"},
+      {"repeated index", delta(body({patch(2, kG), patch(2, kG)})),
+       "hostile-base", "entries out of order"},
+      {"zero length", delta(body({patch(1, 0)})), "hostile-base",
+       "entry with invalid length 0"},
+      {"over a granule", delta(body({patch(1, kG + 1)})), "hostile-base",
+       "entry with invalid length"},
+      {"index past end", delta(body({patch(6, 10)})), "hostile-base",
+       "entry past end of target payload"},
+      {"tail past end", delta(body({patch(5, 101)})), "hostile-base",
+       "entry past end of target payload"},
+      {"delta of delta",
+       delta(body({patch(0, kG)}, kG, kFull, SectionType::kDeltaChunks)),
+       "hostile-base", "targets another delta section"},
+      {"zero granule", delta(body({}, 0)), "hostile-base",
+       "invalid chunk granule"},
+      {"inflated count", delta(inflated), "hostile-base", "entries against a"},
+      {"truncated entry", delta(truncated), "hostile-base",
+       "read past end of payload"},
+      {"count past entries", delta(short_count), "hostile-base",
+       "read past end of payload"},
+      {"wrong parent", delta(body({patch(0, kG)})), "someone-else",
+       "parent image id"},
+  };
+  const std::string base_path = temp_image_path("hostile_base");
+  const std::string delta_path = temp_image_path("hostile_delta");
+  testlib::write_file_raw(
+      base_path,
+      testlib::chain_image("hostile-base", "", "", ckpt::Codec::kStore, kG,
+                           {{SectionType::kDeviceBuffers, "arena", arena}}));
+  for (const HostileCase& hc : cases) {
+    SCOPED_TRACE(hc.what);
+    testlib::write_file_raw(
+        delta_path,
+        testlib::chain_image("hostile-delta", hc.parent_id, base_path,
+                             ckpt::Codec::kStore, kG, hc.sections));
+    auto merged = ckpt::materialize_image_chain(delta_path);
+    ASSERT_FALSE(merged.ok());
+    EXPECT_EQ(merged.status().code(), StatusCode::kCorrupt)
+        << merged.status().to_string();
+    EXPECT_NE(merged.status().message().find(hc.fragment), std::string::npos)
+        << merged.status().to_string();
+    EXPECT_NE(merged.status().message().find("delta image '" + delta_path),
+              std::string::npos)
+        << merged.status().to_string();
+  }
+
+  // A parent path that names the delta itself never ends: the depth limit
+  // names the cycle.
+  testlib::write_file_raw(
+      delta_path,
+      testlib::chain_image("loop", "loop", delta_path, ckpt::Codec::kStore, kG,
+                           delta(body({patch(0, kG)}))));
+  auto looped = ckpt::materialize_image_chain(delta_path);
+  ASSERT_FALSE(looped.ok());
+  EXPECT_EQ(looped.status().code(), StatusCode::kCorrupt);
+  EXPECT_NE(looped.status().message().find("exceeds 16 images"),
+            std::string::npos)
+      << looped.status().to_string();
+  std::remove(base_path.c_str());
+  std::remove(delta_path.c_str());
+}
+
+TEST(ChainMergeTest, CorruptPatchBytesFailTheMerge) {
+  // Patch bytes get a fresh CRC in the merged image, so the merge itself
+  // must refuse a delta whose stored patch bytes fail theirs.
+  using ckpt::SectionType;
+  const auto arena = testlib::random_bytes(4 * kG, 5);
+  const std::string base_path = temp_image_path("crc_base");
+  const std::string delta_path = temp_image_path("crc_delta");
+  testlib::write_file_raw(
+      base_path,
+      testlib::chain_image("crc-base", "", "", ckpt::Codec::kStore, kG,
+                           {{SectionType::kDeviceBuffers, "arena", arena}}));
+  const std::vector<std::byte> fill(kG, std::byte{0xC3});
+  auto image = testlib::chain_image(
+      "crc-delta", "crc-base", base_path, ckpt::Codec::kStore, 2 * kG,
+      {{SectionType::kDeltaChunks, "arena",
+        testlib::delta_body(SectionType::kDeviceBuffers, kG, 4 * kG,
+                            {{2, fill}})}});
+  const std::size_t at = testlib::find_byte_run(image, std::byte{0xC3});
+  ASSERT_NE(at, 0u);
+  image[at] ^= std::byte{0x01};
+  testlib::write_file_raw(delta_path, image);
+  auto merged = ckpt::materialize_image_chain(delta_path);
+  ASSERT_FALSE(merged.ok());
+  EXPECT_EQ(merged.status().code(), StatusCode::kCorrupt);
+  EXPECT_NE(merged.status().message().find("CRC mismatch"), std::string::npos)
+      << merged.status().to_string();
+  std::remove(base_path.c_str());
+  std::remove(delta_path.c_str());
 }
 
 }  // namespace

@@ -9,10 +9,12 @@
 // in-process and TSan-clean.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstring>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -360,6 +362,21 @@ void put_bytes_inproc(CheckpointRegistry& registry, const std::string& name,
   ASSERT_TRUE(registry.commit(*sink).ok());
 }
 
+// The merged image open_merged() streams, collected in memory; its length
+// must be the size() a GET announces.
+Result<std::vector<std::byte>> merged_bytes(CheckpointRegistry& registry,
+                                            const std::string& name) {
+  CRAC_ASSIGN_OR_RETURN(auto merge, registry.open_merged(name));
+  CRAC_ASSIGN_OR_RETURN(const std::uint64_t size, merge.size());
+  ckpt::MemorySink sink;
+  CRAC_RETURN_IF_ERROR(merge.write(sink));
+  if (sink.bytes_written() != size) {
+    return Internal("merge wrote " + std::to_string(sink.bytes_written()) +
+                    " bytes but planned " + std::to_string(size));
+  }
+  return std::move(sink).take();
+}
+
 void write_file_bytes(const std::string& path,
                       const std::vector<std::byte>& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -368,7 +385,7 @@ void write_file_bytes(const std::string& path,
   ASSERT_EQ(std::fclose(f), 0);
 }
 
-TEST(RegistryDeltaTest, MaterializeFoldsChainLikeLocalMaterializer) {
+TEST(RegistryDeltaTest, MergeMatchesLocalMaterializer) {
   // The same chain on disk (parent paths) and in the registry (parent ids)
   // must fold to the same full image, and that image's arena must equal
   // the patch mirror.
@@ -390,7 +407,7 @@ TEST(RegistryDeltaTest, MaterializeFoldsChainLikeLocalMaterializer) {
   put_bytes_inproc(registry, "d1", fam.d1);
   put_bytes_inproc(registry, "base", fam.base);
 
-  auto served = registry.materialize("d2");
+  auto served = merged_bytes(registry, "d2");
   ASSERT_TRUE(served.ok()) << served.status().to_string();
   EXPECT_EQ(*served, *local);
 
@@ -404,9 +421,9 @@ TEST(RegistryDeltaTest, MaterializeFoldsChainLikeLocalMaterializer) {
   ASSERT_TRUE(payload.ok());
   EXPECT_EQ(*payload, fam.leaf_arena);
 
-  // A non-delta name materializes to its own bytes verbatim; open() on a
-  // delta name still serves the delta bytes exactly as PUT.
-  auto base_full = registry.materialize("base");
+  // A non-delta name merges to its own bytes verbatim; open() on a delta
+  // name still serves the delta bytes exactly as PUT.
+  auto base_full = merged_bytes(registry, "base");
   ASSERT_TRUE(base_full.ok());
   EXPECT_EQ(*base_full, fam.base);
   auto d2_source = registry.open("d2");
@@ -454,12 +471,12 @@ TEST(RegistryDeltaTest, ParentWithLiveChildrenIsPinned) {
   EXPECT_TRUE(registry.list().empty());
 }
 
-TEST(RegistryDeltaTest, OrphanDeltaMaterializeFailsNamed) {
+TEST(RegistryDeltaTest, OrphanDeltaMergeFailsNamed) {
   DeltaFamily fam = build_delta_family();
   CheckpointRegistry registry;
   put_bytes_inproc(registry, "d1", fam.d1);
 
-  auto folded = registry.materialize("d1");
+  auto folded = merged_bytes(registry, "d1");
   ASSERT_FALSE(folded.ok());
   EXPECT_EQ(folded.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(folded.status().message().find("was never PUT"),
@@ -477,8 +494,194 @@ TEST(RegistryDeltaTest, OrphanDeltaMaterializeFailsNamed) {
 
   // Once the parent arrives the same chain folds fine.
   put_bytes_inproc(registry, "base", fam.base);
-  auto again = registry.materialize("d1");
+  auto again = merged_bytes(registry, "d1");
   EXPECT_TRUE(again.ok()) << again.status().to_string();
+}
+
+TEST(RegistryDeltaTest, RandomChainsMatchTheReferenceFold) {
+  // Chains of depth 1-4 over every codec, PUT leaf-first so edges resolve
+  // as parents arrive: the registry's merge must equal the whole-image
+  // fold byte for byte.
+  for (std::uint64_t seed = 101; seed <= 112; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const auto chain =
+        ckpt::testlib::build_chain(ckpt::testlib::random_chain_case(seed));
+    auto want = ckpt::testlib::reference_fold(chain);
+    ASSERT_TRUE(want.ok()) << want.status().to_string();
+    CheckpointRegistry registry;
+    for (std::size_t i = 0; i < chain.size(); ++i) {
+      put_bytes_inproc(registry, "link-" + std::to_string(i), chain[i]);
+    }
+    auto merged = merged_bytes(registry, "link-0");
+    ASSERT_TRUE(merged.ok()) << merged.status().to_string();
+    EXPECT_TRUE(*merged == *want) << merged->size() << " vs " << want->size();
+  }
+}
+
+TEST(RegistryDeltaTest, ConcurrentMergedGetsSeeIdenticalBytes) {
+  // The delta twin of ConcurrentFanOutReadersSeeIdenticalBytes: merges of
+  // one chain running at once share its StoredImages and chunk payloads.
+  DeltaFamily fam = build_delta_family();
+  CheckpointRegistry registry;
+  put_bytes_inproc(registry, "base", fam.base);
+  put_bytes_inproc(registry, "d1", fam.d1);
+  put_bytes_inproc(registry, "d2", fam.d2);
+  auto want = ckpt::testlib::reference_fold({fam.d2, fam.d1, fam.base});
+  ASSERT_TRUE(want.ok()) << want.status().to_string();
+
+  constexpr int kGetters = 4;
+  std::vector<std::vector<std::byte>> got(kGetters);
+  std::vector<std::thread> getters;
+  for (int g = 0; g < kGetters; ++g) {
+    getters.emplace_back([&registry, &got, g] {
+      auto bytes = merged_bytes(registry, "d2");
+      ASSERT_TRUE(bytes.ok()) << bytes.status().to_string();
+      got[g] = std::move(*bytes);
+    });
+  }
+  for (auto& t : getters) t.join();
+  for (int g = 0; g < kGetters; ++g) EXPECT_EQ(got[g], *want);
+}
+
+TEST(RegistryDeltaTest, ChainDepthIsCappedByName) {
+  // 16 links merge; a 17th is refused by name, as the fold refused it.
+  const auto link = [](int i) {
+    const std::vector<ckpt::testlib::DeltaEntry> es = {
+        {static_cast<std::uint64_t>(i % 16), pattern_payload(kGranule, i)}};
+    return ckpt::testlib::chain_image(
+        "deep-" + std::to_string(i), "deep-" + std::to_string(i - 1), "",
+        Codec::kStore, kGranule,
+        {{SectionType::kDeltaChunks, "device-arena",
+          ckpt::testlib::delta_body(SectionType::kDeviceBuffers, kGranule,
+                                    kArenaBytes, es)}});
+  };
+  CheckpointRegistry registry;
+  std::vector<std::vector<std::byte>> chain = {
+      build_full_image("deep-0", pattern_payload(kArenaBytes, 70))};
+  put_bytes_inproc(registry, "deep-0", chain.back());
+  for (int i = 1; i <= 16; ++i) {
+    chain.insert(chain.begin(), link(i));
+    put_bytes_inproc(registry, "deep-" + std::to_string(i), chain.front());
+  }
+  chain.erase(chain.begin());  // deep-15 is the deepest mergeable leaf
+  auto want = ckpt::testlib::reference_fold(chain);
+  ASSERT_TRUE(want.ok()) << want.status().to_string();
+  auto merged = merged_bytes(registry, "deep-15");
+  ASSERT_TRUE(merged.ok()) << merged.status().to_string();
+  EXPECT_EQ(*merged, *want);
+
+  auto over = registry.open_merged("deep-16");
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kCorrupt);
+  EXPECT_NE(over.status().message().find("exceeds 16 images"),
+            std::string::npos)
+      << over.status().to_string();
+}
+
+TEST(RegistryDeltaTest, HostileDeltaRefusedBeforeAnyByte) {
+  // The registry's merge keeps the fold's checks, codes and wording.
+  const auto base = build_full_image("hostile-base",
+                                     pattern_payload(kArenaBytes, 71));
+  const std::vector<ckpt::testlib::DeltaEntry> backwards = {
+      {3, pattern_payload(kGranule, 72)}, {2, pattern_payload(kGranule, 73)}};
+  const auto delta = ckpt::testlib::chain_image(
+      "hostile-d1", "hostile-base", "", Codec::kStore, kGranule,
+      {{SectionType::kDeltaChunks, "device-arena",
+        ckpt::testlib::delta_body(SectionType::kDeviceBuffers, kGranule,
+                                  kArenaBytes, backwards)}});
+  CheckpointRegistry registry;
+  put_bytes_inproc(registry, "base", base);
+  put_bytes_inproc(registry, "d1", delta);
+  auto merge = registry.open_merged("d1");
+  ASSERT_FALSE(merge.ok());
+  EXPECT_EQ(merge.status().code(), StatusCode::kCorrupt);
+  EXPECT_NE(merge.status().message().find("entries out of order"),
+            std::string::npos)
+      << merge.status().to_string();
+}
+
+// A chain whose base "arena" spans four 4 KiB chunks: d1 patches part of
+// chunk 0, d2 overwrites all of chunk 1. Ingested into an empty slab, base
+// first, chunk 1's payload is the slab's third record (after the base's
+// image-id chunk and arena chunk 0).
+struct DamageFamily {
+  std::vector<std::byte> base, d1, d2;
+};
+constexpr std::size_t kDamageChunk = 4 << 10;
+constexpr int kDamagedRecord = 2;
+
+DamageFamily build_damage_family() {
+  using ckpt::testlib::chain_image;
+  using ckpt::testlib::delta_body;
+  DamageFamily f;
+  f.base = chain_image("dmg-base", "", "", Codec::kStore, kDamageChunk,
+                       {{SectionType::kDeviceBuffers, "arena",
+                         ckpt::testlib::random_bytes(4 * kDamageChunk, 90)}});
+  f.d1 = chain_image(
+      "dmg-d1", "dmg-base", "", Codec::kStore, kDamageChunk,
+      {{SectionType::kDeltaChunks, "arena",
+        delta_body(SectionType::kDeviceBuffers, 1024, 4 * kDamageChunk,
+                   {{1, ckpt::testlib::random_bytes(1024, 91)}})}});
+  f.d2 = chain_image(
+      "dmg-d2", "dmg-d1", "", Codec::kStore, kDamageChunk,
+      {{SectionType::kDeltaChunks, "arena",
+        delta_body(SectionType::kDeviceBuffers, kDamageChunk,
+                   4 * kDamageChunk,
+                   {{1, ckpt::testlib::random_bytes(kDamageChunk, 92)}})}});
+  return f;
+}
+
+// Flips one payload byte of the slab's `record`-th record, in file order.
+void flip_slab_payload(const std::string& dir, int record) {
+  const std::string path = dir + "/chunks.slab";
+  const int fd = ::open(path.c_str(), O_RDWR);
+  ASSERT_GE(fd, 0) << path;
+  off_t at = kSlabFileHeaderBytes;
+  for (int r = 0; r < record; ++r) {
+    std::uint64_t stored = 0;  // the record header's stored size field
+    ASSERT_EQ(::pread(fd, &stored, sizeof(stored), at + 20), 8);
+    at += static_cast<off_t>(kSlabRecordHeaderBytes + stored);
+  }
+  at += kSlabRecordHeaderBytes + 5;
+  unsigned char b = 0;
+  ASSERT_EQ(::pread(fd, &b, 1, at), 1);
+  b ^= 0x5A;
+  ASSERT_EQ(::pwrite(fd, &b, 1, at), 1);
+  ::close(fd);
+}
+
+std::string fresh_registry_dir(const std::string& tag) {
+  const std::string dir = ::testing::TempDir() + "crac_registry_test_" +
+                          std::to_string(::getpid()) + "_" + tag;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+TEST(RegistryDeltaTest, DamagedBaseChunkFailsTheMergeNamingIt) {
+  // The damaged chunk is one d2 overwrites in full, so the merge never
+  // reads it; every link's payloads are still checked before planning.
+  DamageFamily fam = build_damage_family();
+  CheckpointRegistry::Options opts;
+  opts.dir = fresh_registry_dir("damaged_base");
+  {
+    CheckpointRegistry registry(opts);
+    ASSERT_TRUE(registry.recover().ok());
+    put_bytes_inproc(registry, "base", fam.base);
+    put_bytes_inproc(registry, "d1", fam.d1);
+    put_bytes_inproc(registry, "d2", fam.d2);
+    ASSERT_TRUE(merged_bytes(registry, "d2").ok());
+  }
+  ASSERT_NO_FATAL_FAILURE(flip_slab_payload(opts.dir, kDamagedRecord));
+  CheckpointRegistry registry(opts);
+  ASSERT_TRUE(registry.recover().ok());
+  auto merge = registry.open_merged("d2");
+  ASSERT_FALSE(merge.ok());
+  EXPECT_EQ(merge.status().code(), StatusCode::kCorrupt);
+  EXPECT_NE(merge.status().message().find(
+                "raw size " + std::to_string(kDamageChunk) + ", raw crc"),
+            std::string::npos)
+      << merge.status().to_string();
+  std::filesystem::remove_all(opts.dir);
 }
 
 // ---- Capacity eviction ----
@@ -566,6 +769,37 @@ TEST(RegistryClientTest, HostileListCountIsCorrupt) {
   EXPECT_EQ(list.status().code(), StatusCode::kCorrupt)
       << list.status().to_string();
   ::close(fds[1]);
+}
+
+TEST(RegistryClientTest, AnnouncedSizeMustMatchTheStream) {
+  // A peer announcing 2^62 bytes, then one byte too few, ahead of a small
+  // valid stream: get_bytes never reserves past its cap and fails by name.
+  const std::vector<std::byte> image = build_image(Codec::kStore, 64 << 10);
+  for (const std::uint64_t announced :
+       {std::uint64_t{1} << 62, std::uint64_t{image.size() - 1}}) {
+    SCOPED_TRACE("announced " + std::to_string(announced));
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    proxy::ResponseHeader resp{};
+    resp.r0 = announced;
+    ASSERT_EQ(::write(fds[1], &resp, sizeof(resp)),
+              static_cast<ssize_t>(sizeof(resp)));
+    {
+      ckpt::SocketSink sink(fds[1], "test get stream");
+      ASSERT_TRUE(sink.write(image.data(), image.size()).ok());
+      ASSERT_TRUE(sink.close().ok());
+    }
+    RegistryClient client(fds[0]);
+    auto got = client.get_bytes("sized");
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kCorrupt)
+        << got.status().to_string();
+    EXPECT_NE(got.status().message().find("the server announced " +
+                                          std::to_string(announced)),
+              std::string::npos)
+        << got.status().to_string();
+    ::close(fds[1]);
+  }
 }
 
 // ---- Forked server suite (excluded from TSan runs) ----
@@ -723,6 +957,39 @@ TEST(RegistryHostTest, OrphanDeltaGetFailsNamedOverUsableConnection) {
   ASSERT_TRUE(client.put_bytes("base", fam.base).ok());
   auto again = client.get_bytes("d1");
   EXPECT_TRUE(again.ok()) << again.status().to_string();
+}
+
+TEST(RegistryHostTest, DamagedBaseChunkRefusesDeltaGetInBand) {
+  DamageFamily fam = build_damage_family();
+  const std::vector<std::byte> other = build_image(Codec::kStore, 64 << 10);
+  RegistryHostOptions opts;
+  opts.dir = fresh_registry_dir("damaged_host");
+  {
+    auto host = RegistryHost::spawn(opts);
+    ASSERT_TRUE(host.ok()) << host.status().to_string();
+    RegistryClient client = connect_client(*host);
+    ASSERT_TRUE(client.put_bytes("base", fam.base).ok());
+    ASSERT_TRUE(client.put_bytes("d1", fam.d1).ok());
+    ASSERT_TRUE(client.put_bytes("d2", fam.d2).ok());
+    ASSERT_TRUE(client.put_bytes("other", other).ok());
+    host->shutdown();
+  }
+  ASSERT_NO_FATAL_FAILURE(flip_slab_payload(opts.dir, kDamagedRecord));
+
+  auto host = RegistryHost::spawn(opts);
+  ASSERT_TRUE(host.ok()) << host.status().to_string();
+  RegistryClient client = connect_client(*host);
+  auto folded = client.get_bytes("d2");
+  ASSERT_FALSE(folded.ok());
+  EXPECT_EQ(folded.status().code(), StatusCode::kCorrupt)
+      << folded.status().to_string();
+  // Refused before any stream started: the same channel serves a full GET.
+  EXPECT_TRUE(client.usable());
+  auto got = client.get_bytes("other");
+  ASSERT_TRUE(got.ok()) << got.status().to_string();
+  EXPECT_EQ(*got, other);
+  host->shutdown();
+  std::filesystem::remove_all(opts.dir);
 }
 
 }  // namespace

@@ -506,7 +506,7 @@ TEST(FleetRegistryTest, CracContextFanOutRestore) {
     ASSERT_TRUE(get_fd.ok());
     registry::RegistryClient get_client(*get_fd);
     std::unique_ptr<CracContext> endpoint;
-    const Status got = get_client.get("fleet/ckpt", [&endpoint](int fd) {
+    const Status got = get_client.get("fleet/ckpt", [&endpoint](int fd, std::uint64_t) {
       auto spool = ckpt::StreamingSpoolSource::start(fd);
       if (!spool.ok()) return spool.status();
       auto restarted = CracContext::restart_from_source(
