@@ -1,6 +1,10 @@
 #include "ckpt/dirty.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <random>
 
 #include "common/log.hpp"
@@ -30,8 +34,23 @@ DirtyTracker::DirtyTracker(std::uintptr_t base, std::size_t span_bytes,
       epoch_(random_hex_id()) {
   CRAC_CHECK(chunk_bytes_ > 0);
   n_chunks_ = span_ == 0 ? 0 : (span_ - 1) / chunk_bytes_ + 1;
-  gens_ = std::make_unique<std::atomic<std::uint64_t>[]>(n_chunks_);
+  if (n_chunks_ > 0) {
+    const std::size_t bytes = n_chunks_ * sizeof(std::uint64_t);
+    void* map = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    CRAC_CHECK_MSG(map != MAP_FAILED, "dirty-tracker table of "
+                                          << bytes << " bytes failed: "
+                                          << std::strerror(errno));
+    // Keep first-touch at base-page granularity: one huge page would make
+    // a single mark resident for 2 MiB of table.
+    ::madvise(map, bytes, MADV_NOHUGEPAGE);
+    gens_ = static_cast<std::uint64_t*>(map);
+  }
   mark_all();  // a never-captured tracker has no clean chunks
+}
+
+DirtyTracker::~DirtyTracker() {
+  if (gens_ != nullptr) ::munmap(gens_, n_chunks_ * sizeof(std::uint64_t));
 }
 
 bool DirtyTracker::clamp(const void* p, std::size_t len, std::size_t& first,
@@ -53,22 +72,22 @@ void DirtyTracker::mark(const void* p, std::size_t len) noexcept {
   for (std::size_t i = first; i < last; ++i) {
     // Monotonic max: a mark can only raise a chunk's generation, so a slow
     // writer racing an advance() never erases a newer mark.
-    std::uint64_t cur = gens_[i].load(std::memory_order_relaxed);
+    const std::atomic_ref<std::uint64_t> gen = stored(i);
+    std::uint64_t cur = gen.load(std::memory_order_relaxed);
     while (cur < g &&
-           !gens_[i].compare_exchange_weak(cur, g, std::memory_order_release,
-                                           std::memory_order_relaxed)) {
+           !gen.compare_exchange_weak(cur, g, std::memory_order_release,
+                                      std::memory_order_relaxed)) {
     }
   }
 }
 
 void DirtyTracker::mark_all() noexcept {
+  // The same monotonic max as mark(), once for the whole span.
   const std::uint64_t g = gen_.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < n_chunks_; ++i) {
-    std::uint64_t cur = gens_[i].load(std::memory_order_relaxed);
-    while (cur < g &&
-           !gens_[i].compare_exchange_weak(cur, g, std::memory_order_release,
-                                           std::memory_order_relaxed)) {
-    }
+  std::uint64_t cur = floor_.load(std::memory_order_relaxed);
+  while (cur < g &&
+         !floor_.compare_exchange_weak(cur, g, std::memory_order_release,
+                                       std::memory_order_relaxed)) {
   }
 }
 
@@ -85,8 +104,9 @@ bool DirtyTracker::any_dirty(const void* p, std::size_t len,
                              std::uint64_t since_gen) const noexcept {
   std::size_t first = 0, last = 0;
   if (!clamp(p, len, first, last)) return false;
+  if (floor_.load(std::memory_order_acquire) > since_gen) return true;
   for (std::size_t i = first; i < last; ++i) {
-    if (gens_[i].load(std::memory_order_acquire) > since_gen) return true;
+    if (stored(i).load(std::memory_order_acquire) > since_gen) return true;
   }
   return false;
 }
@@ -111,23 +131,30 @@ void DirtyTracker::for_each_dirty(
     if (hi > lo) fn(static_cast<std::size_t>(lo - a),
                     static_cast<std::size_t>(hi - lo));
   };
-  for (std::size_t i = first; i < last; ++i) {
-    if (gens_[i].load(std::memory_order_acquire) > since_gen) {
-      if (!in_run) {
-        run_start = i;
-        in_run = true;
+  if (floor_.load(std::memory_order_acquire) > since_gen) {
+    // Above the floor every chunk is dirty: one run over the whole window.
+    run_start = first;
+    in_run = true;
+  } else {
+    for (std::size_t i = first; i < last; ++i) {
+      if (stored(i).load(std::memory_order_acquire) > since_gen) {
+        if (!in_run) {
+          run_start = i;
+          in_run = true;
+        }
+      } else {
+        flush(i);
       }
-    } else {
-      flush(i);
     }
   }
   flush(last);
 }
 
 std::size_t DirtyTracker::dirty_chunks(std::uint64_t since_gen) const noexcept {
+  if (floor_.load(std::memory_order_acquire) > since_gen) return n_chunks_;
   std::size_t n = 0;
   for (std::size_t i = 0; i < n_chunks_; ++i) {
-    if (gens_[i].load(std::memory_order_acquire) > since_gen) ++n;
+    if (stored(i).load(std::memory_order_acquire) > since_gen) ++n;
   }
   return n;
 }

@@ -15,18 +15,29 @@
 // a delta across an epoch change — the same role the generation UUID plays
 // in CBT drivers.
 //
+// Storage: the per-chunk generations live on a private anonymous mapping
+// the tracker owns (MAP_NORESERVE), so the kernel zero-fills a page of the
+// table on its first write and an unmarked stretch of the span costs
+// address space only — an 8 GiB arena's 1 MiB table is resident only
+// where something was marked. "Everything dirty" (a fresh tracker,
+// mark_all(), new_epoch()) writes no chunk at all: it raises a tracker-wide
+// floor, and every query reads a chunk's generation as the larger of its
+// stored value and the floor. A reset is O(1) whatever the span.
+//
 // Thread-safety: mark() is lock-free and safe against concurrent marks.
 // advance() is meant to run at a quiesce point (no concurrent writers),
 // which is when checkpoints capture anyway; marks racing an advance() are
 // attributed to one side or the other, never lost (chunk generations only
-// grow).
+// grow). The floor only grows too (CAS-max), so a mark_all() or
+// new_epoch() racing marks never lowers what a chunk reads. A mark from
+// the fault path touches at most one fresh page of the table, which the
+// kernel supplies without a signal.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 
 namespace crac::ckpt {
@@ -43,6 +54,7 @@ class DirtyTracker {
   // chunks relative to it.
   DirtyTracker(std::uintptr_t base, std::size_t span_bytes,
                std::size_t chunk_bytes = kDefaultDirtyChunkBytes);
+  ~DirtyTracker();
 
   DirtyTracker(const DirtyTracker&) = delete;
   DirtyTracker& operator=(const DirtyTracker&) = delete;
@@ -51,6 +63,8 @@ class DirtyTracker {
   // Ranges outside the tracked span are clamped away; len == 0 is a no-op.
   void mark(const void* p, std::size_t len) noexcept;
 
+  // Marks every chunk with the current generation by raising the floor:
+  // O(1), touches no chunk.
   void mark_all() noexcept;
 
   // Capture point: returns the generation all marks so far carry (at most),
@@ -95,12 +109,18 @@ class DirtyTracker {
   bool clamp(const void* p, std::size_t len, std::size_t& first,
              std::size_t& last) const noexcept;
 
+  // Chunk i's stored generation (the floor not applied).
+  std::atomic_ref<std::uint64_t> stored(std::size_t i) const noexcept {
+    return std::atomic_ref<std::uint64_t>(gens_[i]);
+  }
+
   std::uintptr_t base_;
   std::size_t span_;
   std::size_t chunk_bytes_;
   std::size_t n_chunks_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> gens_;
+  std::uint64_t* gens_ = nullptr;  // n_chunks_ entries, demand-zero mapping
   std::atomic<std::uint64_t> gen_{1};
+  std::atomic<std::uint64_t> floor_{0};  // every chunk reads at least this
   std::string epoch_;
 };
 

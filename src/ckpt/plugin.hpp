@@ -65,14 +65,8 @@ class PluginRegistry {
  public:
   void register_plugin(CkptPlugin* plugin) { plugins_.push_back(plugin); }
 
-  // quiesce/precheckpoint run in registration order; restart/resume in
-  // reverse, mirroring DMTCP's nesting discipline.
-  Status run_quiesce() {
-    for (CkptPlugin* p : plugins_) {
-      CRAC_RETURN_IF_ERROR(p->quiesce());
-    }
-    return OkStatus();
-  }
+  // freeze/precheckpoint run in registration order; release/resume/restart
+  // in reverse, mirroring DMTCP's nesting discipline.
   Status run_freeze() {
     for (CkptPlugin* p : plugins_) {
       CRAC_RETURN_IF_ERROR(p->freeze());

@@ -141,7 +141,6 @@ class RegistrySink final : public ckpt::Sink {
   Status do_write(const void* data, std::size_t size) override;
   Status consume();                // run the state machine over buf_
   Status admit_chunk();            // verify + intern the buffered frame
-  void flush_literal();            // close the pending literal segment
   void append_literal(const std::byte* data, std::size_t size);
 
   enum class State {

@@ -23,15 +23,10 @@ UvmManager::UvmManager(const Config& config)
           .alignment = config.alignment,
           .purpose = "managed",
           .hooks = config.hooks,
-      }) {
+      }),
+      n_pages_(config.capacity / config.page_size),
+      pages_(std::make_unique<PageInfo[]>(n_pages_)) {
   CRAC_CHECK(config_.page_size % 4096 == 0);
-  // Fixed page table sized for the whole reservation; PageInfo is tiny, so
-  // even an 8 GiB arena at 64 KiB pages costs only ~a few hundred KiB.
-  const std::size_t n_pages = config_.capacity / config_.page_size;
-  pages_.reserve(n_pages);
-  for (std::size_t i = 0; i < n_pages; ++i) {
-    pages_.push_back(std::make_unique<PageInfo>());
-  }
   CRAC_CHECK_MSG(
       FaultRouter::instance().register_range(arena_.arena_base(),
                                              config_.capacity, this),
@@ -65,10 +60,10 @@ Status UvmManager::free(void* p) {
   // space starts from a clean slate.
   const std::size_t first = page_index(p);
   const std::size_t count = size / config_.page_size;
-  for (std::size_t i = first; i < first + count && i < pages_.size(); ++i) {
-    pages_[i]->armed.store(false, std::memory_order_relaxed);
-    pages_[i]->residency.store(static_cast<std::uint8_t>(PageResidency::kHost),
-                               std::memory_order_relaxed);
+  for (std::size_t i = first; i < first + count && i < n_pages_; ++i) {
+    pages_[i].armed.store(false, std::memory_order_relaxed);
+    pages_[i].residency.store(static_cast<std::uint8_t>(PageResidency::kHost),
+                              std::memory_order_relaxed);
   }
   if (::mprotect(p, size, PROT_READ | PROT_WRITE) != 0) {
     // The pages stay PROT_NONE: the next reuse of this space would fault on
@@ -100,7 +95,7 @@ Status UvmManager::check_span(const void* p, std::size_t bytes,
   count = (bytes + config_.page_size - 1) / config_.page_size;
   // The last page may sit past a capacity that is not page-aligned; clamp so
   // mprotect never touches memory outside the page table.
-  count = std::min(count, pages_.size() - std::min(first, pages_.size()));
+  count = std::min(count, n_pages_ - std::min(first, n_pages_));
   return OkStatus();
 }
 
@@ -109,7 +104,7 @@ Status UvmManager::arm_range(void* p, std::size_t bytes) {
   CRAC_RETURN_IF_ERROR(check_span(p, bytes, "arm_range", first, count));
   if (count == 0) return OkStatus();
   for (std::size_t i = first; i < first + count; ++i) {
-    pages_[i]->armed.store(true, std::memory_order_release);
+    pages_[i].armed.store(true, std::memory_order_release);
   }
   if (::mprotect(page_base(first), count * config_.page_size, PROT_NONE) !=
       0) {
@@ -133,8 +128,8 @@ Status UvmManager::prefetch(void* p, std::size_t bytes, bool to_device) {
   const auto target = static_cast<std::uint8_t>(to_device ? PageResidency::kDevice
                                                           : PageResidency::kHost);
   for (std::size_t i = first; i < first + count; ++i) {
-    pages_[i]->residency.store(target, std::memory_order_relaxed);
-    pages_[i]->armed.store(true, std::memory_order_release);
+    pages_[i].residency.store(target, std::memory_order_relaxed);
+    pages_[i].armed.store(true, std::memory_order_release);
   }
   prefetches_.fetch_add(1, std::memory_order_relaxed);
   // No snapshot-overlay preserve here: prefetch only tightens protection
@@ -155,8 +150,8 @@ Status UvmManager::prefetch(void* p, std::size_t bytes, bool to_device) {
 }
 
 Status UvmManager::disarm_all() {
-  for (std::size_t i = 0; i < pages_.size(); ++i) {
-    if (!pages_[i]->armed.exchange(false, std::memory_order_acq_rel)) continue;
+  for (std::size_t i = 0; i < n_pages_; ++i) {
+    if (!pages_[i].armed.exchange(false, std::memory_order_acq_rel)) continue;
     if (::mprotect(page_base(i), config_.page_size, PROT_READ | PROT_WRITE) !=
         0) {
       return IoError(std::string("mprotect disarm failed: ") +
@@ -171,8 +166,8 @@ bool UvmManager::handle_fault(void* addr, bool device_context) noexcept {
   const auto base = reinterpret_cast<std::uintptr_t>(arena_.arena_base());
   if (a < base || a >= base + config_.capacity) return false;
   const std::size_t index = (a - base) / config_.page_size;
-  if (index >= pages_.size()) return false;
-  PageInfo& page = *pages_[index];
+  if (index >= n_pages_) return false;
+  PageInfo& page = pages_[index];
 
   // An overlay-internal origin read (a capture serving the frozen image, or
   // a writer preserving a pre-image) faulting on a still-armed page: grant
@@ -247,7 +242,7 @@ UvmStats UvmManager::stats() const {
   s.migrations_to_device =
       migrations_to_device_.load(std::memory_order_relaxed);
   s.prefetches = prefetches_.load(std::memory_order_relaxed);
-  s.pages_tracked = pages_.size();
+  s.pages_tracked = n_pages_;
   return s;
 }
 
@@ -262,9 +257,9 @@ void UvmManager::reset_stats() {
 Result<PageResidency> UvmManager::residency(const void* p) const {
   if (!contains(p)) return InvalidArgument("pointer outside managed arena");
   const std::size_t index = page_index(p);
-  if (index >= pages_.size()) return InvalidArgument("page out of range");
+  if (index >= n_pages_) return InvalidArgument("page out of range");
   return static_cast<PageResidency>(
-      pages_[index]->residency.load(std::memory_order_acquire));
+      pages_[index].residency.load(std::memory_order_acquire));
 }
 
 std::size_t UvmManager::page_index(const void* p) const noexcept {

@@ -4,10 +4,12 @@
 // preconditions.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -105,6 +107,111 @@ TEST(DirtyTrackerTest, NewEpochChangesIdentityAndMarksAll) {
   EXPECT_NE(t.epoch(), before);
   // Everything is dirty again: the old mark history is meaningless.
   EXPECT_EQ(t.dirty_chunks(gen), 8u);
+}
+
+TEST(DirtyTrackerTest, NewEpochFloorCoversEveryEarlierCapture) {
+  ckpt::DirtyTracker t(0x10000, 16 * kChunk, kChunk);
+  auto at = [](std::size_t chunk) {
+    return reinterpret_cast<void*>(0x10000 + chunk * kChunk);
+  };
+  const std::uint64_t g1 = t.advance();
+  t.mark(at(2), 1);
+  const std::uint64_t g2 = t.advance();
+  t.mark(at(5), 1);
+  EXPECT_EQ(t.dirty_chunks(g1), 2u);
+  EXPECT_EQ(t.dirty_chunks(g2), 1u);
+
+  // After the reset every chunk is dirty since every earlier capture, and
+  // a range query sees one run over the whole span.
+  t.new_epoch();
+  for (const std::uint64_t g : {std::uint64_t{0}, g1, g2}) {
+    EXPECT_EQ(t.dirty_chunks(g), 16u) << "since " << g;
+    EXPECT_TRUE(t.any_dirty(at(0), kChunk, g)) << "since " << g;
+  }
+  std::vector<std::pair<std::size_t, std::size_t>> runs;
+  auto collect = [&](std::size_t off, std::size_t len) {
+    runs.emplace_back(off, len);
+  };
+  t.for_each_dirty(at(0), 16 * kChunk, g2, collect);
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0], std::make_pair(std::size_t{0}, std::size_t{16 * kChunk}));
+
+  // Marks after a later capture still separate: the floor sits at the
+  // reset's generation, which that capture closes.
+  const std::uint64_t g3 = t.advance();
+  EXPECT_EQ(t.dirty_chunks(g3), 0u);
+  t.mark(at(9), 1);
+  EXPECT_EQ(t.dirty_chunks(g3), 1u);
+  EXPECT_FALSE(t.any_dirty(at(2), kChunk, g3));
+  EXPECT_FALSE(t.any_dirty(at(5), kChunk, g3));
+  runs.clear();
+  t.for_each_dirty(at(0), 16 * kChunk, g3, collect);
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0], std::make_pair(std::size_t{9 * kChunk}, kChunk));
+  EXPECT_EQ(t.dirty_chunks(g2), 16u);
+}
+
+TEST(DirtyTrackerTest, HugeSpanCostsNothingUntilMarked) {
+  // 64 GiB at 64 KiB chunks is an 8 MiB generation table. Building the
+  // tracker, resetting its epoch and one mark touch one page of it.
+  if (testlib::kSanitizedAllocator) {
+    GTEST_SKIP() << "RSS bounds need the plain malloc";
+  }
+  constexpr std::uintptr_t kBase = 0x10000;
+  constexpr std::size_t kSpan = std::size_t{64} << 30;
+  const std::uint64_t before = testlib::vm_rss_bytes();
+  ckpt::DirtyTracker t(kBase, kSpan, kChunk);
+  const std::uint64_t gen = t.advance();
+  t.new_epoch();
+  t.mark(reinterpret_cast<void*>(kBase + kSpan / 2), 1);
+  const std::uint64_t after = testlib::vm_rss_bytes();
+  ASSERT_GT(before, 0u);
+  EXPECT_LT(after - std::min(after, before), std::uint64_t{256} << 10)
+      << "VmRSS grew from " << before << " to " << after << " bytes";
+  EXPECT_EQ(t.chunk_count(), kSpan / kChunk);
+  EXPECT_EQ(t.dirty_chunks(gen), t.chunk_count());
+}
+
+TEST(DirtyTrackerTest, ConcurrentMarksSurviveAdvanceAndNewEpoch) {
+  // Writers keep marking while the capture side alternates advance() and
+  // new_epoch(). Whatever the interleaving, a mark made after the last
+  // advance() reads dirty since the generation that call returned.
+  constexpr std::uintptr_t kBase = 0x10000;
+  constexpr std::size_t kChunks = 1024;
+  constexpr std::size_t kLateMarks = 256;
+  constexpr int kWriters = 4;
+  ckpt::DirtyTracker t(kBase, kChunks * kChunk, kChunk);
+  std::atomic<bool> captured{false};
+  std::vector<std::vector<std::size_t>> late(kWriters);
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      Rng rng(100 + w);
+      while (late[w].size() < kLateMarks) {
+        const bool after = captured.load(std::memory_order_acquire);
+        const std::size_t c = rng.next_u64() % kChunks;
+        t.mark(reinterpret_cast<void*>(kBase + c * kChunk +
+                                       rng.next_u64() % kChunk),
+               1);
+        if (after) late[w].push_back(c);
+      }
+    });
+  }
+  for (int round = 0; round < 500; ++round) {
+    t.advance();
+    t.new_epoch();
+  }
+  const std::uint64_t g = t.advance();
+  captured.store(true, std::memory_order_release);
+  for (auto& th : writers) th.join();
+  for (const auto& chunks : late) {
+    ASSERT_EQ(chunks.size(), kLateMarks);
+    for (const std::size_t c : chunks) {
+      EXPECT_TRUE(t.any_dirty(reinterpret_cast<void*>(kBase + c * kChunk),
+                              kChunk, g))
+          << "chunk " << c << " marked after the capture at " << g;
+    }
+  }
 }
 
 TEST(DirtyTrackerTest, RandomHexIdsAreWellFormedAndDistinct) {

@@ -11,9 +11,12 @@
 #include "simgpu/device.hpp"
 #include "simgpu/fault_router.hpp"
 #include "simgpu/uvm_manager.hpp"
+#include "tests/ckpt_testing.hpp"
 
 namespace crac::sim {
 namespace {
+
+namespace testlib = ckpt::testlib;
 
 DeviceConfig small_config() {
   DeviceConfig cfg;
@@ -250,6 +253,28 @@ TEST(DeviceTest, PropertiesMatchConfig) {
   EXPECT_EQ(p.cc_major, 7);
   EXPECT_EQ(p.max_concurrent_kernels, 128);
   EXPECT_GT(p.num_sms, 0);
+}
+
+TEST(DeviceTest, ConstructionDoesNotScaleWithReservation) {
+  // A default device reserves 8 + 2 + 8 GiB of arena. Its bookkeeping
+  // (UVM page table, one dirty tracker per arena) must cost what is used,
+  // not what is reserved: a restart builds a fresh device every time.
+  if (testlib::kSanitizedAllocator) {
+    GTEST_SKIP() << "RSS bounds need the plain malloc";
+  }
+  DeviceConfig cfg;  // default capacities; kernel-chosen bases
+  cfg.device_va_base = 0;
+  cfg.pinned_va_base = 0;
+  cfg.managed_va_base = 0;
+  { Device warm(small_config()); }  // one-time process setup not counted
+  const std::uint64_t before = testlib::vm_rss_bytes();
+  Device dev(cfg);
+  const std::uint64_t after = testlib::vm_rss_bytes();
+  ASSERT_GT(before, 0u);
+  EXPECT_EQ(dev.uvm().stats().pages_tracked,
+            cfg.managed_capacity / cfg.uvm_page_size);
+  EXPECT_LT(after - std::min(after, before), std::uint64_t{1} << 20)
+      << "VmRSS grew from " << before << " to " << after << " bytes";
 }
 
 TEST(DeviceTest, UvaPointerClassification) {
