@@ -10,13 +10,13 @@
 namespace crac::ckpt {
 
 namespace {
-constexpr char kMagicV1[8] = {'C', 'R', 'A', 'C', 'I', 'M', 'G', '1'};
 constexpr char kMagicV2[8] = {'C', 'R', 'A', 'C', 'I', 'M', 'G', '2'};
-// Manifest magic of the retired striped multi-file layout: recognized only
-// to reject it by name (docs/image_format.md, "One layout: no sharded
+// Magics of retired layouts — the monolithic v1 image and the striped
+// multi-file manifest: recognized only to reject them by name
+// (docs/image_format.md, the v1 section and "One layout: no sharded
 // images").
+constexpr char kMagicV1[8] = {'C', 'R', 'A', 'C', 'I', 'M', 'G', '1'};
 constexpr char kMagicSharded[8] = {'C', 'R', 'A', 'C', 'S', 'H', 'R', 'D'};
-constexpr std::uint32_t kVersion1 = 1;
 constexpr std::uint32_t kVersion2 = 2;
 constexpr std::uint32_t kVersion3 = 3;
 constexpr std::uint32_t kVersion4 = 4;
@@ -37,6 +37,62 @@ Status check_name_cap(const char* what, const std::string& name) {
 std::string name_cap_error(const std::string& what, std::uint64_t len) {
   return what + " of " + std::to_string(len) + " bytes exceeds the " +
          std::to_string(kMaxSectionNameBytes) + "-byte cap";
+}
+
+Result<ImageHeader> parse_image_header(const std::byte* bytes) {
+  if (std::memcmp(bytes, kMagicV1, sizeof(kMagicV1)) == 0) {
+    return Corrupt(
+        "CRACIMG1 image of the retired monolithic v1 layout: it is no "
+        "longer readable; only chunked CRACIMG2 images are supported");
+  }
+  if (std::memcmp(bytes, kMagicSharded, sizeof(kMagicSharded)) == 0) {
+    return Corrupt(
+        "CRACSHRD manifest of a sharded multi-file image: that layout is "
+        "retired and no longer readable; only single-file CRACIMG2 images "
+        "are supported");
+  }
+  if (std::memcmp(bytes, kMagicV2, sizeof(kMagicV2)) != 0) {
+    return Corrupt("bad checkpoint image magic");
+  }
+  ByteReader r(bytes + sizeof(kMagicV2), kImageHeaderBytes - sizeof(kMagicV2));
+  ImageHeader h;
+  std::uint32_t codec_raw = 0;
+  CRAC_RETURN_IF_ERROR(r.get_u32(h.version));
+  CRAC_RETURN_IF_ERROR(r.get_u32(codec_raw));
+  CRAC_RETURN_IF_ERROR(r.get_u64(h.chunk_size));
+  if (h.version < kVersion2 || h.version > kVersion4) {
+    return Corrupt("unsupported image version " + std::to_string(h.version));
+  }
+  // Route unknown codec ids to a named error here, before any chunk is
+  // decoded — a forward-version codec must never reach the decompressor as
+  // a misinterpreted id.
+  if (!codec_known(codec_raw)) {
+    return Corrupt("unknown image codec id " + std::to_string(codec_raw));
+  }
+  h.codec = static_cast<Codec>(codec_raw);
+  // Codecs beyond kLz require per-chunk codec ids, i.e. version-3 framing;
+  // a version-2 header claiming one is malformed, not merely new.
+  if (h.version == kVersion2 && needs_v3(h.codec)) {
+    return Corrupt("image codec id " + std::to_string(codec_raw) +
+                   " requires image version 3");
+  }
+  if (h.chunk_size == 0) return Corrupt("image with zero chunk size");
+  // The declared chunk size bounds every per-chunk allocation in the
+  // decoders, so it must itself be bounded against hostile headers.
+  if (h.chunk_size > kMaxChunkSize) {
+    return Corrupt("image chunk size exceeds the " +
+                   format_size(kMaxChunkSize) + " limit");
+  }
+  return h;
+}
+
+Status ImageHeader::check_section_type(std::uint32_t type) const {
+  if (type == static_cast<std::uint32_t>(SectionType::kDeltaChunks) &&
+      !is_delta()) {
+    return Corrupt("delta-chunk section in a non-delta (v" +
+                   std::to_string(version) + ") image");
+  }
+  return OkStatus();
 }
 
 // ---------------------------------------------------------------------------
@@ -195,12 +251,6 @@ Status SectionStream::refill() {
                 "checkpoint section '" + name_ +
                 "' stream invalidated by a later read on the same image"));
   }
-  if (unpipe_ == nullptr) {
-    // v1 sections decode in one piece at open_section(); running dry here
-    // means the declared size and the body disagree.
-    return (error_ = Corrupt("checkpoint section '" + name_ +
-                             "' shorter than declared"));
-  }
   bool end = false;
   // The consumed chunk's capacity rides back into the unpipeline's buffer
   // pool (refill only runs once chunk_ is exhausted): one vector
@@ -346,11 +396,11 @@ Status SectionStream::get_string(std::string& out) {
 }
 
 std::uint64_t SectionStream::buffered_peak_bytes() const noexcept {
-  return unpipe_ != nullptr ? unpipe_->buffered_peak_bytes() : 0;
+  return unpipe_->buffered_peak_bytes();
 }
 
 std::uint64_t SectionStream::buffer_allocs() const noexcept {
-  return unpipe_ != nullptr ? unpipe_->buffer_allocs() : 0;
+  return unpipe_->buffer_allocs();
 }
 
 // ---------------------------------------------------------------------------
@@ -360,8 +410,6 @@ std::uint64_t SectionStream::buffer_allocs() const noexcept {
 namespace {
 
 Status read_u32(Source& s, std::uint32_t& v) { return s.read(&v, sizeof(v)); }
-Status read_u64(Source& s, std::uint64_t& v) { return s.read(&v, sizeof(v)); }
-Status read_u8(Source& s, std::uint8_t& v) { return s.read(&v, sizeof(v)); }
 
 // Reads a section name or v4 parent string. remaining() bounds the claim
 // for a complete source; the cap is what bounds it while a live shipment's
@@ -377,86 +425,6 @@ Status read_capped_string(Source& s, const char* what, std::string& out) {
 
 }  // namespace
 
-Status ImageReader::scan_v1() {
-  std::uint32_t codec_raw = 0, count = 0;
-  CRAC_RETURN_IF_ERROR(read_u32(*source_, codec_raw));
-  CRAC_RETURN_IF_ERROR(read_u32(*source_, count));
-  codec_ = static_cast<Codec>(codec_raw);
-  // A hostile count has no reserve to inflate (deque grows per element);
-  // each claimed section must still produce ≥ 29 readable directory bytes
-  // or the scan fails on the read.
-  for (std::uint32_t i = 0; i < count; ++i) {
-    SectionInfo sec;
-    std::uint32_t type_raw = 0;
-    std::uint64_t stored_size = 0;
-    std::uint8_t section_codec = 0;
-    CRAC_RETURN_IF_ERROR(read_u32(*source_, type_raw));
-    if (type_raw == static_cast<std::uint32_t>(SectionType::kDeltaChunks)) {
-      return Corrupt("delta-chunk section in a non-delta (v1) image");
-    }
-    CRAC_RETURN_IF_ERROR(read_capped_string(*source_, "section name", sec.name));
-    CRAC_RETURN_IF_ERROR(read_u64(*source_, sec.raw_size));
-    CRAC_RETURN_IF_ERROR(read_u64(*source_, stored_size));
-    CRAC_RETURN_IF_ERROR(read_u8(*source_, section_codec));
-    CRAC_RETURN_IF_ERROR(read_u32(*source_, sec.v1_crc));
-    sec.type = static_cast<SectionType>(type_raw);
-    sec.v1_codec = static_cast<Codec>(section_codec);
-    sec.v1_offset = source_->position();
-    sec.v1_stored_size = stored_size;
-    // Same implausible-expansion gate the v2 scan applies per chunk.
-    if (sec.raw_size >
-        max_decoded_size(sec.v1_codec,
-                         static_cast<std::size_t>(stored_size))) {
-      return Corrupt("checkpoint section '" + sec.name +
-                     "' declares implausible decompressed size");
-    }
-    CRAC_RETURN_IF_ERROR(source_->skip(stored_size));
-    sections_.push_back(std::move(sec));
-  }
-  return OkStatus();
-}
-
-Status ImageReader::scan_v2_params() {
-  std::uint32_t codec_raw = 0;
-  std::uint64_t chunk_size = 0;
-  CRAC_RETURN_IF_ERROR(read_u32(*source_, codec_raw));
-  CRAC_RETURN_IF_ERROR(read_u64(*source_, chunk_size));
-  // Route unknown codec ids to a named error here, before any chunk is
-  // decoded — a forward-version codec must never reach the decompressor as
-  // a misinterpreted id.
-  if (!codec_known(codec_raw)) {
-    return Corrupt("unknown image codec id " + std::to_string(codec_raw));
-  }
-  codec_ = static_cast<Codec>(codec_raw);
-  // Codecs beyond kLz require per-chunk codec ids, i.e. version-3 framing;
-  // a version-2 header claiming one is malformed, not merely new.
-  if (version_ == kVersion2 && needs_v3(codec_)) {
-    return Corrupt("image codec id " + std::to_string(codec_raw) +
-                   " requires image version 3");
-  }
-  if (chunk_size == 0) return Corrupt("v2 image with zero chunk size");
-  // The declared chunk size bounds every per-chunk allocation in the
-  // unpipeline, so it must itself be bounded against hostile headers.
-  if (chunk_size > kMaxChunkSize) {
-    return Corrupt("v2 image chunk size exceeds the " +
-                   format_size(kMaxChunkSize) + " limit");
-  }
-  chunk_size_ = static_cast<std::size_t>(chunk_size);
-  if (version_ == kVersion4) {
-    // Delta headers name their parent (real ids are 16 hex chars, paths a
-    // few hundred bytes).
-    CRAC_RETURN_IF_ERROR(
-        read_capped_string(*source_, "parent id", parent_id_));
-    CRAC_RETURN_IF_ERROR(
-        read_capped_string(*source_, "parent path", parent_path_));
-    if (parent_id_.empty()) {
-      return Corrupt("delta image header missing its parent image id");
-    }
-  }
-  scan_pos_ = source_->position();
-  return OkStatus();
-}
-
 Status ImageReader::walk_section_chunks(SectionInfo& sec) {
   // Walk the chunk frames, skipping stored payload bytes: the scan costs
   // ~24 directory bytes per chunk no matter how large the image is. Every
@@ -468,9 +436,10 @@ Status ImageReader::walk_section_chunks(SectionInfo& sec) {
   for (;;) {
     const std::uint64_t frame_at = source_->position();
     ChunkFrame frame;
-    CRAC_RETURN_IF_ERROR(read_chunk_frame(*source_, frame, framing_, codec_));
+    CRAC_RETURN_IF_ERROR(
+        read_chunk_frame(*source_, frame, header_.framing(), header_.codec));
     if (frame.raw_size == 0 && frame.stored_size == 0) break;
-    if (frame.raw_size > chunk_size_) {
+    if (frame.raw_size > header_.chunk_size) {
       return Corrupt("checkpoint section '" + sec.name +
                      "' chunk exceeds declared chunk size");
     }
@@ -547,14 +516,7 @@ Status ImageReader::scan_one_v2() {
   SectionInfo sec;
   std::uint32_t type_raw = 0;
   CRAC_RETURN_IF_ERROR(read_u32(*source_, type_raw));
-  // Sparse patch sections are only meaningful against the parent a v4
-  // header names; in any other image they would silently restore as a
-  // (garbage) full section.
-  if (type_raw == static_cast<std::uint32_t>(SectionType::kDeltaChunks) &&
-      version_ != kVersion4) {
-    return Corrupt("delta-chunk section in a non-delta (v" +
-                   std::to_string(version_) + ") image");
-  }
+  CRAC_RETURN_IF_ERROR(header_.check_section_type(type_raw));
   CRAC_RETURN_IF_ERROR(read_capped_string(*source_, "section name", sec.name));
   sec.type = static_cast<SectionType>(type_raw);
   sec.payload_offset = source_->position();
@@ -607,34 +569,21 @@ Status ImageReader::scan_to_end() {
 }
 
 Status ImageReader::scan() {
-  char magic[8];
-  CRAC_RETURN_IF_ERROR(source_->read(magic, sizeof(magic)));
-  const bool v1 = std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0;
-  const bool v2 = std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0;
-  if (std::memcmp(magic, kMagicSharded, sizeof(kMagicSharded)) == 0) {
-    return Corrupt(
-        "CRACSHRD manifest of a sharded multi-file image: that layout is "
-        "retired and no longer readable; only single-file CRACIMG1/CRACIMG2 "
-        "images are supported");
+  std::byte header[kImageHeaderBytes];
+  CRAC_RETURN_IF_ERROR(source_->read(header, sizeof(header)));
+  CRAC_ASSIGN_OR_RETURN(header_, parse_image_header(header));
+  if (header_.is_delta()) {
+    // Delta headers name their parent (real ids are 16 hex chars, paths a
+    // few hundred bytes).
+    CRAC_RETURN_IF_ERROR(
+        read_capped_string(*source_, "parent id", parent_id_));
+    CRAC_RETURN_IF_ERROR(
+        read_capped_string(*source_, "parent path", parent_path_));
+    if (parent_id_.empty()) {
+      return Corrupt("delta image header missing its parent image id");
+    }
   }
-  if (!v1 && !v2) return Corrupt("bad checkpoint image magic");
-
-  CRAC_RETURN_IF_ERROR(read_u32(*source_, version_));
-  if ((v1 && version_ != kVersion1) ||
-      (v2 && (version_ < kVersion2 || version_ > kVersion4))) {
-    return Corrupt("unsupported image version");
-  }
-  framing_ = version_ >= kVersion3 ? ChunkFraming::kV3 : ChunkFraming::kV2;
-  if (v1) {
-    // v1 interleaves its directory with payload like v2 but is legacy-only:
-    // no incremental mode, even over a live stream (reads block until the
-    // stream delivers, so it stays correct — just serialized).
-    CRAC_RETURN_IF_ERROR(scan_v1());
-    consumed_.assign(sections_.size(), 0);
-    scanned_all_ = true;
-    return OkStatus();
-  }
-  CRAC_RETURN_IF_ERROR(scan_v2_params());
+  scan_pos_ = source_->position();
   if (!source_->end_known()) {
     // Restore-while-receiving: the source is still filling. Defer the
     // directory to find()/section_at()/scan_to_end(), which extend it one
@@ -697,23 +646,6 @@ std::size_t ImageReader::index_of(const SectionInfo& section) const {
   return sections_.size();
 }
 
-Status ImageReader::read_v1_payload(const SectionInfo& section,
-                                    std::vector<std::byte>& out) {
-  CRAC_RETURN_IF_ERROR(source_->seek(section.v1_offset));
-  std::vector<std::byte> stored(
-      static_cast<std::size_t>(section.v1_stored_size));
-  CRAC_RETURN_IF_ERROR(source_->read(stored.data(), stored.size()));
-  auto raw = decompress(stored.data(), stored.size(), section.v1_codec,
-                        static_cast<std::size_t>(section.raw_size));
-  if (!raw.ok()) return raw.status();
-  const std::uint32_t actual = crc32(raw->data(), raw->size());
-  if (actual != section.v1_crc) {
-    return Corrupt("checkpoint section '" + section.name + "' CRC mismatch");
-  }
-  out = std::move(*raw);
-  return OkStatus();
-}
-
 Result<SectionStream> ImageReader::open_section(const SectionInfo& section) {
   const std::size_t index = index_of(section);
   SectionStream stream(this, index, section.name, section.raw_size);
@@ -726,20 +658,10 @@ Result<SectionStream> ImageReader::open_section(const SectionInfo& section) {
   if (section.size_known && section.raw_size == 0) {
     note_section_fully_read(index);
   }
-  if (version_ == kVersion1) {
-    // Legacy monolithic body: decoded in one piece (v1 predates chunking,
-    // so bounded-window streaming is not possible for it). That one piece
-    // is CRC-verified right here, so the section counts as verified even
-    // if the consumer reads only a prefix.
-    CRAC_RETURN_IF_ERROR(read_v1_payload(section, stream.chunk_));
-    note_section_fully_read(index);
-    return stream;
-  }
-  if (!section.size_known || section.raw_size > 0) {
-    CRAC_RETURN_IF_ERROR(source_->seek(section.payload_offset));
-    stream.unpipe_ = std::make_unique<ChunkUnpipeline>(
-        source_.get(), codec_, chunk_size_, pool_, framing_);
-  }
+  CRAC_RETURN_IF_ERROR(source_->seek(section.payload_offset));
+  stream.unpipe_ = std::make_unique<ChunkUnpipeline>(
+      source_.get(), header_.codec, header_.chunk_size, pool_,
+      header_.framing());
   return stream;
 }
 
@@ -759,12 +681,6 @@ Status ImageReader::read(const SectionInfo& section, std::uint64_t offset,
   }
   if (len == 0) return OkStatus();
   ++stream_epoch_;  // random access moves the cursor: live streams yield
-  if (version_ == kVersion1) {
-    std::vector<std::byte> payload;
-    CRAC_RETURN_IF_ERROR(read_v1_payload(section, payload));
-    std::memcpy(out, payload.data() + offset, len);
-    return OkStatus();
-  }
   if (section.chunks.empty()) {
     // A section finalized by its own stream (note_section_end) skipped the
     // directory walk; rebuild its chunk index from the retained bytes.
@@ -789,7 +705,8 @@ Status ImageReader::read(const SectionInfo& section, std::uint64_t offset,
   while (len > 0) {
     CRAC_RETURN_IF_ERROR(source_->seek(section.chunks[index].file_offset));
     ChunkFrame frame;
-    CRAC_RETURN_IF_ERROR(read_chunk_frame(*source_, frame, framing_, codec_));
+    CRAC_RETURN_IF_ERROR(
+        read_chunk_frame(*source_, frame, header_.framing(), header_.codec));
     std::vector<std::byte> stored(static_cast<std::size_t>(frame.stored_size));
     CRAC_RETURN_IF_ERROR(source_->read(stored.data(), stored.size()));
     DecodedChunk chunk = decode_chunk(frame, std::move(stored));
@@ -813,10 +730,6 @@ Status ImageReader::read(const SectionInfo& section, std::uint64_t offset,
 Status ImageReader::read_stored(const SectionInfo& section, std::size_t index,
                                 ChunkFrame& frame, std::uint64_t offset,
                                 void* out, std::size_t len) {
-  if (version_ == kVersion1) {
-    return FailedPrecondition("checkpoint section '" + section.name +
-                              "' is a v1 section: it has no chunk frames");
-  }
   if (!section.size_known) CRAC_RETURN_IF_ERROR(resolve_deferred());
   ++stream_epoch_;  // moves the cursor: live streams yield
   if (section.chunks.empty() && section.raw_size > 0) {
@@ -832,7 +745,8 @@ Status ImageReader::read_stored(const SectionInfo& section, std::size_t index,
                            " chunks)");
   }
   CRAC_RETURN_IF_ERROR(source_->seek(section.chunks[index].file_offset));
-  CRAC_RETURN_IF_ERROR(read_chunk_frame(*source_, frame, framing_, codec_));
+  CRAC_RETURN_IF_ERROR(
+      read_chunk_frame(*source_, frame, header_.framing(), header_.codec));
   if (len == 0) return OkStatus();
   if (offset > frame.stored_size || len > frame.stored_size - offset) {
     return InvalidArgument("stored range outside chunk #" +
@@ -854,7 +768,7 @@ Result<std::vector<std::byte>> ImageReader::read_section(
   // Unknown-size (deferred) section: pull chunks until the terminator
   // resolves the size — each chunk decodes as soon as its bytes land.
   std::vector<std::byte> out;
-  std::vector<std::byte> buf(chunk_size_);
+  std::vector<std::byte> buf(header_.chunk_size);
   for (;;) {
     CRAC_ASSIGN_OR_RETURN(std::size_t got,
                           stream.read_some(buf.data(), buf.size()));

@@ -1,13 +1,8 @@
 // Checkpoint image format.
 //
-// Two on-disk generations, both CRC-checked and both readable by
-// ImageReader:
-//
-// v1 ("CRACIMG1") — monolithic sections, written by seed-era code:
-//
-//   [magic "CRACIMG1"][u32 version=1][u32 codec][u32 section_count]
-//   section*: [u32 type][string name][u64 raw_size][u64 stored_size]
-//             [u8 section_codec][u32 crc32(raw)][payload bytes]
+// One on-disk generation family, CRC-checked and readable by ImageReader.
+// (The monolithic v1 layout, magic "CRACIMG1", is retired: readers reject
+// it by name, as they do the retired sharded "CRACSHRD" manifest.)
 //
 // v2 ("CRACIMG2") — streaming chunked sections, what ImageWriter emits:
 //
@@ -91,6 +86,37 @@ enum class SectionType : std::uint32_t {
   kDeltaChunks = 8,    // v4 only: sparse patch against the parent's section
 };
 
+// The fixed prefix every image opens with:
+// [magic "CRACIMG2"][u32 version][u32 codec][u64 chunk_size].
+inline constexpr std::size_t kImageHeaderBytes = 24;
+
+// An image header that parse_image_header() accepted.
+struct ImageHeader {
+  std::uint32_t version = 0;  // 2, 3 or 4
+  Codec codec = Codec::kStore;
+  std::uint64_t chunk_size = 0;
+
+  // v4 images patch a parent; their header continues with its id and path.
+  bool is_delta() const noexcept { return version == 4; }
+  // Version 3 and later carry a codec id in every chunk frame.
+  ChunkFraming framing() const noexcept {
+    return version >= 3 ? ChunkFraming::kV3 : ChunkFraming::kV2;
+  }
+  // The section rule: a kDeltaChunks section only means something against
+  // the parent a v4 header names; in any other image it would silently
+  // restore as a (garbage) full section.
+  Status check_section_type(std::uint32_t type) const;
+};
+
+// The header rules of the format, in one place: every parser of an image
+// stream (ImageReader, the registry's push-parsing ingest) calls this and
+// ImageHeader::check_section_type, so nothing one of them accepts is
+// refused by the other. Refuses, as Corrupt: the retired CRACIMG1 and
+// CRACSHRD layouts by name, any other magic, versions outside 2..4, unknown
+// codec ids, a codec that needs v3 framing in a v2 header, and chunk sizes
+// of zero or above kMaxChunkSize. `bytes` holds kImageHeaderBytes.
+Result<ImageHeader> parse_image_header(const std::byte* bytes);
+
 // Directory entry for one section, built by ImageReader's open() scan
 // without touching payload bytes. Consumers read `type`, `name` and
 // `raw_size`; the location fields are the reader's business (public only
@@ -121,12 +147,6 @@ struct SectionInfo {
     std::uint64_t raw_offset;   // of the chunk's first byte in the payload
   };
   std::vector<ChunkRef> chunks;
-
-  // v1: monolithic stored body (legacy images are decoded in one piece).
-  std::uint64_t v1_offset = 0;
-  std::uint64_t v1_stored_size = 0;
-  std::uint32_t v1_crc = 0;
-  Codec v1_codec = Codec::kStore;
 };
 
 // Streams CRACIMG2 images. In streaming mode the writer is constructed on
@@ -281,13 +301,12 @@ class SectionStream {
                        : ~std::uint64_t{0} - delivered_;
   }
 
-  // High-water mark of bytes buffered ahead of the consumer (0 for v1
-  // sections, which decode in one piece).
+  // High-water mark of bytes buffered ahead of the consumer.
   std::uint64_t buffered_peak_bytes() const noexcept;
   // Fresh byte-buffer allocations inside the decode pipeline (buffer-pool
   // misses). Bounded by the in-flight window, not the chunk count — the
   // steady-state decode loop recycles buffers instead of allocating per
-  // chunk (0 for v1 sections).
+  // chunk.
   std::uint64_t buffer_allocs() const noexcept;
 
  private:
@@ -311,9 +330,8 @@ class SectionStream {
   std::string name_;
   std::uint64_t raw_size_;
   bool size_known_ = true;
-  std::unique_ptr<ChunkUnpipeline> unpipe_;  // v2; null for v1
-  std::vector<std::byte> chunk_;             // current decoded chunk (whole
-                                             // payload for v1 sections)
+  std::unique_ptr<ChunkUnpipeline> unpipe_;
+  std::vector<std::byte> chunk_;  // current decoded chunk
   std::size_t chunk_pos_ = 0;
   std::uint64_t delivered_ = 0;
   Status error_;  // sticky
@@ -420,8 +438,7 @@ class ImageReader {
   // CRC-checked: its frame header into `frame`, then the `len` stored bytes
   // that start `offset` bytes into its payload into `out` (len 0 reads the
   // header alone). ckpt::ChainMerge copies frames and reads patch bytes
-  // through it; restore never does. FailedPrecondition on a v1 image, which
-  // has no frames.
+  // through it; restore never does.
   Status read_stored(const SectionInfo& section, std::size_t index,
                      ChunkFrame& frame, std::uint64_t offset = 0,
                      void* out = nullptr, std::size_t len = 0);
@@ -439,9 +456,9 @@ class ImageReader {
   // additionally implies the transport trailer verified.
   Status verify_unread_sections();
 
-  Codec codec() const noexcept { return codec_; }
-  std::uint32_t version() const noexcept { return version_; }
-  std::size_t chunk_size() const noexcept { return chunk_size_; }
+  Codec codec() const noexcept { return header_.codec; }
+  std::uint32_t version() const noexcept { return header_.version; }
+  std::size_t chunk_size() const noexcept { return header_.chunk_size; }
 
   // v4 delta images: the parent this image patches. Both empty for full
   // images; parent_id is guaranteed non-empty for a delta (enforced at
@@ -480,9 +497,7 @@ class ImageReader {
 
   ImageReader() = default;
 
-  Status scan();            // header + (for complete sources) full directory
-  Status scan_v1();
-  Status scan_v2_params();  // codec + chunk size; directory scans follow
+  Status scan();  // header + (for complete sources) full directory
   // Scans one section at the scan cursor, or sets scanned_all_ at end of
   // image. Moves the source cursor (bumps the stream epoch). On a complete
   // source this walks the section's chunk frames too; on a still-filling
@@ -504,18 +519,11 @@ class ImageReader {
   Status extend_directory();
   std::size_t index_of(const SectionInfo& section) const;
 
-  // Decodes one v1 section body into `out` (monolithic legacy path).
-  Status read_v1_payload(const SectionInfo& section,
-                         std::vector<std::byte>& out);
-
   std::unique_ptr<Source> source_;
   ThreadPool* pool_ = nullptr;
-  Codec codec_ = Codec::kStore;
-  std::uint32_t version_ = 0;
-  ChunkFraming framing_ = ChunkFraming::kV2;  // kV3 for version>=3 images
-  std::size_t chunk_size_ = 0;  // v2 declared chunk size
-  std::string parent_id_;       // v4: parent image identity (empty = full)
-  std::string parent_path_;     // v4: where the parent was written
+  ImageHeader header_;
+  std::string parent_id_;    // v4: parent image identity (empty = full)
+  std::string parent_path_;  // v4: where the parent was written
   // Deque, not vector: find() hands out stable pointers while the lazy scan
   // keeps appending behind them.
   std::deque<SectionInfo> sections_;

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <functional>
@@ -158,9 +157,8 @@ Status walk_ship_stream(int fd, const std::string& origin,
 class SpoolBuffer {
  public:
   SpoolBuffer(std::size_t mem_limit, std::size_t scratch_held,
-              std::string spool_dir, std::string origin)
+              std::string origin)
       : origin_(std::move(origin)),
-        spool_dir_(std::move(spool_dir)),
         mem_limit_(mem_limit),
         scratch_held_(scratch_held),
         // The scratch is resident for the whole receive even when every
@@ -244,28 +242,18 @@ class SpoolBuffer {
  private:
   Status ensure_overflow_file() {
     if (file_fd_ >= 0) return OkStatus();
-    std::string dir = spool_dir_;
-    if (dir.empty()) {
-      const char* tmpdir = std::getenv("TMPDIR");
-      dir = (tmpdir != nullptr && tmpdir[0] != '\0') ? tmpdir : "/tmp";
+    // Anonymous: no debris on any exit path, and no path another process
+    // could observe half-written.
+    auto fd = open_unlinked_temp("crac_spool_");
+    if (!fd.ok()) {
+      return IoError(origin_ + ": cannot create spool overflow file: " +
+                     fd.status().message());
     }
-    std::string tmpl = dir + "/crac_spool_XXXXXX";
-    std::vector<char> path(tmpl.begin(), tmpl.end());
-    path.push_back('\0');
-    const int fd = ::mkstemp(path.data());
-    if (fd < 0) {
-      return IoError(origin_ + ": cannot create spool overflow file in " +
-                     dir);
-    }
-    // Unlink immediately: the spool is anonymous — no debris on any exit
-    // path, and no path another process could observe half-written.
-    ::unlink(path.data());
-    file_fd_ = fd;
+    file_fd_ = *fd;
     return OkStatus();
   }
 
   std::string origin_;
-  std::string spool_dir_;
   std::size_t mem_limit_;      // memory-prefix budget (cap minus scratch)
   std::size_t scratch_held_;   // receive scratch, counted against the cap
   std::deque<std::unique_ptr<std::byte[]>> blocks_;
@@ -422,9 +410,8 @@ Status SocketSink::abort() {
 // TSan).
 class StreamingSpoolSource::Impl {
  public:
-  Impl(std::size_t mem_limit, std::size_t scratch, const Options& opts,
-       const std::string& origin)
-      : buf(mem_limit, scratch, opts.spool_dir, origin) {}
+  Impl(std::size_t mem_limit, std::size_t scratch, const std::string& origin)
+      : buf(mem_limit, scratch, origin) {}
 
   mutable std::mutex mu;
   std::condition_variable cv;
@@ -457,7 +444,7 @@ Result<std::unique_ptr<StreamingSpoolSource>> StreamingSpoolSource::start(
   auto source =
       std::unique_ptr<StreamingSpoolSource>(new StreamingSpoolSource(opts));
   source->impl_ =
-      std::make_unique<Impl>(mem_limit, scratch, opts, source->origin_);
+      std::make_unique<Impl>(mem_limit, scratch, source->origin_);
 
   // Phase 2: spool frames and publish ranges until the trailer (or the
   // stream's death).

@@ -148,9 +148,6 @@ class StreamingSpoolSource final : public Source {
   struct Options {
     // Hard bound on resident spool memory (receive scratch included).
     std::size_t spool_cap_bytes = kDefaultSpoolCapBytes;
-    // Directory for the overflow file; empty = $TMPDIR, falling back to
-    // /tmp. The file is unlinked immediately after creation.
-    std::string spool_dir;
     // Names the transport in error messages.
     std::string origin = "ship stream";
   };

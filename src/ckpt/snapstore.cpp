@@ -8,8 +8,9 @@
 #include <atomic>
 #include <csignal>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
+
+#include "common/fd_io.hpp"
 
 namespace crac::ckpt {
 namespace {
@@ -112,18 +113,8 @@ Status SnapOverlay::arm(const std::vector<Region>& regions) {
   if (config_.file_cap_bytes >= config_.chunk_bytes) {
     // Created (and unlinked) now so the signal-path writer only ever needs
     // pwrite. Creation failure is not fatal — the store is just smaller.
-    std::string dir = config_.spool_dir;
-    if (dir.empty()) {
-      const char* tmp = std::getenv("TMPDIR");
-      dir = (tmp != nullptr && tmp[0] != '\0') ? tmp : "/tmp";
-    }
-    std::string tmpl = dir + "/crac-snapstore-XXXXXX";
-    std::vector<char> path(tmpl.begin(), tmpl.end());
-    path.push_back('\0');
-    int fd = ::mkstemp(path.data());
-    if (fd >= 0) {
-      ::unlink(path.data());
-      overflow_fd_ = fd;
+    if (auto fd = open_unlinked_temp("crac-snapstore-"); fd.ok()) {
+      overflow_fd_ = *fd;
       file_slots_ = config_.file_cap_bytes / config_.chunk_bytes;
     }
   }

@@ -73,12 +73,9 @@ class SnapOverlay {
     std::size_t chunk_bytes = kDefaultDirtyChunkBytes;
     // Resident snapstore slab, preallocated at arm().
     std::size_t mem_cap_bytes = std::size_t{8} << 20;
-    // Unlinked-tempfile overflow cap; 0 = memory only. Writers stall when
-    // both are full.
+    // Overflow cap of an unlinked file in $TMPDIR (default /tmp); 0 =
+    // memory only. Writers stall when both are full.
     std::size_t file_cap_bytes = std::size_t{256} << 20;
-    // Directory for the overflow file; empty = $TMPDIR, falling back to
-    // /tmp. Unlinked immediately after creation.
-    std::string spool_dir;
   };
 
   struct Region {

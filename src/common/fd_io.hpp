@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -75,6 +76,21 @@ inline Status fdatasync_fd(int fd, const std::string& origin) {
     return IoError(origin + ": fdatasync failed: " + std::strerror(errno));
   }
   return OkStatus();
+}
+
+// Creates an anonymous scratch file: mkstemp in $TMPDIR (default /tmp)
+// under `prefix`, unlinked at once, so it is gone with its last descriptor
+// and no path ever exposes it half-written.
+inline Result<int> open_unlinked_temp(const std::string& prefix) {
+  const char* tmp = std::getenv("TMPDIR");
+  std::string path = tmp != nullptr && *tmp != '\0' ? tmp : "/tmp";
+  path += "/" + prefix + "XXXXXX";
+  const int fd = ::mkstemp(path.data());
+  if (fd < 0) {
+    return IoError(path + ": mkstemp failed: " + std::strerror(errno));
+  }
+  ::unlink(path.c_str());
+  return fd;
 }
 
 // Persists a directory's entries (created files, renames): without it a

@@ -22,14 +22,12 @@ constexpr const char* kSectionRoot = "root";
 CracContext::CracContext(const CracOptions& options) : options_(options) {
   process_ = std::make_unique<SplitProcess>(options_.split);
   plugin_ = std::make_unique<CracPlugin>(process_.get());
-  registry_.register_plugin(plugin_.get());
 }
 
 CracContext::~CracContext() = default;
 
 ThreadPool* CracContext::ckpt_pool() {
-  std::size_t threads = options_.ckpt_threads;
-  if (threads == 0) threads = std::thread::hardware_concurrency();
+  const std::size_t threads = std::thread::hardware_concurrency();
   // One worker buys no parallelism over the calling thread; encode inline.
   if (threads <= 1) return nullptr;
   if (ckpt_pool_ == nullptr) {
@@ -39,19 +37,7 @@ ThreadPool* CracContext::ckpt_pool() {
 }
 
 Result<CheckpointReport> CracContext::checkpoint(const std::string& path) {
-  auto result = checkpoint_to_temp(path);
-  if (!result.ok()) {
-    // Never leave a truncated partial image where a good one may have
-    // been: the stream went to a sibling temp file, which we discard.
-    std::remove(temp_image_path(path).c_str());
-  }
-  if (result.ok()) {
-    // This image is now the newest committed link; later deltas chain
-    // onto it.
-    delta_base_ = last_captured_;
-    delta_base_->path = path;
-  }
-  return result;
+  return capture_to_file(path, nullptr);
 }
 
 Result<CheckpointReport> CracContext::checkpoint_delta(
@@ -68,20 +54,17 @@ Result<CheckpointReport> CracContext::checkpoint_delta(
         "' was written, so its dirty history no longer describes this "
         "context: take a full checkpoint() first");
   }
-  pending_delta_ = DeltaRequest{delta_base_->image_id, delta_base_->path};
-  plugin_->set_delta_plan(
-      {delta_base_->device_gen, delta_base_->alloc_fingerprint});
-  auto result = checkpoint(path);
-  pending_delta_.reset();
-  plugin_->clear_delta_plan();  // one-shot anyway; clears the failure path
-  return result;
-}
-
-std::string CracContext::temp_image_path(const std::string& path) {
-  return path + ".tmp";
+  const DeltaBaseState base = *delta_base_;
+  return capture_to_file(path, &base);
 }
 
 Result<CheckpointReport> CracContext::checkpoint_to_sink(ckpt::Sink& sink) {
+  return capture(sink, nullptr, nullptr);
+}
+
+Result<CheckpointReport> CracContext::capture(ckpt::Sink& sink,
+                                             const DeltaBaseState* base,
+                                             DeltaBaseState* captured) {
   CheckpointReport report;
   WallTimer total;
 
@@ -92,12 +75,14 @@ Result<CheckpointReport> CracContext::checkpoint_to_sink(ckpt::Sink& sink) {
   // replacement instance.
   ckpt::ImageWriter::Options wopts;
   wopts.codec = options_.codec;
-  wopts.chunk_size = options_.ckpt_chunk_bytes;
   wopts.pool = ckpt_pool();
-  if (pending_delta_.has_value()) {
-    // v4 header: name the parent image this capture deltas against.
-    wopts.parent_id = pending_delta_->parent_id;
-    wopts.parent_path = pending_delta_->parent_path;
+  std::optional<DeltaDrainPlan> plan;
+  if (base != nullptr) {
+    // v4 header: name the parent image this capture deltas against; the
+    // drain narrows device contents to what changed since it.
+    wopts.parent_id = base->image_id;
+    wopts.parent_path = base->path;
+    plan = DeltaDrainPlan{base->device_gen, base->alloc_fingerprint};
   }
   ckpt::ImageWriter writer(&sink, wopts);
 
@@ -107,47 +92,38 @@ Result<CheckpointReport> CracContext::checkpoint_to_sink(ckpt::Sink& sink) {
   // rebuilding from the first sections while the later ones are still in
   // flight (docs/image_format.md, "Streaming restore ordering contract").
 
-  // 1. Freeze: plugins stop the world (device drain) and pin their logical
-  //    snapshot — the call log, allocation table, residency bitmaps, and
-  //    (for deltas) the exact dirty runs. The application pause clock
-  //    starts here.
+  // 1. Freeze: the plugin stops the world (device drain) and pins its
+  //    logical snapshot — the call log, allocation table, residency
+  //    bitmaps, and (for deltas) the exact dirty runs. The application
+  //    pause clock starts here.
   sim::Device& dev = process_->lower().device();
   const bool cow = options_.cow_capture;
   WallTimer pause;
-  {
-    WallTimer t;
-    CRAC_RETURN_IF_ERROR(registry_.run_freeze());
-    report.drain_s = t.elapsed_s();
-  }
-  // Any failure from here on must end the pause and tear down the overlay;
-  // both release paths are idempotent, so the success path simply runs them
-  // early. (A local class in a member function retains the enclosing
-  // function's access to registry_.)
-  struct CaptureGuard {
-    CracContext* ctx;
-    sim::Device* dev;
-    bool active = true;
-    ~CaptureGuard() {
-      if (!active) return;
-      dev->release_snapshot();
-      (void)ctx->registry_.run_release();
-    }
-  } guard{this, &dev};
+  WallTimer t;
+  CRAC_ASSIGN_OR_RETURN(CracPlugin::FrozenCapture frozen,
+                        plugin_->freeze(plan));
+  report.drain_s = t.elapsed_s();
+  // Any failure from here on must tear down the overlay; release_snapshot()
+  // is idempotent, so the success path simply runs it early.
+  struct OverlayGuard {
+    sim::Device& dev;
+    ~OverlayGuard() { dev.release_snapshot(); }
+  } overlay_guard{dev};
 
   // With the world stopped, stamp the image's identity and advance the
   // dirty trackers: everything marked before this instant belongs to THIS
   // capture, everything after to the next one. The capture state is what a
   // later checkpoint_delta() deltas against.
+  DeltaBaseState state;
+  state.image_id = ckpt::random_hex_id();
+  state.device_gen = dev.device_dirty().advance();
+  dev.pinned_dirty().advance();
+  dev.managed_dirty().advance();
+  state.device_epoch = dev.device_dirty().epoch();
+  state.alloc_fingerprint = plugin_->allocation_fingerprint();
   {
-    last_image_id_ = ckpt::random_hex_id();
-    last_captured_.image_id = last_image_id_;
-    last_captured_.device_gen = dev.device_dirty().advance();
-    dev.pinned_dirty().advance();
-    dev.managed_dirty().advance();
-    last_captured_.device_epoch = dev.device_dirty().epoch();
-    last_captured_.alloc_fingerprint = plugin_->allocation_fingerprint();
-    std::vector<std::byte> id(last_image_id_.size());
-    std::memcpy(id.data(), last_image_id_.data(), id.size());
+    std::vector<std::byte> id(state.image_id.size());
+    std::memcpy(id.data(), state.image_id.data(), id.size());
     // First section in the stream, so chain resolution can identify a
     // parent from its directory without touching any payload.
     writer.add_section(ckpt::SectionType::kMetadata, ckpt::kSectionImageId,
@@ -159,7 +135,7 @@ Result<CheckpointReport> CracContext::checkpoint_to_sink(ckpt::Sink& sink) {
   //    heap allocator state first — restart must commit the heap span
   //    before it can place region contents.
   {
-    WallTimer t;
+    t.reset();
     writer.add_section(ckpt::SectionType::kMetadata, kSectionHeapState,
                        sim::encode_arena_snapshot(process_->heap().snapshot()));
     const auto records = process_->upper_regions();
@@ -177,83 +153,82 @@ Result<CheckpointReport> CracContext::checkpoint_to_sink(ckpt::Sink& sink) {
   }
 
   // 3. End the pause (COW mode): arm the snapshot overlay over the arenas
-  //    and release the plugins — the application resumes NOW, while the
-  //    drain below reads the frozen state through the overlay and racing
-  //    writes preserve their pre-images into the snapstore first. In
-  //    stop-the-world mode the world stays frozen through the drain.
+  //    — the application resumes NOW, while the drain below reads the
+  //    frozen state through the overlay and racing writes preserve their
+  //    pre-images into the snapstore first. In stop-the-world mode the
+  //    world stays frozen through the drain.
   if (cow) {
     CRAC_RETURN_IF_ERROR(dev.arm_snapshot());
-    CRAC_RETURN_IF_ERROR(registry_.run_release());
     report.pause_s = pause.elapsed_s();
   }
 
-  // 4. Plugin drain: active allocations, residency, the log, fat binaries,
-  //    stream inventory — again in replay-consumption order.
-  {
-    WallTimer t;
-    CRAC_RETURN_IF_ERROR(registry_.run_precheckpoint(writer));
-    report.drain_s += t.elapsed_s();
-  }
+  // 4. Plugin sections: active allocations, residency, the log, fat
+  //    binaries, stream inventory — again in replay-consumption order.
+  t.reset();
+  CRAC_RETURN_IF_ERROR(plugin_->write_sections(writer, std::move(frozen)));
+  report.drain_s += t.elapsed_s();
 
   // 5. Drain the chunk pipeline and close the sink — for a file sink this
   //    flushes the temp file, for a socket sink it ships the stream trailer
   //    that tells the peer the image arrived whole.
-  {
-    WallTimer t;
-    report.raw_bytes = writer.raw_bytes();
-    CRAC_RETURN_IF_ERROR(writer.finish());
-    CRAC_RETURN_IF_ERROR(sink.close());
-    report.write_s = t.elapsed_s();
-  }
+  t.reset();
+  report.raw_bytes = writer.raw_bytes();
+  CRAC_RETURN_IF_ERROR(writer.finish());
+  CRAC_RETURN_IF_ERROR(sink.close());
+  report.write_s = t.elapsed_s();
 
-  // 6. Capture complete: disarm the overlay (COW) or end the pause (STW),
-  //    then run the resume hooks.
+  // 6. Capture complete: disarm the overlay (COW) or end the pause (STW).
   if (cow) {
     const ckpt::SnapOverlay::Stats snap = dev.snap_overlay().stats();
     report.snapstore_peak_bytes = snap.peak_store_bytes;
     report.snapstore_preserved_chunks = snap.chunks_preserved;
     dev.release_snapshot();
   } else {
-    CRAC_RETURN_IF_ERROR(registry_.run_release());
     report.pause_s = pause.elapsed_s();
   }
-  guard.active = false;
-  CRAC_RETURN_IF_ERROR(registry_.run_resume());
 
   report.total_s = total.elapsed_s();
   report.cow_capture = cow;
   report.active_allocations = plugin_->active_allocation_count();
   report.image_bytes = sink.bytes_written();
-  report.image_id = last_image_id_;
-  report.delta_image = pending_delta_.has_value();
+  report.image_id = state.image_id;
+  report.delta_image = base != nullptr;
+  last_image_id_ = state.image_id;
+  if (captured != nullptr) *captured = std::move(state);
   return report;
 }
 
-Result<CheckpointReport> CracContext::checkpoint_to_temp(
-    const std::string& path) {
+Result<CheckpointReport> CracContext::capture_to_file(
+    const std::string& path, const DeltaBaseState* base) {
   // Streams to a temp file that replaces `path` only after the image is
-  // complete, so a failed checkpoint can never destroy the previous image
-  // at the same path.
-  const std::string tmp = temp_image_path(path);
+  // complete: a failed checkpoint never destroys the previous image at the
+  // path, and its partial stream is discarded with the temp file.
+  const std::string tmp = path + ".tmp";
+  DeltaBaseState captured;
   auto file = ckpt::FileSink::open(tmp);
-  if (!file.ok()) return file.status();
-  auto result = checkpoint_to_sink(**file);
-  if (!result.ok()) return result;
-  CheckpointReport report = *result;
-
+  Result<CheckpointReport> result =
+      file.ok() ? capture(**file, base, &captured) : file.status();
   WallTimer t;
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return IoError("cannot move " + tmp + " into place as " + path);
+  if (result.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    result = IoError("cannot move " + tmp + " into place as " + path);
   }
-  report.write_s += t.elapsed_s();
-  report.total_s += t.elapsed_s();
+  if (!result.ok()) {
+    std::remove(tmp.c_str());
+    return result;
+  }
+  result->write_s += t.elapsed_s();
+  result->total_s += t.elapsed_s();
+  // This image is now the newest committed link; later deltas chain onto
+  // it.
+  delta_base_ = std::move(captured);
+  delta_base_->path = path;
 
   CRAC_INFO() << "checkpoint written to " << path << " ("
-              << format_size(report.image_bytes) << ", "
-              << report.upper_regions << " upper regions, "
-              << report.active_allocations << " active CUDA allocations) in "
-              << report.total_s << "s";
-  return report;
+              << format_size(result->image_bytes) << ", "
+              << result->upper_regions << " upper regions, "
+              << result->active_allocations << " active CUDA allocations) in "
+              << result->total_s << "s";
+  return result;
 }
 
 Status CracContext::restore_from_reader(ckpt::ImageReader& reader,
@@ -326,7 +301,7 @@ Status CracContext::restore_from_reader(ckpt::ImageReader& reader,
 
   // 2. Plugin restart: full-log replay, refill, residency, re-registration.
   t.reset();
-  const Status restarted = registry_.run_restart(reader);
+  const Status restarted = plugin_->restart(reader);
   if (report != nullptr) report->replay_s = t.elapsed_s();
   if (report != nullptr) report->replay = plugin_->last_replay_stats();
   CRAC_RETURN_IF_ERROR(restarted);
@@ -374,47 +349,47 @@ Result<std::unique_ptr<CracContext>> CracContext::restart_from_source(
   return ctx;
 }
 
+Result<std::unique_ptr<ckpt::Source>> CracContext::open_image_source(
+    const std::string& path) {
+  CRAC_ASSIGN_OR_RETURN(std::unique_ptr<ckpt::Source> file,
+                        ckpt::FileSource::open(path));
+  // Only the header is read to tell a full image from a delta. A header
+  // that does not parse is left for the reader's open to name.
+  std::byte header[ckpt::kImageHeaderBytes];
+  if (file->read(header, sizeof(header)).ok()) {
+    auto parsed = ckpt::parse_image_header(header);
+    if (parsed.ok() && parsed->is_delta()) {
+      // Delta images restore through their materialized chain: base applied
+      // first, every delta's patches newest-last, restored as one merged
+      // full image.
+      CRAC_ASSIGN_OR_RETURN(auto merged, ckpt::materialize_image_chain(path));
+      return std::unique_ptr<ckpt::Source>(
+          std::make_unique<ckpt::MemorySource>(std::move(merged)));
+    }
+  }
+  CRAC_RETURN_IF_ERROR(file->seek(0));
+  return file;
+}
+
 Result<std::unique_ptr<CracContext>> CracContext::restart_from_image(
     const std::string& path, const CracOptions& options,
     RestartReport* report) {
-  // Delta images restore through their materialized chain: base applied
-  // first, every delta's patches newest-last, restored as one merged full
-  // image. The probe is cheap (directory scan only) and non-delta images
-  // take the streaming path below untouched.
-  {
-    auto probe = ckpt::ImageReader::from_file(path);
-    if (probe.ok() && probe->is_delta()) {
-      auto merged = ckpt::materialize_image_chain(path);
-      if (!merged.ok()) return merged.status();
-      return restart_from_source(
-          std::make_unique<ckpt::MemorySource>(std::move(*merged)), options,
-          report);
-    }
-  }
-
-  // Thin wrapper: open the file and hand it to the transport-agnostic core.
-  auto source = ckpt::FileSource::open(path);
-  if (!source.ok()) return source.status();
-  return restart_from_source(std::move(*source), options, report);
+  CRAC_ASSIGN_OR_RETURN(auto source, open_image_source(path));
+  return restart_from_source(std::move(source), options, report);
 }
 
 Result<RestartReport> CracContext::restart_in_place(const std::string& path) {
   RestartReport report;
   WallTimer total;
 
+  // The image is opened and scanned before the lower half goes: an image
+  // that cannot be read leaves this context as it was.
   WallTimer t;
+  CRAC_ASSIGN_OR_RETURN(auto source, open_image_source(path));
   ckpt::ImageReader::Options ropts;
   ropts.pool = ckpt_pool();
-  auto reader = ckpt::ImageReader::from_file(path, ropts);
-  if (!reader.ok()) return reader.status();
-  if (reader->is_delta()) {
-    // Same chain resolution as restart_from_image: merge base + deltas into
-    // one full image and restore that through the unchanged path.
-    auto merged = ckpt::materialize_image_chain(path);
-    if (!merged.ok()) return merged.status();
-    reader = ckpt::ImageReader::from_bytes(std::move(*merged), ropts);
-    if (!reader.ok()) return reader.status();
-  }
+  CRAC_ASSIGN_OR_RETURN(auto reader,
+                        ckpt::ImageReader::open(std::move(source), ropts));
   report.read_s = t.elapsed_s();
 
   // The paper's restart sequence: the old lower half (and with it the whole
@@ -423,7 +398,7 @@ Result<RestartReport> CracContext::restart_in_place(const std::string& path) {
   process_->discard_lower_half();
   CRAC_RETURN_IF_ERROR(process_->load_fresh_lower_half());
 
-  CRAC_RETURN_IF_ERROR(restore_from_reader(*reader, &report));
+  CRAC_RETURN_IF_ERROR(restore_from_reader(reader, &report));
   report.total_s = total.elapsed_s();
   return report;
 }

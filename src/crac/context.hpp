@@ -25,7 +25,6 @@
 
 #include "ckpt/delta.hpp"
 #include "ckpt/image.hpp"
-#include "ckpt/plugin.hpp"
 #include "common/thread_pool.hpp"
 #include "crac/crac_plugin.hpp"
 #include "crac/split_process.hpp"
@@ -34,13 +33,10 @@ namespace crac {
 
 struct CracOptions {
   SplitProcessOptions split;
-  ckpt::Codec codec = ckpt::Codec::kStore;  // paper runs with gzip disabled
-  // Streaming checkpoint pipeline: sections are chunked at this granularity;
-  // with a compressing codec, chunks are compressed/CRC'd in parallel on a
-  // pool of ckpt_threads workers (0 = hardware concurrency, 1 = no pool /
-  // inline encoding). Store-codec chunks are CRC'd inline either way.
-  std::size_t ckpt_chunk_bytes = ckpt::kDefaultChunkSize;
-  std::size_t ckpt_threads = 0;
+  // Paper runs with gzip disabled. A compressing codec encodes chunks in
+  // parallel on a pool of one worker per hardware thread (none on a single
+  // core); store-codec chunks are CRC'd inline either way.
+  ckpt::Codec codec = ckpt::Codec::kStore;
   // Copy-on-write capture: the stop-the-world window shrinks to drain
   // streams + advance trackers + arm the snapshot overlay, and the
   // application resumes while the drain reads the frozen state through the
@@ -53,7 +49,7 @@ struct CracOptions {
 };
 
 struct CheckpointReport {
-  double drain_s = 0;      // plugin precheckpoint (device drain + sections)
+  double drain_s = 0;      // plugin freeze (device drain) + plugin sections
   double memory_s = 0;     // upper-half memory snapshot
   double write_s = 0;      // serialization + file write
   double total_s = 0;
@@ -133,16 +129,16 @@ class CracContext {
   // its "image-id" metadata section); empty before the first checkpoint.
   const std::string& last_image_id() const noexcept { return last_image_id_; }
 
-  // Path-free checkpoint core: streams the image (plugin drain, upper-memory
+  // Path-free checkpoint: streams the image (plugin drain, upper-memory
   // snapshot, chunk pipeline) into `sink` and closes it. Every consumer of
   // the checkpoint verb is transport-agnostic through this — a file or a
-  // live socket to a peer are both just sinks. The path verb above wraps
-  // this with the temp+rename dance; ship a live checkpoint by passing a
-  // ckpt::SocketSink. Blocks until the sink has accepted and closed the
-  // whole stream (for a socket, until the peer has drained it); chunk
-  // encoding runs on the context's internal pool. Sections go out in
-  // restore order — the contract that makes restore-while-receiving
-  // possible on the far end.
+  // live socket to a peer are both just sinks. The path verbs above run
+  // the same capture into a temp file renamed into place; ship a live
+  // checkpoint by passing a ckpt::SocketSink. Blocks until the sink has
+  // accepted and closed the whole stream (for a socket, until the peer has
+  // drained it); chunk encoding runs on the context's internal pool.
+  // Sections go out in restore order — the contract that makes
+  // restore-while-receiving possible on the far end.
   Result<CheckpointReport> checkpoint_to_sink(ckpt::Sink& sink);
 
   // Restart path A (paper's normal mode, here within a fresh context that
@@ -176,17 +172,7 @@ class CracContext {
   Result<RestartReport> restart_in_place(const std::string& path);
 
  private:
-  Status restore_from_reader(ckpt::ImageReader& reader,
-                             RestartReport* report);
-  // Path-free restore core: opens the image directory over `source` and
-  // restores this context's state from it.
-  Status restore_from_source(std::unique_ptr<ckpt::Source> source,
-                             RestartReport* report);
-  Result<CheckpointReport> checkpoint_to_temp(const std::string& path);
-  static std::string temp_image_path(const std::string& path);
-  ThreadPool* ckpt_pool();
-
-  // What checkpoint_delta needs to know about the image it deltas against:
+  // What a delta capture needs to know about the image it deltas against:
   // identity (verified at restore), location (chain resolution), and the
   // change-tracking capture point (generation + epoch + table fingerprint).
   struct DeltaBaseState {
@@ -196,23 +182,38 @@ class CracContext {
     std::string device_epoch;
     std::uint64_t alloc_fingerprint = 0;
   };
-  // Parent naming for the image currently being written (set by
-  // checkpoint_delta around the checkpoint call).
-  struct DeltaRequest {
-    std::string parent_id;
-    std::string parent_path;
-  };
+
+  // The one capture sequence behind every checkpoint verb: freeze (device
+  // drain), stamp, upper memory, end of pause, plugin sections, close.
+  // `base` names the image a v4 delta patches; null writes a full image.
+  // On success `captured` (when given) receives this image's capture
+  // point, for a later delta against it.
+  Result<CheckpointReport> capture(ckpt::Sink& sink,
+                                   const DeltaBaseState* base,
+                                   DeltaBaseState* captured);
+  // capture() into a temp file renamed onto `path` once complete; the
+  // committed image becomes the base later deltas chain onto.
+  Result<CheckpointReport> capture_to_file(const std::string& path,
+                                           const DeltaBaseState* base);
+  // Where a restart reads the image at `path` from: the file itself, or —
+  // for a v4 delta — its chain materialized into one full image in memory.
+  static Result<std::unique_ptr<ckpt::Source>> open_image_source(
+      const std::string& path);
+  Status restore_from_reader(ckpt::ImageReader& reader,
+                             RestartReport* report);
+  // Path-free restore core: opens the image directory over `source` and
+  // restores this context's state from it.
+  Status restore_from_source(std::unique_ptr<ckpt::Source> source,
+                             RestartReport* report);
+  ThreadPool* ckpt_pool();
 
   CracOptions options_;
   std::unique_ptr<SplitProcess> process_;
   std::unique_ptr<CracPlugin> plugin_;
-  ckpt::PluginRegistry registry_;
   std::unique_ptr<ThreadPool> ckpt_pool_;  // lazily created, reused across checkpoints
   void* root_ = nullptr;
   std::optional<DeltaBaseState> delta_base_;
-  std::optional<DeltaRequest> pending_delta_;
   std::string last_image_id_;
-  DeltaBaseState last_captured_;  // capture state of the in-flight checkpoint
 };
 
 }  // namespace crac

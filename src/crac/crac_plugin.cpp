@@ -230,36 +230,13 @@ std::uint64_t CracPlugin::active_allocation_bytes() const {
 }
 
 // ---------------------------------------------------------------------------
-// precheckpoint: drain
+// checkpoint: freeze, then drain
 // ---------------------------------------------------------------------------
 
-Status CracPlugin::quiesce() {
-  // Drain the queue of pending work, as CheCUDA did and CRAC still does —
-  // before any section (the context's memory sections included) captures
-  // state.
-  if (inner()->cudaDeviceSynchronize() != cuda::cudaSuccess) {
-    return Internal("device synchronize failed during drain");
-  }
-  return OkStatus();
-}
-
-Status CracPlugin::precheckpoint(ckpt::ImageWriter& image) {
-  // On the orchestrated checkpoint path freeze() already ran (and in COW
-  // mode release() too — the application may be running again right now);
-  // the idempotent call below is then a no-op. A standalone precheckpoint
-  // freezes here and releases before returning, which replaces the old
-  // defensive re-quiesce: same safety, no double synchronize, and the
-  // freeze/release pairing assert stays satisfied.
-  const bool self_frozen = !frozen_.has_value();
-  CRAC_RETURN_IF_ERROR(freeze());
-  FrozenCapture fc = std::move(*frozen_);
-  frozen_.reset();
-
-  // Sections stream in the order restart consumes them (fat binaries, log,
-  // allocation contents, residency, stream inventory), so a restore-while-
-  // receiving peer replays each one as it lands instead of waiting behind
-  // sections it needs first. All metadata comes straight out of the frozen
-  // capture; only allocation *contents* are read now, through the overlay.
+Status CracPlugin::write_sections(ckpt::ImageWriter& image,
+                                  FrozenCapture fc) {
+  // All metadata comes straight out of the frozen capture; only allocation
+  // *contents* are read now, through the overlay.
   image.add_section(ckpt::SectionType::kMetadata, kSectionFatbins,
                     std::move(fc.fatbins));
   CRAC_RETURN_IF_ERROR(image.status());
@@ -281,20 +258,7 @@ Status CracPlugin::precheckpoint(ckpt::ImageWriter& image) {
 
   // Live stream/event inventory (consumed only by the restart-side
   // integrity sweep today).
-  CRAC_RETURN_IF_ERROR(drain_streams(image, fc));
-
-  if (self_frozen) CRAC_RETURN_IF_ERROR(release());
-  return OkStatus();
-}
-
-void CracPlugin::set_delta_plan(const DeltaDrainPlan& plan) {
-  std::lock_guard<std::mutex> lock(mu_);
-  delta_plan_ = plan;
-}
-
-void CracPlugin::clear_delta_plan() {
-  std::lock_guard<std::mutex> lock(mu_);
-  delta_plan_.reset();
+  return drain_streams(image, fc);
 }
 
 namespace {
@@ -330,17 +294,19 @@ std::uint64_t CracPlugin::allocation_fingerprint() const {
   return fingerprint_table(snapshot);
 }
 
-Status CracPlugin::freeze() {
-  if (frozen_.has_value()) return OkStatus();  // idempotent
-  CRAC_RETURN_IF_ERROR(quiesce());
+Result<CracPlugin::FrozenCapture> CracPlugin::freeze(
+    const std::optional<DeltaDrainPlan>& plan) {
+  // Drain the queue of pending work, as CheCUDA did and CRAC still does —
+  // before any section (the context's memory sections included) captures
+  // state.
+  if (inner()->cudaDeviceSynchronize() != cuda::cudaSuccess) {
+    return Internal("device synchronize failed during drain");
+  }
 
   FrozenCapture fc;
-  std::optional<DeltaDrainPlan> plan;
   {
     std::lock_guard<std::mutex> lock(mu_);
     fc.allocs.assign(active_.begin(), active_.end());
-    plan = delta_plan_;
-    delta_plan_.reset();  // one-shot: every capture re-arms explicitly
 
     // The full call log, replayed verbatim at restart (§3.2.4).
     fc.log = log_.serialize();
@@ -432,22 +398,7 @@ Status CracPlugin::freeze() {
     }
   }
 
-  frozen_ = std::move(fc);
-  frozen_world_ = true;
-  return OkStatus();
-}
-
-Status CracPlugin::release() {
-  frozen_world_ = false;
-  return OkStatus();
-}
-
-CracPlugin::~CracPlugin() {
-#ifndef NDEBUG
-  CRAC_CHECK_MSG(!frozen_world_,
-                 "CracPlugin destroyed while frozen — freeze()/release() "
-                 "went unpaired");
-#endif
+  return fc;
 }
 
 Status CracPlugin::read_frozen_contents(std::uint64_t addr, std::size_t n,
@@ -629,27 +580,11 @@ Status CracPlugin::drain_streams(ckpt::ImageWriter& image,
   return image.end_section();
 }
 
-Status CracPlugin::resume() {
-  // Execution continues in the original process: the lower half was never
-  // destroyed, so nothing to rebuild. The release keeps legacy
-  // stop-the-world flows paired (idempotent when the COW orchestration
-  // already released at the end of its pause window).
-  return release();
-}
-
 // ---------------------------------------------------------------------------
 // restart: replay
 // ---------------------------------------------------------------------------
 
 Status CracPlugin::restart(ckpt::ImageReader& image) {
-  auto stats = replay_into_fresh_lower_half(image);
-  if (!stats.ok()) return stats.status();
-  last_replay_ = *stats;
-  return OkStatus();
-}
-
-Result<ReplayStats> CracPlugin::replay_into_fresh_lower_half(
-    ckpt::ImageReader& image) {
   ReplayStats stats;
 
   // Reset plugin state; everything is rebuilt from the image.
@@ -911,7 +846,7 @@ Result<ReplayStats> CracPlugin::replay_into_fresh_lower_half(
   CRAC_RETURN_IF_ERROR(restore_uvm_residency(image, &stats));
 
   last_replay_ = stats;
-  return stats;
+  return OkStatus();
 }
 
 Status CracPlugin::refill_allocations(ckpt::ImageReader& image,

@@ -1,6 +1,6 @@
 // The CRAC plugin: the paper's primary contribution.
 //
-// Two roles in one object, exactly as in the DMTCP-plugin architecture:
+// Two roles in one object, as in the paper's DMTCP-plugin architecture:
 //
 //  1. A CUDA-API interposer (ForwardingApi): wraps the application's view of
 //     the runtime and *logs* every call in the cudaMalloc family plus every
@@ -8,10 +8,11 @@
 //     (launches, memcpys) are forwarded untouched — this is where the "log
 //     only pointers, not mmap traffic" design keeps runtime overhead at ~1%.
 //
-//  2. A checkpoint plugin (CkptPlugin): at precheckpoint it drains the
-//     device (synchronize, then copy the contents of every *active*
-//     allocation — not whole arenas — into image sections, §3.2.3); at
-//     restart it replays the *entire* log against the fresh lower half,
+//  2. The checkpoint side, which CracContext calls directly: freeze() drains
+//     the device (synchronize) and returns the frozen logical snapshot;
+//     write_sections() copies the contents of every *active* allocation —
+//     not whole arenas — into image sections (§3.2.3); at restart,
+//     restart() replays the *entire* log against the fresh lower half,
 //     verifies address determinism, refills contents, restores UVM
 //     residency, and re-registers the application's fat binaries (§3.2.4-5).
 #pragma once
@@ -24,7 +25,7 @@
 #include <utility>
 #include <vector>
 
-#include "ckpt/plugin.hpp"
+#include "ckpt/image.hpp"
 #include "crac/api_log.hpp"
 #include "crac/split_process.hpp"
 #include "simcuda/forwarding_api.hpp"
@@ -43,8 +44,8 @@ struct ActiveAlloc {
   std::uint32_t flags = 0;
 };
 
-// Plan for an incremental "allocations" drain, set by the checkpoint driver
-// before a delta capture. base_device_gen is the device dirty-tracker
+// Plan for an incremental "allocations" drain, passed to freeze() by a
+// delta capture. base_device_gen is the device dirty-tracker
 // generation the base checkpoint captured; alloc_fingerprint hashes the
 // allocation table (addr, size, kind, flags, in order) as of the base.
 // drain_allocations narrows device-buffer contents to chunks dirty since
@@ -68,7 +69,7 @@ struct ReplayStats {
   std::size_t uvm_pages_restored = 0;
 };
 
-class CracPlugin final : public cuda::ForwardingApi, public ckpt::CkptPlugin {
+class CracPlugin final : public cuda::ForwardingApi {
  public:
   // `process` provides the trampolined API this interposer forwards to, and
   // the restart hooks (discard/load lower half).
@@ -93,34 +94,45 @@ class CracPlugin final : public cuda::ForwardingApi, public ckpt::CkptPlugin {
                             const cuda::KernelRegistration& reg) override;
   void cudaUnregisterFatBinary(cuda::FatBinaryHandle handle) override;
 
-  // --- CkptPlugin ---
-  std::string name() const override { return "crac"; }
-  // Drains the device work queue so every section that follows sees a
-  // settled world.
-  Status quiesce() override;
-  // freeze() quiesces and captures the plugin's entire logical snapshot —
-  // serialized log, fat-binary records, allocation table, UVM residency,
-  // stream inventory, and (when a delta plan is armed and its fingerprint
-  // matches) the exact dirty runs of every device allocation. After
-  // freeze(), precheckpoint() serializes only the frozen snapshot: the
-  // application may already be running again, mutating live state behind a
-  // COW overlay. Idempotent — a second freeze() on a frozen plugin is a
-  // no-op, which is what makes the precheckpoint-standalone path safe
-  // without the old defensive re-quiesce.
-  Status freeze() override;
-  // Marks the world resumed (the pause is over). Idempotent; resume() also
-  // releases, so legacy stop-the-world flows stay paired. Pairing is
-  // asserted in debug builds at destruction.
-  Status release() override;
-  Status precheckpoint(ckpt::ImageWriter& image) override;
-  Status resume() override;
-  Status restart(ckpt::ImageReader& image) override;
+  // The logical snapshot freeze() pins while the world is stopped. Every
+  // byte write_sections() writes comes from here (metadata) or from memory
+  // reads that go through the COW overlay (contents) — never from plugin
+  // state that post-release application activity could have moved.
+  struct FrozenCapture {
+    std::vector<std::byte> fatbins;
+    std::vector<std::byte> log;
+    std::vector<std::byte> uvm_payload;
+    std::vector<std::byte> streams;
+    std::vector<std::pair<std::uint64_t, ActiveAlloc>> allocs;
+    // Delta-plan resolution, decided at freeze time: the dirty runs are
+    // computed before the context advances the trackers, so post-release
+    // writes (which belong to the *next* delta) can never leak in.
+    bool delta = false;
+    std::map<std::uint64_t,
+             std::vector<std::pair<std::uint64_t, std::uint64_t>>>
+        dirty_runs;  // device-alloc addr -> [(offset, length)...]
+  };
 
-  ~CracPlugin() override;
-
-  // Replays this plugin's own (in-memory) log against the process's current
-  // lower half. Exposed for the in-place restart path and tests.
-  Result<ReplayStats> replay_into_fresh_lower_half(ckpt::ImageReader& image);
+  // Drains the device work queue, then captures the plugin's entire logical
+  // snapshot: serialized log, fat-binary records, allocation table, UVM
+  // residency, stream inventory, and — given a delta plan whose fingerprint
+  // still matches — the exact dirty runs of every device allocation. Only
+  // allocation contents are left behind, for write_sections() to read
+  // through the COW overlay while the application runs again. The snapshot
+  // is returned, not kept: every capture drains the device anew, and a
+  // failed one leaves nothing for the next to reuse.
+  Result<FrozenCapture> freeze(const std::optional<DeltaDrainPlan>& delta_plan);
+  // Writes the plugin sections from `capture`, in the order restart()
+  // consumes them (fat binaries, log, allocation contents, residency,
+  // stream inventory): the image streams in write order, so a
+  // restore-while-receiving peer replays each section as it lands (see
+  // docs/image_format.md, "Streaming restore ordering contract").
+  Status write_sections(ckpt::ImageWriter& image, FrozenCapture capture);
+  // In the restarted process, after upper-half memory has been restored:
+  // replays this plugin's log against the current (fresh) lower half and
+  // rebuilds device state from the image. The reader is non-const because
+  // section payloads stream off the image source on demand.
+  Status restart(ckpt::ImageReader& image);
 
   // --- introspection ---
   const CudaApiLog& log() const noexcept { return log_; }
@@ -129,12 +141,6 @@ class CracPlugin final : public cuda::ForwardingApi, public ckpt::CkptPlugin {
   const ReplayStats& last_replay_stats() const noexcept { return last_replay_; }
 
   // --- incremental drains ---
-  // Arms the next precheckpoint to write the "allocations" section as a
-  // sparse kDeltaChunks patch (see DeltaDrainPlan). One-shot per capture;
-  // cleared automatically after the drain runs.
-  void set_delta_plan(const DeltaDrainPlan& plan);
-  void clear_delta_plan();
-
   // FNV-1a over the live allocation table; equal fingerprints mean the
   // drained payload layout (headers and content extents) is identical.
   std::uint64_t allocation_fingerprint() const;
@@ -161,25 +167,6 @@ class CracPlugin final : public cuda::ForwardingApi, public ckpt::CkptPlugin {
     std::vector<std::size_t> arg_sizes;
   };
 
-  // The logical snapshot freeze() pins while the world is stopped. Every
-  // byte precheckpoint() writes comes from here (metadata) or from memory
-  // reads that go through the COW overlay (contents) — never from plugin
-  // state that post-release application activity could have moved.
-  struct FrozenCapture {
-    std::vector<std::byte> fatbins;
-    std::vector<std::byte> log;
-    std::vector<std::byte> uvm_payload;
-    std::vector<std::byte> streams;
-    std::vector<std::pair<std::uint64_t, ActiveAlloc>> allocs;
-    // Delta-plan resolution, decided at freeze time: the dirty runs are
-    // computed before the context advances the trackers, so post-release
-    // writes (which belong to the *next* delta) can never leak in.
-    bool delta = false;
-    std::map<std::uint64_t,
-             std::vector<std::pair<std::uint64_t, std::uint64_t>>>
-        dirty_runs;  // device-alloc addr -> [(offset, length)...]
-  };
-
   void log_alloc(LogOp op, void* p, std::size_t n, unsigned flags,
                  AllocKind kind);
   // Reads `n` content bytes at `addr` as of the freeze instant: through the
@@ -203,16 +190,7 @@ class CracPlugin final : public cuda::ForwardingApi, public ckpt::CkptPlugin {
   std::vector<cuda::cudaStream_t> live_streams_;
   std::vector<cuda::cudaEvent_t> live_events_;
   ReplayStats last_replay_;
-  std::optional<DeltaDrainPlan> delta_plan_;  // armed for the next drain
   bool last_drain_was_delta_ = false;
-  // Snapshot pinned by freeze(), consumed by precheckpoint(). Only the
-  // checkpoint-driving thread touches these (the plugin contract already
-  // serializes the lifecycle hooks), so no lock.
-  std::optional<FrozenCapture> frozen_;
-  // True between freeze() and release(): the application believes it is
-  // paused. Tracked separately from frozen_ because in COW mode release()
-  // runs long before precheckpoint() consumes the snapshot.
-  bool frozen_world_ = false;
 };
 
 }  // namespace crac

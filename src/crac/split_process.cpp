@@ -6,15 +6,19 @@
 
 namespace crac {
 
+namespace {
+// Fixed load addresses of the simulated program images.
+constexpr std::uintptr_t kUpperImageBase = 0x500000000000ULL;
+constexpr std::uintptr_t kLowerImageBase = 0x7f0000000000ULL;
+}  // namespace
+
 SplitProcess::SplitProcess(const SplitProcessOptions& options)
     : options_(options),
       lower_hooks_(&space_, split::HalfTag::kLower),
       upper_hooks_(&space_, split::HalfTag::kUpper),
       trampoline_(options.fs_mode),
       loader_(&space_) {
-  if (options_.load_program_images) {
-    load_program_images();
-  }
+  load_program_images();
 
   heap_ = std::make_unique<UpperHeap>(UpperHeap::Config{
       .va_base = options_.upper_heap_base,
@@ -33,9 +37,11 @@ SplitProcess::~SplitProcess() = default;
 
 void SplitProcess::load_program_images() {
   using split::SegmentSpec;
-  // Shapes loosely modelled on a small CUDA application and the helper
-  // binary with its CUDA runtime libraries; sizes are arbitrary but nonzero
-  // so the maps view and checkpoint actually carry them.
+  // Simulated text/data segments for the application and the helper, so
+  // the address space resembles a real process. Shapes loosely modelled on
+  // a small CUDA application and the helper binary with its CUDA runtime
+  // libraries; sizes are arbitrary but nonzero so the maps view and
+  // checkpoint actually carry them.
   split::ProgramImage upper;
   upper.name = "cuda-app";
   upper.segments = {
@@ -45,7 +51,7 @@ void SplitProcess::load_program_images() {
       SegmentSpec{".bss", 128 << 10, PROT_READ | PROT_WRITE},
   };
   auto up = loader_.load(upper, split::HalfTag::kUpper,
-                         options_.upper_image_base);
+                         kUpperImageBase);
   CRAC_CHECK_MSG(up.ok(), "upper image load failed");
   upper_image_ = std::move(*up);
 
@@ -60,7 +66,7 @@ void SplitProcess::load_program_images() {
       SegmentSpec{"libcuda.so:.data", 512 << 10, PROT_READ | PROT_WRITE},
   };
   auto lo = loader_.load(lower, split::HalfTag::kLower,
-                         options_.lower_image_base);
+                         kLowerImageBase);
   CRAC_CHECK_MSG(lo.ok(), "lower image load failed");
   lower_image_ = std::move(*lo);
 }

@@ -36,13 +36,6 @@ struct SplitProcessOptions {
   std::uintptr_t upper_heap_base = 0x600000000000ULL;
   std::size_t upper_heap_capacity = std::size_t{4} << 30;
   std::size_t upper_heap_chunk = std::size_t{16} << 20;
-
-  // Load simulated program images (text/data segments for the application
-  // and the helper) so the address space resembles a real process. Tests
-  // can disable this for speed.
-  bool load_program_images = true;
-  std::uintptr_t upper_image_base = 0x500000000000ULL;
-  std::uintptr_t lower_image_base = 0x7f0000000000ULL;
 };
 
 class SplitProcess {

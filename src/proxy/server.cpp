@@ -63,6 +63,11 @@ void handle_launch(ServerState& state, Connection& conn,
                    const std::vector<std::byte>& payload) {
   // Payload layout: grid(3xu32) block(3xu32) shmem(u64) stream(u64)
   //                 argcount(u32) argbytes...
+  constexpr std::size_t kFixedBytes = 6 * 4 + 8 + 8 + 4;
+  if (payload.size() < kFixedBytes) {
+    respond(conn, cuda::cudaErrorInvalidValue);
+    return;
+  }
   const std::byte* p = payload.data();
   auto read_u32 = [&p]() {
     std::uint32_t v;
@@ -101,6 +106,16 @@ void handle_launch(ServerState& state, Connection& conn,
       registration->arg_sizes.size() != argcount) {
     respond(conn, cuda::cudaErrorInvalidDevicePointer);
     return;
+  }
+  // The argument bytes must all be in the payload: the kernel reads each
+  // one through the pointer built below.
+  std::size_t arg_bytes = 0;
+  for (const std::size_t size : registration->arg_sizes) {
+    if (size > payload.size() - kFixedBytes - arg_bytes) {
+      respond(conn, cuda::cudaErrorInvalidValue);
+      return;
+    }
+    arg_bytes += size;
   }
   std::vector<void*> args(argcount);
   const std::byte* cursor = p;
@@ -227,7 +242,11 @@ EventLoop::Dispatch ProxyHandler::on_request(Connection& conn,
       const void* src = req.staged != 0
                             ? cs.staging
                             : static_cast<const void*>(payload.data());
-      if (req.staged != 0 && cs.staging == nullptr) {
+      // The copy reads req.b bytes from the staging buffer or the payload;
+      // a size beyond what that holds would read past its end.
+      const std::size_t available =
+          req.staged != 0 ? cs.staging_bytes : payload.size();
+      if ((req.staged != 0 && cs.staging == nullptr) || req.b > available) {
         respond(conn, cuda::cudaErrorInvalidValue);
         return Dispatch::kContinue;
       }
@@ -242,14 +261,14 @@ EventLoop::Dispatch ProxyHandler::on_request(Connection& conn,
     case Op::kMemcpyFromDeviceAsync: {
       ConnState& cs = conn_state(conn);
       if (req.staged != 0) {
-        if (cs.staging == nullptr) {
+        if (cs.staging == nullptr || req.b > cs.staging_bytes) {
           respond(conn, cuda::cudaErrorInvalidValue);
           return Dispatch::kContinue;
         }
-          const auto err = rt.memcpy_sync(
+        const auto err = rt.memcpy_sync(
             cs.staging, reinterpret_cast<const void*>(req.a), req.b,
             cuda::cudaMemcpyDefault);
-          respond(conn, err, 0, 0, nullptr, 0, /*staged=*/true);
+        respond(conn, err, 0, 0, nullptr, 0, /*staged=*/true);
       } else {
         // Same trust boundary as payload_bytes: an inline response is
         // allocated from a header field, so cap it identically (the client
@@ -404,6 +423,11 @@ EventLoop::Dispatch ProxyHandler::on_request(Connection& conn,
     case Op::kRegisterFunction: {
       // Payload: host_fn u64, device_fn u64, argcount u32, sizes u64...,
       //          name chars...
+      constexpr std::size_t kFixedBytes = 8 + 8 + 4;
+      if (payload.size() < kFixedBytes) {
+        respond(conn, cuda::cudaErrorInvalidValue);
+        return Dispatch::kContinue;
+      }
       const std::byte* p = payload.data();
       std::uint64_t host_fn = 0, device_fn = 0;
       std::uint32_t argcount = 0;
@@ -413,6 +437,10 @@ EventLoop::Dispatch ProxyHandler::on_request(Connection& conn,
       p += 8;
       std::memcpy(&argcount, p, 4);
       p += 4;
+      if (argcount > (payload.size() - kFixedBytes) / 8) {
+        respond(conn, cuda::cudaErrorInvalidValue);
+        return Dispatch::kContinue;
+      }
       auto sr = std::make_unique<ServerRegistration>();
       for (std::uint32_t i = 0; i < argcount; ++i) {
         std::uint64_t s = 0;

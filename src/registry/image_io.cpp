@@ -11,19 +11,10 @@ namespace crac::registry {
 
 namespace {
 
-constexpr char kMagicV1[8] = {'C', 'R', 'A', 'C', 'I', 'M', 'G', '1'};
-constexpr char kMagicV2[8] = {'C', 'R', 'A', 'C', 'I', 'M', 'G', '2'};
-
 std::uint32_t get_u32_at(const std::vector<std::byte>& b, std::size_t off) {
   std::uint32_t v = 0;
   std::memcpy(&v, b.data() + off, 4);
   return v;  // ByteWriter is little-endian; so is every producer here
-}
-
-std::uint64_t get_u64_at(const std::vector<std::byte>& b, std::size_t off) {
-  std::uint64_t v = 0;
-  std::memcpy(&v, b.data() + off, 8);
-  return v;
 }
 
 }  // namespace
@@ -39,7 +30,7 @@ RegistrySink::RegistrySink(std::string name, std::shared_ptr<ChunkStore> store)
   image_ = std::shared_ptr<StoredImage>(new StoredImage());
   image_->name_ = name_;
   image_->store_ = store_;
-  need_ = 8 + 4 + 4 + 8;  // magic, version, codec, chunk_size
+  need_ = ckpt::kImageHeaderBytes;
 }
 
 RegistrySink::~RegistrySink() = default;  // image_ releases refs if uncommitted
@@ -94,7 +85,7 @@ Status RegistrySink::admit_chunk() {
                              raw.size());
   }
   StoredImage::Segment seg;
-  seg.size = ckpt::frame_header_bytes(framing_) + frame_.stored_size;
+  seg.size = ckpt::frame_header_bytes(header_.framing()) + frame_.stored_size;
   seg.logical_offset = consumed_ - seg.size;  // header already consumed
   seg.chunk = true;
   seg.frame = frame_;
@@ -128,36 +119,11 @@ Status RegistrySink::do_write(const void* data, std::size_t size) {
 Status RegistrySink::consume() {
   switch (state_) {
     case State::kFileHeader: {
-      if (std::memcmp(buf_.data(), kMagicV1, 8) == 0) {
-        return InvalidArgument(
-            "registry rejects v1 (CRACIMG1) images: monolithic sections "
-            "cannot dedup chunk-wise");
-      }
-      if (std::memcmp(buf_.data(), kMagicV2, 8) != 0) {
-        return Corrupt("not a CRACIMG2 image");
-      }
-      const std::uint32_t version = get_u32_at(buf_, 8);
-      const std::uint32_t codec = get_u32_at(buf_, 12);
-      chunk_size_ = get_u64_at(buf_, 16);
-      if (version < 2 || version > 4) {
-        return InvalidArgument("unsupported image version " +
-                               std::to_string(version));
-      }
-      if (!ckpt::codec_known(codec)) {
-        return InvalidArgument("unknown image codec id " +
-                               std::to_string(codec));
-      }
-      if (chunk_size_ == 0 || chunk_size_ > ckpt::kMaxChunkSize) {
-        return Corrupt("hostile image chunk size " +
-                       std::to_string(chunk_size_));
-      }
-      framing_ = version >= 3 ? ckpt::ChunkFraming::kV3
-                              : ckpt::ChunkFraming::kV2;
-      image_codec_ = static_cast<ckpt::Codec>(codec);
-      image_->framing_ = framing_;
+      CRAC_ASSIGN_OR_RETURN(header_, ckpt::parse_image_header(buf_.data()));
+      image_->framing_ = header_.framing();
       append_literal(buf_.data(), buf_.size());
       buf_.clear();
-      if (version == 4) {
+      if (header_.is_delta()) {
         state_ = State::kParentHeader;
         stage_ = 0;
         need_ = 4;
@@ -217,19 +183,20 @@ Status RegistrySink::consume() {
         }
       }
       cur_section_type_ = get_u32_at(buf_, 0);
+      CRAC_RETURN_IF_ERROR(header_.check_section_type(cur_section_type_));
       cur_section_name_.assign(reinterpret_cast<const char*>(buf_.data()) + 8,
                                buf_.size() - 8);
       append_literal(buf_.data(), buf_.size());
       buf_.clear();
       state_ = State::kChunkHeader;
       stage_ = 0;
-      need_ = ckpt::frame_header_bytes(framing_);
+      need_ = ckpt::frame_header_bytes(header_.framing());
       return OkStatus();
     }
     case State::kChunkHeader: {
       ByteReader reader(buf_.data(), buf_.size());
-      CRAC_RETURN_IF_ERROR(
-          ckpt::read_chunk_frame(reader, frame_, framing_, image_codec_));
+      CRAC_RETURN_IF_ERROR(ckpt::read_chunk_frame(
+          reader, frame_, header_.framing(), header_.codec));
       if (frame_.raw_size == 0 && frame_.stored_size == 0) {
         // Section terminator: literal bytes, back to the section boundary.
         append_literal(buf_.data(), buf_.size());
@@ -239,12 +206,13 @@ Status RegistrySink::consume() {
         need_ = 8;
         return OkStatus();
       }
-      if (frame_.raw_size > chunk_size_ ||
+      if (frame_.raw_size > header_.chunk_size ||
           frame_.stored_size > frame_.raw_size || frame_.stored_size == 0) {
         return Corrupt("hostile chunk frame (raw " +
                        std::to_string(frame_.raw_size) + ", stored " +
                        std::to_string(frame_.stored_size) +
-                       ", image chunk size " + std::to_string(chunk_size_) +
+                       ", image chunk size " +
+                       std::to_string(header_.chunk_size) +
                        ")");
       }
       consumed_ += buf_.size();  // header bytes belong to the chunk segment
@@ -258,7 +226,7 @@ Status RegistrySink::consume() {
       CRAC_RETURN_IF_ERROR(admit_chunk());
       buf_.clear();
       state_ = State::kChunkHeader;
-      need_ = ckpt::frame_header_bytes(framing_);
+      need_ = ckpt::frame_header_bytes(header_.framing());
       return OkStatus();
     }
     case State::kFailed:

@@ -3,12 +3,15 @@
 // RegistrySink is a ckpt::Sink that parses the image *as it streams in* —
 // an incremental push-parser over the v2/v3/v4 layout (header, section
 // headers, chunk frames, terminators) that never buffers more than one
-// chunk frame. Every chunk is decode-verified (decompress + CRC) before
-// admission, then its stored bytes are interned into the ChunkStore under
-// (codec, raw size, CRC); everything between chunk payloads (the image
-// header, section headers, frame-free bytes) is kept verbatim as literal
-// segments. Close commits the segment list; a sink destroyed without a
-// successful close releases every chunk reference it took.
+// chunk frame. Its header and section-type rules are the ones ImageReader
+// applies (ckpt::parse_image_header), so the registry commits exactly the
+// images a restart can open. Every chunk is decode-verified (decompress +
+// CRC) before admission, then its stored bytes are interned into the
+// ChunkStore under (codec, raw size, CRC); everything between chunk
+// payloads (the image header, section headers, frame-free bytes) is kept
+// verbatim as literal segments. Close commits the segment list; a sink
+// destroyed without a successful close releases every chunk reference it
+// took.
 //
 // Unlike most sinks, a RegistrySink *swallows* mid-stream errors: write()
 // keeps accepting (and discarding) bytes after the first parse or
@@ -34,6 +37,7 @@
 #include <vector>
 
 #include "ckpt/chunk.hpp"
+#include "ckpt/image.hpp"
 #include "ckpt/sink.hpp"
 #include "ckpt/source.hpp"
 #include "registry/store.hpp"
@@ -162,9 +166,7 @@ class RegistrySink final : public ckpt::Sink {
   std::vector<std::byte> raw_;     // a compressed chunk's decoded bytes
   std::size_t need_ = 0;           // bytes required to finish the unit
   std::uint64_t consumed_ = 0;     // logical bytes accepted pre-error
-  ckpt::ChunkFraming framing_ = ckpt::ChunkFraming::kV2;
-  ckpt::Codec image_codec_ = ckpt::Codec::kStore;
-  std::uint64_t chunk_size_ = 0;   // declared by the image header
+  ckpt::ImageHeader header_;       // accepted by ckpt::parse_image_header
   ckpt::ChunkFrame frame_{};       // the frame being received
   std::uint32_t cur_section_type_ = 0;  // section whose chunks are arriving
   std::string cur_section_name_;

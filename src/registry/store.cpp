@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -61,20 +60,6 @@ Status write_file_header(int fd, const std::string& origin) {
   return write_all_fd(fd, header.data(), header.size(), origin);
 }
 
-// An unlinked file in $TMPDIR (default /tmp): a volatile store's slab,
-// gone with its last descriptor.
-Result<int> open_anonymous_file() {
-  const char* tmp = std::getenv("TMPDIR");
-  std::string path = tmp != nullptr && *tmp != '\0' ? tmp : "/tmp";
-  path += "/crac_slab_XXXXXX";
-  const int fd = ::mkstemp(path.data());
-  if (fd < 0) {
-    return IoError(path + ": mkstemp failed: " + std::strerror(errno));
-  }
-  ::unlink(path.c_str());
-  return fd;
-}
-
 // Reads a payload whole and compares it with its stored CRC.
 Result<bool> crc_matches(const SlabFile& file, std::uint64_t offset,
                          std::uint64_t size, std::uint32_t crc) {
@@ -107,7 +92,8 @@ Status ChunkStore::open(const std::string& dir) {
   std::string origin = "volatile chunk slab";
   int fd = -1;
   if (dir.empty()) {
-    Result<int> anon = open_anonymous_file();
+    // A volatile store's slab: gone with its last descriptor.
+    Result<int> anon = open_unlinked_temp("crac_slab_");
     if (!anon.ok()) return open_error_ = anon.status();
     fd = *anon;
   } else {
@@ -385,7 +371,7 @@ Status ChunkStore::compact_locked() {
   const std::string tmp_path = live_path + ".tmp";
   int fd = -1;
   if (dir_.empty()) {
-    CRAC_ASSIGN_OR_RETURN(fd, open_anonymous_file());
+    CRAC_ASSIGN_OR_RETURN(fd, open_unlinked_temp("crac_slab_"));
   } else {
     fd = ::open(tmp_path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
     if (fd < 0) {

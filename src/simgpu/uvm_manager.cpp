@@ -149,18 +149,6 @@ Status UvmManager::prefetch(void* p, std::size_t bytes, bool to_device) {
   return OkStatus();
 }
 
-Status UvmManager::disarm_all() {
-  for (std::size_t i = 0; i < n_pages_; ++i) {
-    if (!pages_[i].armed.exchange(false, std::memory_order_acq_rel)) continue;
-    if (::mprotect(page_base(i), config_.page_size, PROT_READ | PROT_WRITE) !=
-        0) {
-      return IoError(std::string("mprotect disarm failed: ") +
-                     std::strerror(errno));
-    }
-  }
-  return OkStatus();
-}
-
 bool UvmManager::handle_fault(void* addr, bool device_context) noexcept {
   const auto a = reinterpret_cast<std::uintptr_t>(addr);
   const auto base = reinterpret_cast<std::uintptr_t>(arena_.arena_base());

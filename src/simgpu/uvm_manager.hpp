@@ -109,10 +109,6 @@ class UvmManager {
   // opposite side.
   Status prefetch(void* p, std::size_t bytes, bool to_device);
 
-  // Drop all protection so the checkpoint drain can read every page without
-  // faulting (and without perturbing counters).
-  Status disarm_all();
-
   // Called from the SIGSEGV path. Returns true when the fault was handled.
   bool handle_fault(void* addr, bool device_context) noexcept;
 

@@ -2,9 +2,9 @@
 // sizes/codecs/pools, writer byte identity across append paths (the golden
 // v2 fixture reproduced, copy-in vs fill-in-place), failing fills,
 // per-chunk corruption detection (naming the failing section), write-side
-// fault injection through the shared FaultySink double, v1 backward
-// compatibility, decompressor bounds hardening, and the thread-pool future
-// entry points the pipeline is built on.
+// fault injection through the shared FaultySink double, decompressor
+// bounds hardening, and the thread-pool future entry points the pipeline
+// is built on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -393,37 +393,6 @@ TEST(FaultInjectionTest, WriteSideBitFlipCaughtOnRead) {
   EXPECT_EQ(got.status().code(), StatusCode::kCorrupt);
   EXPECT_NE(got.status().message().find("flipped"), std::string::npos)
       << got.status().to_string();
-}
-
-// ---- v1 backward compatibility ----
-
-using testlib::make_v1_image;
-
-class V1Compat : public ::testing::TestWithParam<Codec> {};
-
-TEST_P(V1Compat, V1ImageStillReads) {
-  const auto payload = compressible_bytes(50000, 11);
-  auto reader = ImageReader::from_bytes(make_v1_image(payload, GetParam()));
-  ASSERT_TRUE(reader.ok()) << reader.status().to_string();
-  EXPECT_EQ(reader->version(), 1u);
-  const SectionInfo* sec = reader->find(SectionType::kMemoryRegions, "legacy");
-  ASSERT_NE(sec, nullptr);
-  auto got = reader->read_section(*sec);
-  ASSERT_TRUE(got.ok()) << got.status().to_string();
-  EXPECT_EQ(*got, payload);
-}
-
-INSTANTIATE_TEST_SUITE_P(Codecs, V1Compat,
-                         ::testing::Values(Codec::kStore, Codec::kLz));
-
-TEST(V1CompatTest, CorruptV1PayloadStillRejected) {
-  auto bytes = make_v1_image(random_bytes(4096, 9), Codec::kStore);
-  bytes[bytes.size() - 10] ^= std::byte{0x20};
-  auto reader = ImageReader::from_bytes(std::move(bytes));
-  ASSERT_TRUE(reader.ok());  // directory scan does not read payloads
-  auto got = reader->read_section(reader->sections()[0]);
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kCorrupt);
 }
 
 // ---- decompressor bounds hardening ----

@@ -10,7 +10,6 @@
 #include "ckpt/compressor.hpp"
 #include "ckpt/image.hpp"
 #include "ckpt/memory_section.hpp"
-#include "ckpt/plugin.hpp"
 #include "common/bytes.hpp"
 #include "tests/ckpt_testing.hpp"
 
@@ -293,24 +292,25 @@ TEST(ImageTest, MissingFileIsIoError) {
 //
 // tests/data holds a tiny v1 and a tiny single-file v2 image checked into
 // the repository (generated once from golden_payload(); see
-// docs/image_format.md). They are the regression net for every future
-// refactor of the writer, the reader, or the transports: if either
-// stops restoring, the format broke, not just the code.
+// docs/image_format.md). The v2 image is the regression net for every
+// future refactor of the writer, the reader, or the transports: if it
+// stops restoring, the format broke, not just the code. The v1 image is
+// the input that pins the retired layout's rejection.
 
 std::string golden_path(const char* name) {
   return std::string(CRAC_TEST_DATA_DIR) + "/" + name;
 }
 
-TEST(GoldenFixtureTest, V1ImageStillRestores) {
+TEST(GoldenFixtureTest, V1ImageRejectedByName) {
+  // The monolithic v1 layout is retired: a leftover v1 image is refused as
+  // Corrupt, and the error says which generation it is.
   auto reader = ImageReader::from_file(golden_path("golden_v1.crac"));
-  ASSERT_TRUE(reader.ok()) << reader.status().to_string();
-  EXPECT_EQ(reader->version(), 1u);
-  const SectionInfo* sec = reader->find(SectionType::kMemoryRegions, "legacy");
-  ASSERT_NE(sec, nullptr);
-  auto got = reader->read_section(*sec);
-  ASSERT_TRUE(got.ok()) << got.status().to_string();
-  EXPECT_EQ(*got, golden_payload(12345));
-  EXPECT_TRUE(reader->verify_unread_sections().ok());
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kCorrupt);
+  EXPECT_NE(reader.status().message().find("CRACIMG1"), std::string::npos)
+      << reader.status().to_string();
+  EXPECT_NE(reader.status().message().find("retired"), std::string::npos)
+      << reader.status().to_string();
 }
 
 TEST(GoldenFixtureTest, SingleFileV2ImageStillRestores) {
@@ -389,68 +389,6 @@ TEST(MemorySectionTest, HostileRecordSizeIsCorrupt) {
   EXPECT_EQ(decoded.status().code(), StatusCode::kCorrupt);
   EXPECT_NE(decoded.status().message().find("'heap'"), std::string::npos)
       << decoded.status().to_string();
-}
-
-// ---- plugin lifecycle ----
-
-class OrderProbePlugin : public CkptPlugin {
- public:
-  OrderProbePlugin(std::string id, std::vector<std::string>* trace)
-      : id_(std::move(id)), trace_(trace) {}
-  std::string name() const override { return id_; }
-  Status precheckpoint(ImageWriter&) override {
-    trace_->push_back("pre:" + id_);
-    return OkStatus();
-  }
-  Status resume() override {
-    trace_->push_back("resume:" + id_);
-    return OkStatus();
-  }
-  Status restart(ImageReader&) override {
-    trace_->push_back("restart:" + id_);
-    return OkStatus();
-  }
-
- private:
-  std::string id_;
-  std::vector<std::string>* trace_;
-};
-
-TEST(PluginRegistryTest, HookOrdering) {
-  std::vector<std::string> trace;
-  OrderProbePlugin a("a", &trace), b("b", &trace);
-  PluginRegistry registry;
-  registry.register_plugin(&a);
-  registry.register_plugin(&b);
-
-  ImageWriter w;
-  ASSERT_TRUE(registry.run_precheckpoint(w).ok());
-  ASSERT_TRUE(registry.run_resume().ok());
-  auto reader = ImageReader::from_bytes(w.serialize());
-  ASSERT_TRUE(reader.ok());
-  ASSERT_TRUE(registry.run_restart(*reader).ok());
-
-  // precheckpoint in registration order; resume/restart reversed.
-  const std::vector<std::string> expected = {"pre:a",     "pre:b",
-                                             "resume:b",  "resume:a",
-                                             "restart:b", "restart:a"};
-  EXPECT_EQ(trace, expected);
-}
-
-class FailingPlugin : public CkptPlugin {
- public:
-  std::string name() const override { return "fail"; }
-  Status precheckpoint(ImageWriter&) override { return Internal("boom"); }
-  Status resume() override { return OkStatus(); }
-  Status restart(ImageReader&) override { return OkStatus(); }
-};
-
-TEST(PluginRegistryTest, FailurePropagates) {
-  FailingPlugin f;
-  PluginRegistry registry;
-  registry.register_plugin(&f);
-  ImageWriter w;
-  EXPECT_FALSE(registry.run_precheckpoint(w).ok());
 }
 
 }  // namespace

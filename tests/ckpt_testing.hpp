@@ -125,30 +125,6 @@ inline std::vector<std::byte> over_cap_name_image() {
   return image;
 }
 
-// Hand-rolled v1 image, byte-for-byte what the seed-era writer emitted, so
-// the reader keeps decoding pre-refactor checkpoints no matter what the
-// writer now produces.
-inline std::vector<std::byte> make_v1_image(
-    const std::vector<std::byte>& payload, Codec image_codec,
-    const std::string& name = "legacy") {
-  ByteWriter w;
-  w.put_bytes("CRACIMG1", 8);
-  w.put_u32(1);  // version
-  w.put_u32(static_cast<std::uint32_t>(image_codec));
-  w.put_u32(1);  // section count
-  const std::vector<std::byte> packed = compress(payload, image_codec);
-  const bool use_raw = packed.size() >= payload.size();
-  w.put_u32(static_cast<std::uint32_t>(SectionType::kMemoryRegions));
-  w.put_string(name);
-  w.put_u64(payload.size());
-  w.put_u64(use_raw ? payload.size() : packed.size());
-  w.put_u8(static_cast<std::uint8_t>(use_raw ? Codec::kStore : image_codec));
-  w.put_u32(crc32(payload.data(), payload.size()));
-  const auto& body = use_raw ? payload : packed;
-  w.put_bytes(body.data(), body.size());
-  return std::move(w).take();
-}
-
 using NamedSections =
     std::vector<std::pair<std::string, std::vector<std::byte>>>;
 

@@ -412,16 +412,19 @@ TEST_F(CracRoundTripTest, ManagedMemoryAndResidencySurvive) {
   std::remove(path.c_str());
 }
 
-TEST_F(CracRoundTripTest, UvmPrefetchOverlapMatchesSerialRestore) {
+TEST_F(CracRoundTripTest, SeveralManagedRangesRestoreResidencyAndContents) {
   // Replay-time UVM residency restore with several managed ranges: the
-  // checkpoint pool size (ckpt_threads) drives the decode-ahead of the
-  // restore, never what it restores. The residency map, restored-page
-  // count and contents must be byte-identical to the ckpt_threads = 1
-  // restore.
+  // restored residency map, restored-page count and contents must equal
+  // the state recorded before the checkpoint.
   const std::string path = temp_image_path("uvm_prefetch");
   constexpr std::size_t kRanges = 5;
   const std::size_t bytes = 256 << 10;
   void* managed[kRanges] = {};
+  auto word = [](std::size_t r, std::size_t i) {
+    return static_cast<std::uint32_t>((r + 1) * 2654435761u + i);
+  };
+  std::vector<sim::PageResidency> residency_before;
+  std::size_t device_pages_before = 0;
   {
     CracContext ctx(test_options());
     auto& api = ctx.api();
@@ -430,9 +433,7 @@ TEST_F(CracRoundTripTest, UvmPrefetchOverlapMatchesSerialRestore) {
                                       cuda::cudaMemAttachGlobal),
                 cudaSuccess);
       auto* words = static_cast<std::uint32_t*>(managed[r]);
-      for (std::size_t i = 0; i < bytes / 4; ++i) {
-        words[i] = static_cast<std::uint32_t>((r + 1) * 2654435761u + i);
-      }
+      for (std::size_t i = 0; i < bytes / 4; ++i) words[i] = word(r, i);
       // A different device-resident prefix per range, so every range's
       // residency bitmap is distinct (and none is trivial).
       const std::size_t resident = bytes * (r + 1) / (kRanges + 1);
@@ -440,45 +441,40 @@ TEST_F(CracRoundTripTest, UvmPrefetchOverlapMatchesSerialRestore) {
                 cudaSuccess);
     }
     ASSERT_EQ(api.cudaDeviceSynchronize(), cudaSuccess);
-    ASSERT_TRUE(ctx.checkpoint(path).ok());
-  }
-
-  struct Observed {
-    std::size_t pages_restored = 0;
-    std::vector<sim::PageResidency> residency;
-    std::vector<std::uint32_t> contents;
-  };
-  auto restore_with_threads = [&](std::size_t threads) {
-    CracOptions opts = test_options();
-    opts.ckpt_threads = threads;
-    auto restarted = CracContext::restart_from_image(path, opts);
-    Observed got;
-    EXPECT_TRUE(restarted.ok()) << restarted.status().to_string();
-    if (!restarted.ok()) return got;
-    auto& ctx = **restarted;
-    got.pages_restored = ctx.plugin().last_replay_stats().uvm_pages_restored;
-    // Residency first (reading contents faults device pages back to host).
+    // Residency only: reading contents would fault device pages back.
     auto& uvm = ctx.process().lower().device().uvm();
-    const std::size_t page = uvm.page_size();
     for (std::size_t r = 0; r < kRanges; ++r) {
-      for (std::size_t off = 0; off < bytes; off += page) {
-        got.residency.push_back(
-            *uvm.residency(static_cast<char*>(managed[r]) + off));
+      for (std::size_t off = 0; off < bytes; off += uvm.page_size()) {
+        const auto res = *uvm.residency(static_cast<char*>(managed[r]) + off);
+        residency_before.push_back(res);
+        if (res == sim::PageResidency::kDevice) ++device_pages_before;
       }
     }
-    for (std::size_t r = 0; r < kRanges; ++r) {
-      const auto* words = static_cast<const std::uint32_t*>(managed[r]);
-      got.contents.insert(got.contents.end(), words, words + bytes / 4);
-    }
-    return got;
-  };
+    ASSERT_TRUE(ctx.checkpoint(path).ok());
+  }
+  ASSERT_GT(device_pages_before, 0u);
 
-  const Observed serial = restore_with_threads(1);  // no pool
-  const Observed pooled = restore_with_threads(4);
-  EXPECT_GT(serial.pages_restored, 0u);
-  EXPECT_EQ(pooled.pages_restored, serial.pages_restored);
-  EXPECT_EQ(pooled.residency, serial.residency);
-  EXPECT_EQ(pooled.contents, serial.contents);
+  auto restarted = CracContext::restart_from_image(path, test_options());
+  ASSERT_TRUE(restarted.ok()) << restarted.status().to_string();
+  auto& ctx = **restarted;
+  EXPECT_EQ(ctx.plugin().last_replay_stats().uvm_pages_restored,
+            device_pages_before);
+  // Residency first (reading contents faults device pages back to host).
+  auto& uvm = ctx.process().lower().device().uvm();
+  std::vector<sim::PageResidency> residency_after;
+  for (std::size_t r = 0; r < kRanges; ++r) {
+    for (std::size_t off = 0; off < bytes; off += uvm.page_size()) {
+      residency_after.push_back(
+          *uvm.residency(static_cast<char*>(managed[r]) + off));
+    }
+  }
+  EXPECT_EQ(residency_after, residency_before);
+  for (std::size_t r = 0; r < kRanges; ++r) {
+    const auto* words = static_cast<const std::uint32_t*>(managed[r]);
+    for (std::size_t i = 0; i < bytes / 4; ++i) {
+      ASSERT_EQ(words[i], word(r, i)) << "range " << r << " word " << i;
+    }
+  }
   std::remove(path.c_str());
 }
 
@@ -531,6 +527,56 @@ TEST_F(CracRoundTripTest, CorruptImageRefusedAtRestart) {
   auto restarted = CracContext::restart_from_image(path, test_options());
   ASSERT_FALSE(restarted.ok());
   EXPECT_EQ(restarted.status().code(), StatusCode::kCorrupt);
+  std::remove(path.c_str());
+}
+
+// A sink that refuses its first write and accepts every later one.
+class RefuseFirstWriteSink final : public ckpt::Sink {
+ private:
+  Status do_write(const void*, std::size_t) override {
+    if (refused_) return OkStatus();
+    refused_ = true;
+    return IoError("sink refuses its first write");
+  }
+  bool refused_ = false;
+};
+
+TEST_F(CracRoundTripTest, FailedCaptureLeavesNoSnapshotForTheNext) {
+  // A capture that fails after the device drain must leave nothing of its
+  // frozen snapshot behind: the next checkpoint drains anew and captures
+  // the allocation made after the failure, contents and all.
+  const std::string path = temp_image_path("after_failed_capture");
+  constexpr std::size_t kBytes = 4096;
+  void* later = nullptr;
+  std::size_t live_log_records = 0;
+  std::size_t live_allocations = 0;
+  {
+    CracContext ctx(test_options());
+    void* first = nullptr;
+    ASSERT_EQ(ctx.api().cudaMalloc(&first, kBytes), cudaSuccess);
+    ASSERT_EQ(ctx.api().cudaMemset(first, 0x11, kBytes), cudaSuccess);
+    RefuseFirstWriteSink refusing;
+    ASSERT_FALSE(ctx.checkpoint_to_sink(refusing).ok());
+
+    ASSERT_EQ(ctx.api().cudaMalloc(&later, kBytes), cudaSuccess);
+    const std::vector<std::uint8_t> bytes(kBytes, 0x22);
+    ASSERT_EQ(ctx.api().cudaMemcpy(later, bytes.data(), kBytes,
+                                   cudaMemcpyHostToDevice),
+              cudaSuccess);
+    ASSERT_TRUE(ctx.checkpoint(path).ok());
+    live_log_records = ctx.plugin().log().size();
+    live_allocations = ctx.plugin().active_allocation_count();
+  }
+  auto restarted = CracContext::restart_from_image(path, test_options());
+  ASSERT_TRUE(restarted.ok()) << restarted.status().to_string();
+  CracContext& ctx = **restarted;
+  EXPECT_EQ(ctx.plugin().log().size(), live_log_records);
+  EXPECT_EQ(ctx.plugin().active_allocation_count(), live_allocations);
+  std::vector<std::uint8_t> back(kBytes);
+  ASSERT_EQ(ctx.api().cudaMemcpy(back.data(), later, kBytes,
+                                 cudaMemcpyDeviceToHost),
+            cudaSuccess);
+  EXPECT_EQ(back, std::vector<std::uint8_t>(kBytes, 0x22));
   std::remove(path.c_str());
 }
 

@@ -3,8 +3,10 @@
 // the process boundary, and the CRUM shadow-UVM mechanism including its
 // documented lost-update failure under concurrent streams.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
+#include <csignal>
 #include <cstring>
 #include <numeric>
 #include <thread>
@@ -12,6 +14,7 @@
 
 #include "ckpt/image.hpp"
 #include "ckpt/sink.hpp"
+#include "proxy/channel.hpp"
 #include "proxy/client_api.hpp"
 #include "simcuda/module.hpp"
 
@@ -300,6 +303,141 @@ TEST(ProxyTest, RpcCountScalesWithCalls) {
     ASSERT_EQ(api.cudaDeviceSynchronize(), cudaSuccess);
   }
   EXPECT_GE(api.stats().rpcs - before, 51u);
+}
+
+// ---- malformed requests on a raw channel ----
+
+// Sends `req` with `payload` exactly as given, bypassing the client
+// library's own size handling, and reads the response header (and any
+// inline response payload).
+Result<ResponseHeader> raw_call(int fd, RequestHeader req,
+                                const std::vector<std::byte>& payload = {}) {
+  req.payload_bytes = static_cast<std::uint32_t>(payload.size());
+  CRAC_RETURN_IF_ERROR(write_all(fd, &req, sizeof(req)));
+  if (!payload.empty()) {
+    CRAC_RETURN_IF_ERROR(write_all(fd, payload.data(), payload.size()));
+  }
+  ResponseHeader resp{};
+  CRAC_RETURN_IF_ERROR(read_all(fd, &resp, sizeof(resp)));
+  std::vector<std::byte> body(resp.payload_bytes);
+  if (!body.empty()) {
+    CRAC_RETURN_IF_ERROR(read_all(fd, body.data(), body.size()));
+  }
+  return resp;
+}
+
+TEST(ProxyTest, MalformedRequestsAnsweredInBandServerKeepsServing) {
+  // Every size a request handler reads by must fit what the request
+  // carries: the payload, or the channel's staging buffer. One malformed
+  // request must cost its sender an error, never the server every
+  // attached client shares.
+  //
+  // A dying server must fail this test, not kill it with SIGPIPE when the
+  // host's destructor sends its shutdown.
+  const auto previous_sigpipe = ::signal(SIGPIPE, SIG_IGN);
+  {
+    ProxyClientApi api(test_options());
+    proxy_module().register_with(api);
+    const std::size_t staging = test_options().host.staging_bytes;
+    const std::size_t big = 3 * staging;
+    void* dev = nullptr;
+    ASSERT_EQ(api.cudaMalloc(&dev, big), cudaSuccess);
+    const auto dev_addr = reinterpret_cast<std::uint64_t>(dev);
+
+    auto fd = api.host()->connect();
+    ASSERT_TRUE(fd.ok()) << fd.status().to_string();
+    RequestHeader hello{};
+    hello.op = Op::kHello;
+    auto hello_resp = raw_call(*fd, hello);
+    ASSERT_TRUE(hello_resp.ok()) << hello_resp.status().to_string();
+    ASSERT_EQ(hello_resp->err, cudaSuccess);
+
+    auto put_u32 = [](std::vector<std::byte>& b, std::uint32_t v) {
+      const auto* p = reinterpret_cast<const std::byte*>(&v);
+      b.insert(b.end(), p, p + sizeof(v));
+    };
+    auto put_u64 = [](std::vector<std::byte>& b, std::uint64_t v) {
+      const auto* p = reinterpret_cast<const std::byte*>(&v);
+      b.insert(b.end(), p, p + sizeof(v));
+    };
+    // A launch of "nop" (one int argument) whose payload stops after the
+    // argument count: the argument bytes are missing.
+    std::vector<std::byte> argless_launch;
+    for (int i = 0; i < 6; ++i) put_u32(argless_launch, 1);  // grid, block
+    put_u64(argless_launch, 0);                              // shmem
+    put_u64(argless_launch, 0);                              // stream
+    put_u32(argless_launch, 1);                              // argcount
+    // A registration that claims 1,000 argument sizes and carries none.
+    std::vector<std::byte> sizeless_registration;
+    put_u64(sizeless_registration, 0x1234);  // host_fn
+    put_u64(sizeless_registration, 0x5678);  // device_fn
+    put_u32(sizeless_registration, 1000);    // argcount
+
+    struct Malformed {
+      const char* what;
+      RequestHeader req;
+      std::vector<std::byte> payload;
+    };
+    auto request = [](Op op, std::uint64_t a, std::uint64_t b,
+                      bool staged) {
+      RequestHeader req{};
+      req.op = op;
+      req.a = a;
+      req.b = b;
+      req.staged = staged ? 1 : 0;
+      return req;
+    };
+    const std::vector<Malformed> cases = {
+        {"launch with an empty payload",
+         request(Op::kLaunchKernel,
+                 reinterpret_cast<std::uint64_t>(&nop_kernel), 0, false),
+         {}},
+        {"launch without its argument bytes",
+         request(Op::kLaunchKernel,
+                 reinterpret_cast<std::uint64_t>(&nop_kernel), 0, false),
+         argless_launch},
+        {"function registration with an empty payload",
+         request(Op::kRegisterFunction, 0, 0, false),
+         {}},
+        {"function registration without its size table",
+         request(Op::kRegisterFunction, 0, 0, false),
+         sizeless_registration},
+        {"inline copy to device beyond its payload",
+         request(Op::kMemcpyToDevice, dev_addr, big, false),
+         std::vector<std::byte>(16)},
+        {"staged copy to device beyond the staging buffer",
+         request(Op::kMemcpyToDeviceAsync, dev_addr, big, true),
+         {}},
+        {"staged copy from device beyond the staging buffer",
+         request(Op::kMemcpyFromDevice, dev_addr, big, true),
+         {}},
+        {"staged async copy from device beyond the staging buffer",
+         request(Op::kMemcpyFromDeviceAsync, dev_addr, big, true),
+         {}},
+    };
+    for (const Malformed& m : cases) {
+      SCOPED_TRACE(m.what);
+      auto resp = raw_call(*fd, m.req, m.payload);
+      ASSERT_TRUE(resp.ok()) << resp.status().to_string();
+      EXPECT_EQ(resp->err, cuda::cudaErrorInvalidValue);
+      // The same channel serves a valid RPC next.
+      RequestHeader info{};
+      info.op = Op::kMemGetInfo;
+      auto next = raw_call(*fd, info);
+      ASSERT_TRUE(next.ok()) << next.status().to_string();
+      EXPECT_EQ(next->err, cudaSuccess);
+      EXPECT_GT(next->r1, 0u);  // total device memory
+    }
+    ::close(*fd);
+    // The other client on the server saw nothing of it.
+    std::vector<std::uint8_t> back(4096);
+    ASSERT_EQ(api.cudaMemset(dev, 0x5A, back.size()), cudaSuccess);
+    ASSERT_EQ(api.cudaMemcpy(back.data(), dev, back.size(),
+                             cudaMemcpyDeviceToHost),
+              cudaSuccess);
+    EXPECT_EQ(back, std::vector<std::uint8_t>(back.size(), 0x5A));
+  }
+  ::signal(SIGPIPE, previous_sigpipe);
 }
 
 TEST(ShadowUvmTest, TranslateOnlyBasePointers) {

@@ -206,6 +206,116 @@ TEST(RegistryTest, RejectsCorruptAndTruncatedStreams) {
   EXPECT_EQ(registry.stats().store.chunk_refs, 0u);
 }
 
+// ---- ingest parity with ImageReader ----
+//
+// The registry hands its images to restarts, so a PUT must refuse exactly
+// the images ImageReader refuses (at open or when its whole payload is
+// CRC-checked), no more and no fewer. Each row also pins which side of
+// that line it belongs on. Every row is a standalone image: a delta's
+// acceptance also depends on its parent having been PUT.
+
+struct IngestCase {
+  const char* what;
+  std::vector<std::byte> image;
+  bool valid;
+};
+
+std::vector<std::byte> with_u32(std::vector<std::byte> image,
+                                std::size_t offset, std::uint32_t v) {
+  std::memcpy(image.data() + offset, &v, sizeof(v));
+  return image;
+}
+
+std::vector<std::byte> with_u64(std::vector<std::byte> image,
+                                std::size_t offset, std::uint64_t v) {
+  std::memcpy(image.data() + offset, &v, sizeof(v));
+  return image;
+}
+
+std::vector<IngestCase> ingest_cases() {
+  const std::vector<std::byte> v2 = build_image(Codec::kStore, 64 << 10);
+  const std::vector<std::byte> v3 = build_image(Codec::kZeroRunLz, 64 << 10);
+  // Header fields: magic [0, 8), version at 8, codec at 12, chunk size at
+  // 16; a full image's first section type follows at 24.
+  constexpr std::size_t kVersionAt = 8, kCodecAt = 12, kChunkSizeAt = 16;
+  constexpr std::size_t kFirstSectionType = ckpt::kImageHeaderBytes;
+  auto with_magic = [&v2](const char* magic) {
+    std::vector<std::byte> image = v2;
+    std::memcpy(image.data(), magic, 8);
+    return image;
+  };
+  ByteWriter orphan;  // a v4 header whose parent id is empty
+  orphan.put_bytes("CRACIMG2", 8);
+  orphan.put_u32(4);
+  orphan.put_u32(static_cast<std::uint32_t>(Codec::kStore));
+  orphan.put_u64(4096);
+  orphan.put_string("");
+  orphan.put_string("parent.crac");
+  std::vector<std::byte> flipped = v2;
+  flipped[flipped.size() - 64] ^= std::byte{0xFF};
+  std::vector<std::byte> truncated = v2;
+  truncated.resize(truncated.size() / 2);
+
+  return {
+      {"v2 store image", v2, true},
+      {"v2 lz image", build_image(Codec::kLz, 64 << 10), true},
+      {"v3 zero-run image", v3, true},
+      {"header without sections",
+       std::vector<std::byte>(v2.begin(),
+                              v2.begin() + ckpt::kImageHeaderBytes),
+       true},
+      {"v2 image holding a delta-chunks section",
+       with_u32(v2, kFirstSectionType,
+                static_cast<std::uint32_t>(SectionType::kDeltaChunks)),
+       false},
+      {"v3 image holding a delta-chunks section",
+       with_u32(v3, kFirstSectionType,
+                static_cast<std::uint32_t>(SectionType::kDeltaChunks)),
+       false},
+      {"v2 header naming codec 2",
+       with_u32(v2, kCodecAt, static_cast<std::uint32_t>(Codec::kZeroRunLz)),
+       false},
+      {"retired CRACIMG1 image",
+       ckpt::testlib::read_file(std::string(CRAC_TEST_DATA_DIR) +
+                                "/golden_v1.crac"),
+       false},
+      {"retired CRACSHRD manifest magic", with_magic("CRACSHRD"), false},
+      {"unknown magic", with_magic("NOTANIMG"), false},
+      {"version 1 under the CRACIMG2 magic", with_u32(v2, kVersionAt, 1),
+       false},
+      {"version 5", with_u32(v2, kVersionAt, 5), false},
+      {"unknown codec id", with_u32(v2, kCodecAt, 99), false},
+      {"zero chunk size", with_u64(v2, kChunkSizeAt, 0), false},
+      {"chunk size above the cap",
+       with_u64(v2, kChunkSizeAt, ckpt::kMaxChunkSize + 1), false},
+      {"delta header with an empty parent id", std::move(orphan).take(),
+       false},
+      {"over-cap section name", ckpt::testlib::over_cap_name_image(), false},
+      {"flipped payload byte", flipped, false},
+      {"truncated mid-chunk", truncated, false},
+      {"empty stream", {}, false},
+  };
+}
+
+bool reader_accepts(const std::vector<std::byte>& image) {
+  auto reader = ckpt::ImageReader::from_bytes(image);
+  return reader.ok() && reader->verify_unread_sections().ok();
+}
+
+TEST(RegistryIngestParityTest, PutRefusesExactlyWhatTheReaderRefuses) {
+  CheckpointRegistry registry;
+  for (const IngestCase& c : ingest_cases()) {
+    SCOPED_TRACE(c.what);
+    const bool reader_ok = reader_accepts(c.image);
+    EXPECT_EQ(reader_ok, c.valid);
+    auto sink = registry.begin_put("parity");
+    ASSERT_TRUE(feed(*sink, c.image).ok());  // parse errors surface at close
+    const Status closed = sink->close();
+    const bool put_ok = closed.ok() && registry.commit(*sink).ok();
+    EXPECT_EQ(put_ok, reader_ok) << closed.to_string();
+  }
+}
+
 TEST(RegistryTest, ReplaceKeepsOpenSourcesAlive) {
   CheckpointRegistry registry;
   const std::vector<std::byte> v1 = build_image(Codec::kStore, 1 << 20);
@@ -873,6 +983,26 @@ TEST(RegistryHostTest, OverCapSectionNameRejectedInBand) {
   ASSERT_TRUE(list.ok());
   ASSERT_EQ(list->size(), 1u);
   EXPECT_EQ((*list)[0].name, "good");
+}
+
+TEST(RegistryHostTest, PutRefusesExactlyWhatTheReaderRefusesInBand) {
+  auto host = RegistryHost::spawn();
+  ASSERT_TRUE(host.ok()) << host.status().to_string();
+  RegistryClient client = connect_client(*host);
+  const std::vector<std::byte> good = build_image(Codec::kStore, 64 << 10);
+  for (const IngestCase& c : ingest_cases()) {
+    SCOPED_TRACE(c.what);
+    const Status put = client.put_bytes("parity", c.image);
+    EXPECT_EQ(put.ok(), reader_accepts(c.image)) << put.to_string();
+    if (!put.ok()) {
+      // Refused in-band as kRejected, not by dropping the connection.
+      EXPECT_EQ(put.code(), StatusCode::kInvalidArgument) << put.to_string();
+      EXPECT_NE(put.message().find("rejected"), std::string::npos)
+          << put.to_string();
+    }
+    // The same channel keeps working.
+    ASSERT_TRUE(client.put_bytes("good", good).ok());
+  }
 }
 
 TEST(RegistryHostTest, ConcurrentGetFanOut) {

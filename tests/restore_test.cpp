@@ -2,8 +2,7 @@
 // + the pull-mode ImageReader): round trips through FileSource across
 // sizes/codecs/pools, truncated-file and mid-chunk-EOF handling, corrupt
 // chunks that name their section, read-side fault injection through the
-// shared FaultySource double, v1 images through the streaming reader,
-// random-access slices, and the bounded decode-ahead window — the
+// shared FaultySource double, random-access slices, and the bounded decode-ahead window — the
 // restore-side guarantee that peak resident bytes never track image size.
 #include <gtest/gtest.h>
 
@@ -28,7 +27,6 @@ constexpr std::size_t kTestChunk = 4096;
 
 using testlib::compressible_bytes;
 using testlib::find_byte_run;
-using testlib::make_v1_image;
 using testlib::random_bytes;
 using testlib::read_file;
 using testlib::write_file_raw;
@@ -323,60 +321,6 @@ TEST(FaultInjectionTest, InFlightBitFlipIsCorruptNamingSectionAndChunk) {
       << got.status().to_string();
   EXPECT_NE(got.status().message().find("chunk #"), std::string::npos)
       << got.status().to_string();
-}
-
-// ---- v1 compat through the streaming reader ----
-
-class V1RestoreCompat : public ::testing::TestWithParam<Codec> {};
-
-TEST_P(V1RestoreCompat, V1FileStreamsThroughNewReader) {
-  const auto payload = compressible_bytes(50000, 13);
-  const std::string path = temp_path("v1");
-  write_file_raw(path, make_v1_image(payload, GetParam()));
-
-  auto reader = ImageReader::from_file(path);
-  ASSERT_TRUE(reader.ok()) << reader.status().to_string();
-  EXPECT_EQ(reader->version(), 1u);
-  const SectionInfo* sec = reader->find(SectionType::kMemoryRegions, "legacy");
-  ASSERT_NE(sec, nullptr);
-  EXPECT_EQ(sec->raw_size, payload.size());
-  // Sequential pull and random access both work over the legacy layout.
-  auto stream = reader->open_section(*sec);
-  ASSERT_TRUE(stream.ok());
-  std::vector<std::byte> got(payload.size());
-  ASSERT_TRUE(stream->read(got.data(), got.size()).ok());
-  EXPECT_EQ(got, payload);
-  std::vector<std::byte> slice(777);
-  ASSERT_TRUE(reader->read(*sec, 12345, slice.data(), slice.size()).ok());
-  EXPECT_TRUE(std::memcmp(slice.data(), payload.data() + 12345, 777) == 0);
-  std::remove(path.c_str());
-}
-
-INSTANTIATE_TEST_SUITE_P(Codecs, V1RestoreCompat,
-                         ::testing::Values(Codec::kStore, Codec::kLz));
-
-TEST(V1RestoreCompatTest, TruncatedV1BodyFails) {
-  auto bytes = make_v1_image(random_bytes(4096, 3), Codec::kStore);
-  bytes.resize(bytes.size() - 100);
-  const std::string path = temp_path("v1trunc");
-  write_file_raw(path, bytes);
-  auto reader = ImageReader::from_file(path);
-  // The v1 scan records the body position and skips it, so the short body
-  // is caught there (skip past end) — at open, with the path named.
-  ASSERT_FALSE(reader.ok());
-  EXPECT_NE(reader.status().message().find(path), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(V1RestoreCompatTest, CorruptV1CrcCaughtOnRead) {
-  auto bytes = make_v1_image(random_bytes(4096, 4), Codec::kStore);
-  bytes[bytes.size() - 10] ^= std::byte{0x20};
-  auto reader = ImageReader::from_bytes(std::move(bytes));
-  ASSERT_TRUE(reader.ok());
-  auto got = reader->read_section(reader->sections()[0]);
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kCorrupt);
-  EXPECT_NE(got.status().message().find("legacy"), std::string::npos);
 }
 
 // ---- bounded decode-ahead window ----
@@ -734,27 +678,6 @@ TEST(RestoreErrorTest, EmptySectionStreamsZeroBytes) {
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 0u);
   std::remove(path.c_str());
-}
-
-TEST(RestoreErrorTest, V1HugeStoredSizeDoesNotWrapPastScan) {
-  // A v1 section header declaring a stored size near 2^64 must fail the
-  // scan as truncated, not wrap the skip offset back into the file (which
-  // would later demand a ~2^64-byte allocation).
-  ByteWriter w;
-  w.put_bytes("CRACIMG1", 8);
-  w.put_u32(1);
-  w.put_u32(static_cast<std::uint32_t>(Codec::kStore));
-  w.put_u32(1);  // section count
-  w.put_u32(static_cast<std::uint32_t>(SectionType::kMetadata));
-  w.put_string("wrap");
-  w.put_u64(16);                        // raw_size
-  w.put_u64(~std::uint64_t{0} - 20);    // stored_size: wraps if added naively
-  w.put_u8(0);
-  w.put_u32(0);
-  for (int i = 0; i < 64; ++i) w.put_u8(0);
-  auto reader = ImageReader::from_bytes(std::move(w).take());
-  ASSERT_FALSE(reader.ok());
-  EXPECT_EQ(reader.status().code(), StatusCode::kCorrupt);
 }
 
 TEST(RestoreErrorTest, VerifyUnreadSectionsCatchesUntouchedCorruption) {

@@ -10,7 +10,7 @@
 //     the CI TSan job runs exactly the StormOverlay* fixture.
 //   * StormCracContextTest — a full fixed-VA context: the checkpoint sink
 //     fails at a table of offsets mid-capture (with the COW overlay
-//     armed — the CaptureGuard must disarm it), and the restore source
+//     armed — the capture's overlay guard must disarm it), and the restore source
 //     fails at a table of offsets mid-replay (the half-built context is
 //     discarded). The surviving context checkpoints again; the intact
 //     image restores byte-identically.
@@ -215,7 +215,7 @@ TEST(StormCracContextTest, SinkDiesMidCheckpointAndTheContextKeepsWorking) {
     auto killed = ctx.checkpoint_to_sink(sink);
     EXPECT_FALSE(killed.ok()) << "sink kill at " << frac << " reported ok";
 
-    // The CaptureGuard must have unwound completely: the COW overlay is
+    // The capture's overlay guard must have run: the COW overlay is
     // disarmed (no writer would ever preserve into a dead capture) and
     // the context remains fully usable.
     EXPECT_FALSE(ctx.process().lower().device().snap_overlay().armed())

@@ -618,21 +618,6 @@ TEST(UvmTest, PerPageGranularity) {
   EXPECT_EQ(*uvm.residency(static_cast<char*>(*m) + 2 * page), PageResidency::kHost);
 }
 
-TEST(UvmTest, DisarmAllMakesMemoryReadableWithoutFaults) {
-  Device dev(small_config());
-  auto m = dev.malloc_managed(128 << 10);
-  ASSERT_TRUE(m.ok());
-  std::memset(*m, 7, 128 << 10);
-  ASSERT_TRUE(dev.uvm().prefetch(*m, 128 << 10, true).ok());
-  dev.uvm().reset_stats();
-  ASSERT_TRUE(dev.uvm().disarm_all().ok());
-  auto* bytes = static_cast<char*>(*m);
-  for (std::size_t i = 0; i < (128u << 10); i += 4096) {
-    ASSERT_EQ(bytes[i], 7);
-  }
-  EXPECT_EQ(dev.uvm().stats().host_faults, 0u);
-}
-
 TEST(UvmTest, FreeResetsPages) {
   Device dev(small_config());
   auto m = dev.malloc_managed(64 << 10);
